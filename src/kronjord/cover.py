@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
-from .exactmat import QQ, ExactMatrix, Field
+from .exactmat import QQ, ExactMatrix, Field, field_from_json, require_fields
 from .kronecker import DimVector, KroneckerRep
 
 Address = tuple[int, ...]
@@ -228,11 +229,14 @@ class TreeRep:
     """
 
     r: int
-    dims: dict[Address, int] = dc_field(default_factory=dict)
-    maps: dict[Edge, ExactMatrix] = dc_field(default_factory=dict)
+    dims: Mapping[Address, int] = dc_field(default_factory=dict)
+    maps: Mapping[Edge, ExactMatrix] = dc_field(default_factory=dict)
     field: Field = QQ
 
     def __post_init__(self):
+        # read-only views of private copies make the value immutable, hence hashable
+        object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
+        object.__setattr__(self, "maps", MappingProxyType(dict(self.maps)))
         for v, d in self.dims.items():
             if d <= 0:
                 raise ValueError(f"dims must list only positive dimensions, got {d} at {v}")
@@ -242,6 +246,10 @@ class TreeRep:
             edge_color(t, h)  # validates adjacency
             if (m.rows, m.cols) != (self.dims.get(h, 0), self.dims.get(t, 0)):
                 raise ValueError(f"map at {t}->{h} has shape {(m.rows, m.cols)}")
+
+    def __hash__(self):
+        return hash((self.r, frozenset(self.dims.items()), frozenset(self.maps.items()),
+                     self.field))
 
     def support(self) -> set[Address]:
         return set(self.dims)
@@ -268,20 +276,29 @@ class TreeRep:
                 "color": edge_color(t, h),
                 "mat": m.to_str_lists(),
             })
-        return {"r": self.r, "vertices": verts, "edges": edges}
+        out = {"r": self.r, "vertices": verts, "edges": edges}
+        if self.field != QQ:
+            out["field"] = self.field.to_json()
+        return out
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
 
     @staticmethod
     def from_json(d: dict) -> "TreeRep":
+        require_fields(d, ("r", "vertices", "edges"), "tree")
+        for v in d["vertices"]:
+            require_fields(v, ("addr", "dim"), "tree vertex")
+        for e in d["edges"]:
+            require_fields(e, ("src", "dst", "mat"), "tree edge")
         r = int(d["r"])
+        fld = field_from_json(d["field"]) if "field" in d else QQ
         dims = {tuple(v["addr"]): int(v["dim"]) for v in d["vertices"]}
         maps = {}
         for e in d["edges"]:
             t, h = tuple(e["src"]), tuple(e["dst"])
-            maps[(t, h)] = ExactMatrix.from_str_lists(QQ, e["mat"], dims.get(h, 0), dims.get(t, 0))
-        return TreeRep(r, dims, maps)
+            maps[(t, h)] = ExactMatrix.from_str_lists(fld, e["mat"], dims.get(h, 0), dims.get(t, 0))
+        return TreeRep(r, dims, maps, fld)
 
 
 def _identity_1x1(fld: Field) -> ExactMatrix:

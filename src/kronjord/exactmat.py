@@ -14,6 +14,7 @@ makes the large, very sparse intertwining systems cheap.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
@@ -204,7 +205,17 @@ Field = Union[RationalField, PrimeField]
 Scalar = Union[Fraction, GFElement]
 
 
+def require_fields(d, fields: Sequence[str], what: str) -> None:
+    """Raise a ValueError naming every key of ``fields`` missing from the JSON object ``d``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    missing = [f for f in fields if f not in d]
+    if missing:
+        raise ValueError(f"{what} is missing field(s) " + ", ".join(repr(f) for f in missing))
+
+
 def field_from_json(d: dict) -> Field:
+    require_fields(d, ("type",), "field descriptor")
     if d["type"] == "Q":
         return QQ
     if d["type"] == "GF":
@@ -221,19 +232,10 @@ def field_from_json(d: dict) -> Field:
 # reduced form is only converted back to rationals during extraction.
 
 def _normalize_int_row(row: dict) -> dict:
-    if not row:
-        return row
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
+    g = gcd(*row.values())
     if g > 1:
         return {c: v // g for c, v in row.items()}
     return row
-
-
-def _int_pivot_weight(row: dict, col: int) -> tuple:
-    # prefer small pivot entries and short rows (Markowitz-lite)
-    return (abs(row[col]).bit_length(), len(row))
 
 
 def _combine_int(row: dict, piv: dict, col: int) -> dict:
@@ -259,28 +261,42 @@ def sparse_int_echelon(rows: Iterable[dict], ncols: int) -> list[tuple[int, dict
     order.  Forward elimination only: a pivot row has its support in its
     pivot column and columns to the right, so back-substitution in
     reverse pivot order recovers kernel vectors and solutions.
+
+    Rows are indexed by column: each active row is listed under its
+    leading column.  Columns are eliminated left to right, so when column
+    c is reached every active row has its support at c or to its right,
+    and the rows listed under c are exactly the rows holding c.  A pivot
+    step touches only those; each reduced row is listed again under its
+    new leading column.  The pivot is the row with the smallest
+    (coefficient bit length, row length, input position), small entries
+    and short rows first (Markowitz-lite).  The input rows are not
+    mutated.
     """
-    active = [_normalize_int_row(dict(r)) for r in rows if r]
+    live = [_normalize_int_row(dict(r)) for r in rows if r]
+    by_lead: defaultdict[int, list[int]] = defaultdict(list)
+    for i, row in enumerate(live):
+        by_lead[min(row)].append(i)
     piv_rows: list[tuple[int, dict]] = []
     for col in range(ncols):
-        if not active:
+        if not by_lead:
             break
-        best = None
-        for i, row in enumerate(active):
-            if col in row:
-                w = _int_pivot_weight(row, col)
-                if best is None or w < best[0]:
-                    best = (w, i)
-        if best is None:
+        listed = by_lead.pop(col, None)
+        if listed is None:
             continue
-        piv = active.pop(best[1])
-        new_active = []
-        for r in active:
-            if col in r:
-                r = _combine_int(r, piv, col)
-            if r:
-                new_active.append(r)
-        active = new_active
+        best = None
+        for i in listed:
+            row = live[i]
+            w = (abs(row[col]).bit_length(), len(row), i)
+            if best is None or w < best:
+                best = w
+        piv = live[best[2]]
+        for i in listed:
+            row = live[i]
+            if row is not piv:
+                row = _combine_int(row, piv, col)
+                if row:
+                    live[i] = row
+                    by_lead[min(row)].append(i)
         piv_rows.append((col, piv))
     return piv_rows
 

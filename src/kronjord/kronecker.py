@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .exactmat import QQ, ExactMatrix, Field, Scalar, field_from_json
+from .exactmat import QQ, ExactMatrix, Field, Scalar, field_from_json, require_fields
 
 # alpha samples are drawn from this symmetric integer box; a random
 # rational point detects the generic rank with overwhelming probability
@@ -84,6 +84,7 @@ class KroneckerRep:
 
     @staticmethod
     def from_json(d: dict) -> "KroneckerRep":
+        require_fields(d, ("r", "dim", "field", "mats"), "representation")
         field = field_from_json(d["field"])
         a, b = (int(x) for x in d["dim"])
         mats = tuple(

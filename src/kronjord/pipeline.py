@@ -32,6 +32,7 @@ from .cover import (
     thin_path_rep,
 )
 from .echelon import build_echelon_rep, ekp_echelon_certificate, select_phi
+from .exactmat import require_fields
 from .kronecker import (
     DimVector,
     JordanType,
@@ -127,6 +128,8 @@ class CertifiedWitness:
 
     @staticmethod
     def from_json(d: dict) -> "CertifiedWitness":
+        require_fields(d, ("rep", "jordan", "mode", "ekp_certificate", "indec_evidence"),
+                       "witness")
         return CertifiedWitness(
             rep=KroneckerRep.from_json(d["rep"]),
             jordan=JordanType(*d["jordan"]),

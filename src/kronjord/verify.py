@@ -6,7 +6,12 @@ presentation, computed from the rank rather than from the bilinear form so
 the Euler identity remains a nontrivial cross-check.  Indecomposability is
 certified through locality of the endomorphism algebra, whose radical is
 the kernel of the trace form of the left regular representation (valid in
-characteristic zero).
+characteristic zero).  The locality test solves no linear system: the
+Hom basis is reduced at its free columns, so the coordinates of a product
+of basis endomorphisms are read off there, each product is checked
+exactly against the combination they name, and the trace form is built
+from the resulting structure constants.  All eliminations over Q go
+through the column-indexed sparse integer engine of ``exactmat``.
 """
 
 from __future__ import annotations
@@ -133,13 +138,64 @@ def is_brick(m: KroneckerRep) -> bool:
     return hom_space(m, m).dim == 1
 
 
+def _block_diagonal_rows(f1: ExactMatrix, f2: ExactMatrix) -> list[list[tuple[int, Fraction]]]:
+    """Sparse rows of diag(f1, f2), each a list of (column, entry) pairs."""
+    a = f1.rows
+    rows = [[(j, x) for j, x in enumerate(f1.row_list(i)) if x] for i in range(a)]
+    rows += [[(a + q, x) for q, x in enumerate(f2.row_list(p)) if x] for p in range(f2.rows)]
+    return rows
+
+
+def _compose(x_rows: list, y_rows: list) -> dict[int, Fraction]:
+    """Non-zero entries of the product x y of block-diagonal sparse matrices.
+
+    Entry (g, h) is keyed g*n + h, n the matrix size; on block-diagonal
+    supports that order is hom_space's unknown order (f1 row-major, then
+    f2 row-major).
+    """
+    n = len(x_rows)
+    out: dict[int, Fraction] = {}
+    for g, row in enumerate(x_rows):
+        base = g * n
+        for k, v in row:
+            for h, w in y_rows[k]:
+                out[base + h] = out.get(base + h, 0) + v * w
+    return {key: v for key, v in out.items() if v}
+
+
+def _coordinates(prod: dict[int, Fraction], free: list[int], basis: list[dict]) -> list:
+    """Coordinates of ``prod`` in a basis reduced at its free columns, checked exactly."""
+    coords = [prod.get(f, 0) for f in free]
+    rest = dict(prod)
+    for ck, vec in zip(coords, basis):
+        if ck:
+            for key, v in vec.items():
+                w = rest.get(key, 0) - ck * v
+                if w:
+                    rest[key] = w
+                else:
+                    del rest[key]
+    if rest:
+        raise AssertionError("endomorphism product escaped the basis span")
+    return coords
+
+
 def end_is_local(m: KroneckerRep) -> bool:
     """Locality of End(m) over the rationals: indecomposability certificate.
 
     The radical of the endomorphism algebra is the kernel of the trace
     bilinear form of the left regular representation (characteristic
     zero); the algebra is local with residue field k exactly when the
-    dimension drops to 1.
+    form has rank 1.
+
+    No linear system is solved.  Each basis vector of hom_space is 1 at
+    its own free column, 0 at every other free column, and that column is
+    its last non-zero unknown; so the coordinate of a product b_i b_j on
+    b_k is read off at b_k's free column.  Every product is compared
+    exactly with the combination of basis vectors its coordinates name.
+    Since left multiplication L is an algebra map, the trace form comes
+    from the structure constants, T_ij = sum_k C_ij^k tr(L_k) with
+    tr(L_k) = sum_l C_kl^l, in O(nb^3) scalar operations.
     """
     if m.field != QQ:
         raise ValueError("locality testing is supported over the rationals only")
@@ -149,38 +205,19 @@ def end_is_local(m: KroneckerRep) -> bool:
         return False
     if nb == 1:
         return True
-    # coordinates of arbitrary endomorphisms in the computed basis
-    aM, bM = m.dim
-    nvars = aM * aM + bM * bM
-    cols = []
-    for f1, f2 in endos.basis:
-        cols.append([f1[i, j] for i in range(aM) for j in range(aM)]
-                    + [f2[p, q] for p in range(bM) for q in range(bM)])
-    basis_mat = ExactMatrix(QQ, [[cols[k][v] for k in range(nb)] for v in range(nvars)],
-                            nvars, nb)
-
-    def coords(f1: ExactMatrix, f2: ExactMatrix) -> list[Fraction]:
-        target = [f1[i, j] for i in range(aM) for j in range(aM)] \
-            + [f2[p, q] for p in range(bM) for q in range(bM)]
-        sol = basis_mat.solve(target)
-        if sol is None:
-            raise AssertionError("endomorphism product escaped the basis span")
-        return sol
-
-    left_mult = []
-    for f1i, f2i in endos.basis:
-        columns = [coords(f1i @ f1j, f2i @ f2j) for f1j, f2j in endos.basis]
-        left_mult.append(ExactMatrix(QQ, [[columns[j][k] for j in range(nb)] for k in range(nb)],
-                                     nb, nb))
-    trace_form = [[Fraction(0)] * nb for _ in range(nb)]
-    for i in range(nb):
-        for j in range(i, nb):
-            prod = left_mult[i] @ left_mult[j]
-            tr = sum((prod[k, k] for k in range(nb)), Fraction(0))
-            trace_form[i][j] = tr
-            trace_form[j][i] = tr
-    radical_dim = nb - ExactMatrix(QQ, trace_form, nb, nb).rank()
-    return nb - radical_dim == 1
+    rows = [_block_diagonal_rows(f1, f2) for f1, f2 in endos.basis]
+    n = m.total_dim()
+    basis = [{g * n + h: v for g, row in enumerate(r) for h, v in row} for r in rows]
+    free = [max(vec) for vec in basis]
+    for k, vec in enumerate(basis):
+        if vec[free[k]] != 1 or sum(f in vec for f in free) != 1:
+            raise AssertionError("hom_space basis is not reduced at its free columns")
+    # structure constants: b_i b_j = sum_k const[i][j][k] b_k
+    const = [[_coordinates(_compose(x, y), free, basis) for y in rows] for x in rows]
+    tr_left = [sum(const[k][l][l] for l in range(nb)) for k in range(nb)]
+    trace_form = [[sum(c * t for c, t in zip(const[i][j], tr_left)) for j in range(nb)]
+                  for i in range(nb)]
+    return ExactMatrix(QQ, trace_form, nb, nb).rank() == 1
 
 
 # ---------------------------------------------------------------------------

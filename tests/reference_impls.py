@@ -1,0 +1,81 @@
+"""Earlier, slower implementations kept as test-side references.
+
+``reference_end_is_local`` recovers the coordinates of every product of
+basis endomorphisms with a full linear solve and forms the trace form
+from explicit left-multiplication matrices.  ``reference_sparse_int_echelon``
+scans every active row for every column.  The package versions read the
+coordinates off and index rows by column; the tests assert that both give
+identical answers.
+"""
+
+from fractions import Fraction
+
+from kronjord.exactmat import QQ, ExactMatrix, _combine_int, _normalize_int_row
+from kronjord.verify import hom_space
+
+
+def reference_end_is_local(m):
+    """Locality of End(m) by solves for coordinates and an O(nb^4) trace form."""
+    endos = hom_space(m, m)
+    nb = endos.dim
+    if nb == 0:
+        return False
+    if nb == 1:
+        return True
+    aM, bM = m.dim
+    nvars = aM * aM + bM * bM
+    cols = []
+    for f1, f2 in endos.basis:
+        cols.append([f1[i, j] for i in range(aM) for j in range(aM)]
+                    + [f2[p, q] for p in range(bM) for q in range(bM)])
+    basis_mat = ExactMatrix(QQ, [[cols[k][v] for k in range(nb)] for v in range(nvars)],
+                            nvars, nb)
+
+    def coords(f1, f2):
+        target = [f1[i, j] for i in range(aM) for j in range(aM)] \
+            + [f2[p, q] for p in range(bM) for q in range(bM)]
+        sol = basis_mat.solve(target)
+        if sol is None:
+            raise AssertionError("endomorphism product escaped the basis span")
+        return sol
+
+    left_mult = []
+    for f1i, f2i in endos.basis:
+        columns = [coords(f1i @ f1j, f2i @ f2j) for f1j, f2j in endos.basis]
+        left_mult.append(ExactMatrix(QQ, [[columns[j][k] for j in range(nb)] for k in range(nb)],
+                                     nb, nb))
+    trace_form = [[Fraction(0)] * nb for _ in range(nb)]
+    for i in range(nb):
+        for j in range(i, nb):
+            prod = left_mult[i] @ left_mult[j]
+            tr = sum((prod[k, k] for k in range(nb)), Fraction(0))
+            trace_form[i][j] = tr
+            trace_form[j][i] = tr
+    return ExactMatrix(QQ, trace_form, nb, nb).rank() == 1
+
+
+def reference_sparse_int_echelon(rows, ncols):
+    """Fraction-free forward elimination that scans all active rows per column."""
+    active = [_normalize_int_row(dict(r)) for r in rows if r]
+    piv_rows = []
+    for col in range(ncols):
+        if not active:
+            break
+        best = None
+        for i, row in enumerate(active):
+            if col in row:
+                w = (abs(row[col]).bit_length(), len(row))
+                if best is None or w < best[0]:
+                    best = (w, i)
+        if best is None:
+            continue
+        piv = active.pop(best[1])
+        new_active = []
+        for r in active:
+            if col in r:
+                r = _combine_int(r, piv, col)
+            if r:
+                new_active.append(r)
+        active = new_active
+        piv_rows.append((col, piv))
+    return piv_rows

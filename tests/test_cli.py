@@ -79,6 +79,15 @@ class TestVerify:
         assert code == 0
 
 
+    def test_missing_field_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"r": 3}))
+        code = main(["verify", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "missing field" in err and "'field'" in err
+
+
 class TestRootsCoxeterPushdown:
     def test_roots_table(self, capsys):
         code, out = run(capsys, "roots", "--r", "3", "--max", "5", "--json")

@@ -18,7 +18,7 @@ from kronjord.cover import (
     source_regular_bound_check,
     thin_path_rep,
 )
-from kronjord.exactmat import QQ, ExactMatrix
+from kronjord.exactmat import GF, QQ, ExactMatrix
 from kronjord.kronecker import DimVector, tits_form
 from kronjord.verify import ekp_sample_check, end_is_local
 
@@ -277,6 +277,36 @@ class TestTreeSerialization:
         assert back.dims == rep.dims
         assert back.maps == rep.maps
         assert push_down(back) == push_down(rep)
+
+    def test_prime_field_round_trip(self):
+        q = build_source_regular(3, 2)
+        rep = build_indecomposable_tree_rep(q, build_root_vector(q, 2, 5), field=GF(5))
+        blob = json.loads(rep.to_json_str())
+        assert blob["field"] == {"type": "GF", "p": 5}
+        back = TreeRep.from_json(blob)
+        assert back.field == GF(5)
+        assert back == rep
+        assert push_down(back) == push_down(rep)
+
+    def test_rational_tree_json_has_no_field(self):
+        # Q stays the implicit default, so rational witness files are unchanged
+        t = thin_path_rep(3, 2, 5)
+        assert "field" not in t.to_json()
+        assert TreeRep.from_json(t.to_json()).field == QQ
+
+    def test_hashable_and_frozen(self):
+        t = thin_path_rep(3, 2, 5)
+        back = TreeRep.from_json(json.loads(t.to_json_str()))
+        assert hash(back) == hash(t)
+        assert len({t, back}) == 1
+        with pytest.raises(TypeError):
+            t.dims[(1,)] = 7
+
+    def test_missing_field_named(self):
+        with pytest.raises(ValueError, match="'vertices'"):
+            TreeRep.from_json({"r": 3, "edges": []})
+        with pytest.raises(ValueError, match="tree edge is missing field.*'mat'"):
+            TreeRep.from_json({"r": 3, "vertices": [], "edges": [{"src": [], "dst": [1]}]})
 
     def test_schema_fields(self):
         t = thin_path_rep(3, 1, 1)

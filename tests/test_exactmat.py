@@ -1,10 +1,12 @@
 """Exact matrix kernels: frozen examples plus rank-nullity style properties."""
 
+import copy
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_impls import reference_sparse_int_echelon
 
 from kronjord.exactmat import (
     GF,
@@ -15,6 +17,7 @@ from kronjord.exactmat import (
     left_kernel_matrix,
     rank,
     solve_linear_system,
+    sparse_int_echelon,
 )
 
 
@@ -193,3 +196,51 @@ def test_solve_consistency(m):
     sol = m.solve(b)
     assert sol is not None
     assert m.apply(sol) == b
+
+
+# --- the column-indexed sparse echelon against the full-scan reference -------
+
+def assert_same_echelon(rows, ncols):
+    snapshot = copy.deepcopy(rows)
+    got = sparse_int_echelon(rows, ncols)
+    assert rows == snapshot, "input rows were mutated"
+    assert got == reference_sparse_int_echelon(rows, ncols)
+    assert [c for c, _ in got] == sorted({c for c, _ in got})
+
+
+def test_echelon_fill_in_cancels_then_reappears():
+    # pivoting column 0 on row 0 cancels column 2 from row 1; pivoting
+    # column 1 on row 2 (smaller entry) fills column 2 back into row 1.
+    # At column 2, row 1 ties with row 3 and wins by input position.
+    rows = [{0: 1, 2: 1}, {0: 1, 1: 2, 2: 1, 3: 1}, {1: 1, 2: 1}, {2: 3, 3: 1}]
+    assert_same_echelon(rows, 4)
+    assert sparse_int_echelon(rows, 4) == [(0, {0: 1, 2: 1}), (1, {1: 1, 2: 1}),
+                                           (2, {2: -2, 3: 1}), (3, {3: -1})]
+
+
+@st.composite
+def int_row_systems(draw):
+    """Integer rows with empty rows, duplicates, zero columns and cancelling fill-in."""
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.integers(min_value=-4, max_value=4).filter(bool)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols),
+                         max_size=8))
+    # integer combinations of earlier rows: duplicates, multiples and rows
+    # whose elimination cancels fill-in (or the whole row)
+    for i, j, k in draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15),
+                                           st.integers(-2, 2)), max_size=5)):
+        if rows:
+            x, y = rows[i % len(rows)], rows[j % len(rows)]
+            combo = {c: x.get(c, 0) + k * y.get(c, 0) for c in sorted(set(x) | set(y))}
+            rows.append({c: v for c, v in combo.items() if v})
+    blank = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    rows = [{c: v for c, v in r.items() if c not in blank} for r in rows]
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols + draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_row_systems())
+def test_indexed_echelon_matches_full_scan(system):
+    rows, ncols = system
+    assert_same_echelon(rows, ncols)

@@ -1,6 +1,7 @@
 """Hom/Ext, the Euler identity, locality, bricks, and the sampled checks."""
 
 import pytest
+from reference_impls import reference_end_is_local
 
 from kronjord.bgp import build_preprojective, explicit_p2
 from kronjord.cover import (
@@ -12,7 +13,9 @@ from kronjord.cover import (
 from kronjord.echelon import build_echelon_rep, select_phi
 from kronjord.exactmat import GF, QQ, ExactMatrix
 from kronjord.kronecker import DimVector, KroneckerRep, direct_sum, dual, euler_form, simple_rep
+from kronjord import verify
 from kronjord.verify import (
+    HomSpace,
     ekp_sample_check,
     eip_sample_check,
     end_is_local,
@@ -129,6 +132,60 @@ class TestLocality:
         m = KroneckerRep(3, DimVector(1, 2), mats, f)
         with pytest.raises(ValueError):
             end_is_local(m)
+
+
+class TestLocalityAgainstReference:
+    """The read-off locality test agrees with the solve-based reference."""
+
+    def test_sweep_cover_and_shift_witnesses(self, witness_sweep):
+        checked = 0
+        for r, c, d, w in witness_sweep:
+            if w.indec_evidence != "local-endo":
+                continue
+            assert end_is_local(w.rep) == reference_end_is_local(w.rep) is True, (r, c, d)
+            checked += 1
+        assert checked >= 10
+
+    def test_end_dim_10_cover_witness(self):
+        rep = cover_rep(3, 13, 30)
+        assert hom_space(rep, rep).dim == 10
+        assert end_is_local(rep) == reference_end_is_local(rep) is True
+
+    @pytest.mark.parametrize("rep", [
+        direct_sum(explicit_p2(3), explicit_p2(3)),
+        direct_sum(cover_rep(3, 2, 5), cover_rep(3, 2, 5)),
+        direct_sum(explicit_p2(3), cover_rep(3, 2, 5)),
+        direct_sum(simple_rep(3, (1, 0)), simple_rep(3, (0, 1))),
+    ], ids=["P2+P2", "M+M", "P2+M", "S1+S2"])
+    def test_decomposables(self, rep):
+        assert end_is_local(rep) == reference_end_is_local(rep) is False
+
+    def test_local_non_bricks(self):
+        q = build_source_regular(3, 5)
+        folded = push_down(build_indecomposable_tree_rep(q, build_root_vector(q, 5, 12)))
+        for rep in (tube_rep_r2(), folded):
+            assert hom_space(rep, rep).dim == 2
+            assert end_is_local(rep) == reference_end_is_local(rep) is True
+
+    def test_product_outside_the_basis_span_raises(self, monkeypatch):
+        rep = cover_rep(3, 13, 30)
+        full = hom_space(rep, rep)
+        monkeypatch.setattr(verify, "hom_space", lambda m, n: HomSpace(full.basis[1:]))
+        with pytest.raises(AssertionError, match="escaped the basis span"):
+            end_is_local(rep)
+
+    def test_basis_not_reduced_at_free_columns_raises(self, monkeypatch):
+        rep = cover_rep(3, 13, 30)
+        (f1, f2), (g1, g2), *rest = hom_space(rep, rep).basis
+        mixed = HomSpace(((f1 + g1, f2 + g2), (g1, g2), *rest))
+        monkeypatch.setattr(verify, "hom_space", lambda m, n: mixed)
+        with pytest.raises(AssertionError, match="not reduced"):
+            end_is_local(rep)
+
+    def test_end_dim_12_cover_witness_local(self):
+        rep = cover_rep(3, 26, 64)
+        assert hom_space(rep, rep).dim == 12
+        assert end_is_local(rep)
 
 
 class TestBrick:
