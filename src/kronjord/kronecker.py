@@ -7,16 +7,31 @@ bilinear and Tits forms, the Coxeter matrix, root classification, pencil
 evaluation and Jordan types, duality, direct sums, the translation to
 nilpotent operator matrices, and the JSON interchange format shared by
 every CLI command.
+
+The sampled checks rank pencils at a seeded plan of probe points.  Over Q
+the arrow matrices are cleared to integers once, each pencil is formed as
+sparse integer rows and ranked by ``exactmat.sparse_int_echelon``, and
+the ranks are kept on the representation per seed, so checks that share
+a seed rank each point once.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field as dc_field
+from math import lcm
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .exactmat import QQ, ExactMatrix, Field, Scalar, field_from_json, require_fields
+from .exactmat import (
+    QQ,
+    ExactMatrix,
+    Field,
+    Scalar,
+    field_from_json,
+    require_fields,
+    sparse_int_echelon,
+)
 
 # alpha samples are drawn from this symmetric integer box; a random
 # rational point detects the generic rank with overwhelming probability
@@ -53,6 +68,10 @@ class KroneckerRep:
     dim: DimVector
     mats: tuple[ExactMatrix, ...]
     field: Field = QQ
+    # seed -> {k: rank of the pencil at probe point k} over Q, filled from
+    # k = 0 up; a cache that never changes a result, so it is not part of
+    # equality, hash or JSON
+    _probe_ranks: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r < 2:
@@ -181,15 +200,29 @@ def jordan_type_at(m: KroneckerRep, alpha: Sequence) -> JordanType:
     return JordanType(m.dim.a + m.dim.b - 2 * d, d)
 
 
-def sample_alpha(field: Field, r: int, rng: random.Random) -> list[Scalar]:
-    """A nonzero coefficient vector with entries from the sampling box."""
+def _draw(field: Field, r: int, rng: random.Random) -> list[int]:
+    """Integer representatives of a nonzero vector from the sampling box."""
     while True:
         if field == QQ:
             vals = [rng.randint(-ALPHA_BOX, ALPHA_BOX) for _ in range(r)]
         else:
             vals = [rng.randint(0, field.p - 1) for _ in range(r)]
         if any(vals):
-            return [field.element(v) for v in vals]
+            return vals
+
+
+def sample_alpha(field: Field, r: int, rng: random.Random) -> list[Scalar]:
+    """A nonzero coefficient vector with entries from the sampling box."""
+    return [field.element(v) for v in _draw(field, r, rng)]
+
+
+def _probe_points(field: Field, r: int, samples: int, seed: int) -> list[list[int]]:
+    """The points of ``probe_alphas`` as integer representatives."""
+    rng = random.Random(seed)
+    out = [[int(j == i) for j in range(r)] for i in range(min(r, samples))]
+    while len(out) < samples:
+        out.append(_draw(field, r, rng))
+    return out
 
 
 def probe_alphas(field: Field, r: int, samples: int, seed: int) -> list[list[Scalar]]:
@@ -198,16 +231,75 @@ def probe_alphas(field: Field, r: int, samples: int, seed: int) -> list[list[Sca
 
     Probing the basis catches the degenerate pencils that vanish on a
     coordinate hyperplane, which random integer draws would almost never
-    hit exactly.
+    hit exactly.  The plan for ``n`` samples is a prefix of the plan for
+    any larger count.
     """
-    rng = random.Random(seed)
+    return [[field.element(v) for v in pt] for pt in _probe_points(field, r, samples, seed)]
+
+
+def _integer_arrows(m: KroneckerRep) -> tuple[list[list[list[tuple[int, int]]]], int]:
+    """The arrow matrices times one common denominator, as sparse integer rows.
+
+    Each arrow is given by the rows of whichever of it and its transpose
+    has fewer rows, each row a list of (column, entry) pairs.  Returns the
+    rows of every arrow and their length.  Neither the common scale nor
+    the transpose changes any pencil's rank; fewer, longer rows are the
+    faster to eliminate.
+    """
+    a, b = m.dim
+    den = lcm(*(x.denominator for mat in m.mats for x in mat.entries))
     out = []
-    zero, one = field.zero, field.one
-    for i in range(min(r, samples)):
-        out.append([one if j == i else zero for j in range(r)])
-    while len(out) < samples:
-        out.append(sample_alpha(field, r, rng))
-    return out
+    for mat in m.mats:
+        rows = [[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(mat.row_list(i)) if x]
+                for i in range(b)]
+        if a < b:
+            cols: list[list[tuple[int, int]]] = [[] for _ in range(a)]
+            for i, row in enumerate(rows):
+                for j, v in row:
+                    cols[j].append((i, v))
+            rows = cols
+        out.append(rows)
+    return out, max(a, b)
+
+
+def _integer_pencil_rank(arrows: list, alpha: Sequence[int], ncols: int) -> int:
+    """Rank of sum(alpha_t * arrows[t]) for integer alpha, by sparse integer elimination."""
+    rows = []
+    for i in range(len(arrows[0])):
+        acc: dict[int, int] = {}
+        for c, arrow in zip(alpha, arrows):
+            if c:
+                for j, v in arrow[i]:
+                    acc[j] = acc.get(j, 0) + c * v
+        row = {j: v for j, v in acc.items() if v}
+        if row:
+            rows.append(row)
+    return len(sparse_int_echelon(rows, ncols)) if rows else 0
+
+
+def _sampled_ranks(m: KroneckerRep, samples: int, seed: int) -> Iterator[int]:
+    """Pencil ranks at ``probe_alphas(m.field, m.r, samples, seed)``, lazily, in order.
+
+    Over Q the pencils are ranked from integer rows along their shorter
+    side, at the integer points of the plan, and the ranks are kept on
+    ``m`` per seed.  The points for ``n`` samples are a prefix of those
+    for any larger count, so every check that samples ``m`` with one seed
+    ranks each point once, and a caller that stops early leaves the later
+    points unranked.  Prime-field pencils are ranked directly, every time.
+    """
+    if m.field != QQ:
+        for alpha in probe_alphas(m.field, m.r, samples, seed):
+            yield pencil(m, alpha).rank()
+        return
+    ranks = m._probe_ranks.setdefault(seed, {})
+    if len(ranks) < samples:
+        arrows, ncols = _integer_arrows(m)
+        points = _probe_points(QQ, m.r, samples, seed)
+    for k in range(samples):
+        rk = ranks.get(k)
+        if rk is None:
+            rk = ranks[k] = _integer_pencil_rank(arrows, points[k], ncols)
+        yield rk
 
 
 def generic_rank(m: KroneckerRep, samples: int = 100, seed: int = 0) -> tuple[int, int, dict]:
@@ -219,9 +311,7 @@ def generic_rank(m: KroneckerRep, samples: int = 100, seed: int = 0) -> tuple[in
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    ranks = set()
-    for alpha in probe_alphas(m.field, m.r, samples, seed):
-        ranks.add(pencil(m, alpha).rank())
+    ranks = set(_sampled_ranks(m, samples, seed))
     d = max(ranks)
     c = m.dim.a + m.dim.b - 2 * d
     record = {"seed": seed, "samples": samples, "ranks_seen": sorted(ranks)}

@@ -48,6 +48,9 @@ from .verify import ekp_sample_check, eip_sample_check, end_is_local, is_brick, 
 
 CJT_SAMPLES = 100
 EKP_SAMPLES = 200
+# the equal-kernels certificate each route produces, and validation demands
+ROUTE_CERTIFICATE = {"simple": "sampled", "preprojective": "sampled", "echelon": "echelon",
+                     "cover": "inj-cover", "shift": "inj-cover"}
 
 
 class JordanTypeRejected(ValueError):
@@ -130,9 +133,16 @@ class CertifiedWitness:
     def from_json(d: dict) -> "CertifiedWitness":
         require_fields(d, ("rep", "jordan", "mode", "ekp_certificate", "indec_evidence"),
                        "witness")
+        jordan = d["jordan"]
+        if not (isinstance(jordan, list) and len(jordan) == 2
+                and all(type(x) is int and x >= 0 for x in jordan)):
+            raise ValueError(f"witness field 'jordan' must be a pair of non-negative "
+                             f"integers [c, d], got {jordan!r}")
+        if d["mode"] not in ("ekp", "eip"):
+            raise ValueError(f"witness field 'mode' must be 'ekp' or 'eip', got {d['mode']!r}")
         return CertifiedWitness(
             rep=KroneckerRep.from_json(d["rep"]),
-            jordan=JordanType(*d["jordan"]),
+            jordan=JordanType(*jordan),
             mode=d["mode"],
             ekp_certificate=dict(d["ekp_certificate"]),
             indec_evidence=d["indec_evidence"],
@@ -166,14 +176,14 @@ def realize(r: int, c: int, d: int, mode: str = "ekp", seed: int = 0) -> Certifi
     a, b = cls.dim
     trace = [f"route:{cls.route}"]
     tree: Optional[TreeRep] = None
-    certificate: dict
+    certificate = {"kind": ROUTE_CERTIFICATE[cls.route]}
     evidence: str
 
     if cls.route == "simple":
         rep = simple_rep(r, (0, 1))
         if not ekp_sample_check(rep, EKP_SAMPLES, seed):
             raise AssertionError("vacuous kernel condition failed")
-        certificate = {"kind": "sampled", "samples": EKP_SAMPLES, "seed": seed}
+        certificate.update(samples=EKP_SAMPLES, seed=seed)
         if not is_brick(rep):
             raise AssertionError("simple failed the brick check")
         evidence = "brick"
@@ -181,7 +191,7 @@ def realize(r: int, c: int, d: int, mode: str = "ekp", seed: int = 0) -> Certifi
         rep = build_preprojective(r, a, b)
         if not ekp_sample_check(rep, EKP_SAMPLES, seed):
             raise AssertionError("preprojective failed the sampled kernel check")
-        certificate = {"kind": "sampled", "samples": EKP_SAMPLES, "seed": seed}
+        certificate.update(samples=EKP_SAMPLES, seed=seed)
         if not is_brick(rep):
             raise AssertionError("preprojective failed the brick check")
         evidence = "brick"
@@ -191,7 +201,6 @@ def realize(r: int, c: int, d: int, mode: str = "ekp", seed: int = 0) -> Certifi
         rep = build_echelon_rep(spec)
         if not ekp_echelon_certificate(rep):
             raise AssertionError("echelon witness failed its structural certificate")
-        certificate = {"kind": "echelon"}
         if not is_brick(rep):
             raise AssertionError("echelon witness failed the brick check")
         evidence = "brick"
@@ -201,7 +210,6 @@ def realize(r: int, c: int, d: int, mode: str = "ekp", seed: int = 0) -> Certifi
         inj, witness = is_inj(tree)
         if not inj:
             raise AssertionError(f"cover witness failed Inj at edge {witness}")
-        certificate = {"kind": "inj-cover"}
         if not end_is_local(rep):
             raise AssertionError("cover witness has non-local endomorphisms")
         evidence = "local-endo"
@@ -222,7 +230,6 @@ def realize(r: int, c: int, d: int, mode: str = "ekp", seed: int = 0) -> Certifi
         inj, witness = is_inj(tree)
         if not inj:
             raise AssertionError(f"shifted witness failed Inj at edge {witness}")
-        certificate = {"kind": "inj-cover"}
         if not end_is_local(rep):
             raise AssertionError("shifted witness has non-local endomorphisms")
         evidence = "local-endo"
@@ -245,7 +252,6 @@ def realize(r: int, c: int, d: int, mode: str = "ekp", seed: int = 0) -> Certifi
 
     if mode == "eip":
         rep = dual(rep)
-        certificate = dict(certificate)
         certificate["via_duality"] = True
         trace.append("dualized:eip")
         if not eip_sample_check(rep, EKP_SAMPLES, seed):
@@ -262,15 +268,31 @@ def realize(r: int, c: int, d: int, mode: str = "ekp", seed: int = 0) -> Certifi
 def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
     """Re-validate a serialized witness from its JSON alone.
 
-    Re-runs the recorded certificate (echelon structure, Inj on the
-    embedded tree plus push-down agreement, or the sampled check), a
-    fresh constant-Jordan-type sampling, and the locality certificate.
+    The certificate a witness needs is decided from (r, c, d) by
+    ``classify``, never taken from the file: the echelon structure, Inj on
+    the embedded tree plus push-down agreement, or the sampled check with
+    EKP_SAMPLES points and this seed.  The equal-kernels side must have
+    dimension vector xi(c, d).  Then a fresh constant-Jordan-type sampling
+    and the locality certificate run.  A Jordan type that is not
+    realizable, or a certificate of the wrong kind, is rejected with a
+    ``reason``.
     """
     w = CertifiedWitness.from_json(data)
+    c, d = w.jordan
+    cls = classify(w.rep.r, c, d)
+    if not cls.accepted:
+        return False, {"jordan": False,
+                       "reason": f"jordan {[c, d]} is not realizable: fails clause {cls.reason!r}"}
     results = {}
+    reason = None
     ekp_side = w.rep if w.mode == "ekp" else dual(w.rep)
+    results["dim"] = ekp_side.dim == cls.dim
     kind = w.ekp_certificate.get("kind")
-    if kind == "echelon":
+    required = ROUTE_CERTIFICATE[cls.route]
+    if kind != required:
+        results["certificate"] = False
+        reason = f"certificate kind {kind!r}: route {cls.route} requires {required!r}"
+    elif kind == "echelon":
         results["certificate"] = ekp_echelon_certificate(ekp_side)
     elif kind == "inj-cover":
         if w.tree is None:
@@ -278,15 +300,14 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
         else:
             inj, _ = is_inj(w.tree)
             results["certificate"] = inj and push_down(w.tree) == ekp_side
-    elif kind == "sampled":
-        results["certificate"] = ekp_sample_check(
-            ekp_side, int(w.ekp_certificate.get("samples", EKP_SAMPLES)),
-            int(w.ekp_certificate.get("seed", 0)))
     else:
-        results["certificate"] = False
+        results["certificate"] = ekp_sample_check(ekp_side, EKP_SAMPLES, seed)
     if w.mode == "eip":
         results["eip_samples"] = eip_sample_check(w.rep, EKP_SAMPLES, seed)
     constant, jtype, _ = is_constant_jordan_type(w.rep, CJT_SAMPLES, seed)
     results["jordan"] = constant and jtype == w.jordan
     results["indecomposable"] = end_is_local(w.rep)
-    return all(results.values()), results
+    ok = all(results.values())
+    if reason:
+        results["reason"] = reason
+    return ok, results

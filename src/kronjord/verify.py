@@ -21,13 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from .exactmat import ExactMatrix, QQ, sparse_int_echelon, sparse_int_kernel
-from .kronecker import (
-    KroneckerRep,
-    generic_rank,
-    pencil,
-    probe_alphas,
-    tits_form,
-)
+from .kronecker import KroneckerRep, _sampled_ranks, generic_rank, tits_form
 
 
 @dataclass(frozen=True)
@@ -46,28 +40,26 @@ def _intertwining_rows(m: KroneckerRep, n: KroneckerRep):
 
     Unknowns are the entries of f1 (row-major) followed by the entries of
     f2 (row-major).  One row per (arrow, target row p, source column j).
+    Each arrow of m is read once, into the non-zero entries of its columns.
     """
     aM, bM = m.dim
     aN, bN = n.dim
     nvars = aN * aM + bN * bM
     f2_off = aN * aM
-    zero = m.field.zero
     rows = []
     for t in range(m.r):
-        A = m.mats[t]   # bM x aM
+        a_cols = [[] for _ in range(aM)]   # column j of M(g_t): its (q, entry) pairs
+        for q in range(bM):
+            for j, x in enumerate(m.mats[t].row_list(q)):
+                if x:
+                    a_cols[j].append((q, x))
         B = n.mats[t]   # bN x aN
         for p in range(bN):
-            brow = B.row_list(p)
+            b_row = [(i, y) for i, y in enumerate(B.row_list(p)) if y]
             for j in range(aM):
-                row = {}
-                for q in range(bM):
-                    x = A[q, j]
-                    if x:
-                        row[f2_off + p * bM + q] = x
-                for i in range(aN):
-                    y = brow[i]
-                    if y:
-                        row[i * aM + j] = row.get(i * aM + j, zero) - y
+                row = {f2_off + p * bM + q: x for q, x in a_cols[j]}
+                for i, y in b_row:
+                    row[i * aM + j] = -y
                 if row:
                     rows.append(row)
     return rows, nvars
@@ -228,15 +220,13 @@ def ekp_sample_check(m: KroneckerRep, samples: int = 200, seed: int = 0) -> bool
     """True iff every sampled pencil has zero kernel (probabilistic check).
 
     The standard basis vectors are always probed first; exact certificates
-    come from the echelon and cover modules.
+    come from the echelon and cover modules.  Stops at the first failing
+    point.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     a = m.dim.a
-    for alpha in probe_alphas(m.field, m.r, samples, seed):
-        if pencil(m, alpha).rank() != a:
-            return False
-    return True
+    return all(rk == a for rk in _sampled_ranks(m, samples, seed))
 
 
 def eip_sample_check(m: KroneckerRep, samples: int = 200, seed: int = 0) -> bool:
@@ -244,10 +234,7 @@ def eip_sample_check(m: KroneckerRep, samples: int = 200, seed: int = 0) -> bool
     if samples < 1:
         raise ValueError("need at least one sample")
     b = m.dim.b
-    for alpha in probe_alphas(m.field, m.r, samples, seed):
-        if pencil(m, alpha).rank() != b:
-            return False
-    return True
+    return all(rk == b for rk in _sampled_ranks(m, samples, seed))
 
 
 def restriction_check(m: KroneckerRep, samples: int = 200, seed: int = 0) -> tuple[bool, dict]:

@@ -3,9 +3,10 @@
 ``reference_end_is_local`` recovers the coordinates of every product of
 basis endomorphisms with a full linear solve and forms the trace form
 from explicit left-multiplication matrices.  ``reference_sparse_int_echelon``
-scans every active row for every column.  The package versions read the
-coordinates off and index rows by column; the tests assert that both give
-identical answers.
+scans every active row for every column.  ``reference_intertwining_rows``
+reads the arrow matrices entry by entry.  The package versions read the
+coordinates off, index rows by column and read each arrow once; the tests
+assert that both give identical answers.
 """
 
 from fractions import Fraction
@@ -79,3 +80,31 @@ def reference_sparse_int_echelon(rows, ncols):
         active = new_active
         piv_rows.append((col, piv))
     return piv_rows
+
+
+def reference_intertwining_rows(m, n):
+    """Rows of f2 M(g_i) - N(g_i) f1 = 0, reading M(g_i) one entry at a time."""
+    aM, bM = m.dim
+    aN, bN = n.dim
+    nvars = aN * aM + bN * bM
+    f2_off = aN * aM
+    zero = m.field.zero
+    rows = []
+    for t in range(m.r):
+        A = m.mats[t]   # bM x aM
+        B = n.mats[t]   # bN x aN
+        for p in range(bN):
+            brow = B.row_list(p)
+            for j in range(aM):
+                row = {}
+                for q in range(bM):
+                    x = A[q, j]
+                    if x:
+                        row[f2_off + p * bM + q] = x
+                for i in range(aN):
+                    y = brow[i]
+                    if y:
+                        row[i * aM + j] = row.get(i * aM + j, zero) - y
+                if row:
+                    rows.append(row)
+    return rows, nvars

@@ -1,9 +1,15 @@
 """Forms, roots, pencils, Jordan types, duality, and the operator translation."""
 
 import json
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kronjord import kronecker
 from kronjord.bgp import explicit_p2
 from kronjord.exactmat import GF, QQ, ExactMatrix
 from kronjord.kronecker import (
@@ -165,6 +171,142 @@ class TestGenericRank:
         d_m, _, _ = generic_rank(m, 20, 2)
         d_mm, _, _ = generic_rank(direct_sum(m, m), 20, 2)
         assert d_mm == 2 * d_m
+
+
+# rational entries, zero in half of the draws
+entries = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+def rational_matrix(draw, rows, cols):
+    return ExactMatrix(QQ, [[draw(entries) for _ in range(cols)] for _ in range(rows)], rows, cols)
+
+
+@st.composite
+def qq_reps(draw):
+    """Small rational representations: some with a zero dimension or zero
+    arrows, some whose arrows all factor through one b x k matrix, so that
+    every pencil has rank at most k."""
+    r = draw(st.integers(min_value=2, max_value=4))
+    a = draw(st.integers(min_value=0, max_value=4))
+    b = draw(st.integers(min_value=0, max_value=4))
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=1, max_value=2))
+        x = rational_matrix(draw, b, k)
+        mats = [x @ rational_matrix(draw, k, a) for _ in range(r)]
+    else:
+        mats = [ExactMatrix.zeros(QQ, b, a) if draw(st.booleans()) else rational_matrix(draw, b, a)
+                for _ in range(r)]
+    m = KroneckerRep(r, DimVector(a, b), tuple(mats))
+    return direct_sum(m, m) if draw(st.booleans()) else m
+
+
+def integer_rank(m, alpha):
+    arrows, ncols = kronecker._integer_arrows(m)
+    return kronecker._integer_pencil_rank(arrows, alpha, ncols)
+
+
+class TestIntegerPencilRank:
+    """The integer-row pencil ranks of the sampled checks equal the ExactMatrix ranks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(qq_reps(), st.data())
+    def test_rank_at_any_integer_point(self, m, data):
+        alpha = data.draw(st.lists(st.integers(min_value=-5, max_value=5),
+                                   min_size=m.r, max_size=m.r).filter(any))
+        assert integer_rank(m, alpha) == pencil(m, alpha).rank()
+
+    @settings(max_examples=40, deadline=None)
+    @given(qq_reps(), st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=9))
+    def test_sampled_ranks_follow_the_plan(self, m, samples, seed):
+        want = [pencil(m, alpha).rank() for alpha in probe_alphas(QQ, m.r, samples, seed)]
+        assert list(kronecker._sampled_ranks(m, samples, seed)) == want
+
+    def test_rank_one_with_mixed_denominators(self):
+        half = ExactMatrix(QQ, [[Fraction(1, 2), 1], [1, 2]])
+        m = KroneckerRep(2, DimVector(2, 2), (half, ExactMatrix.zeros(QQ, 2, 2)))
+        assert integer_rank(m, [1, 0]) == pencil(m, [1, 0]).rank() == 1
+
+    def test_rank_deficient_direct_sums(self):
+        m = explicit_p2(3)
+        for rep in (direct_sum(m, m), direct_sum(m, simple_rep(3, (1, 0))),
+                    direct_sum(dual(m), simple_rep(3, (0, 1)))):
+            for alpha in probe_alphas(QQ, 3, 10, 2):
+                assert integer_rank(rep, [int(x) for x in alpha]) == pencil(rep, alpha).rank()
+
+    def test_pencils_ranked_along_the_shorter_side(self):
+        # both orientations give correct ranks; the shorter one is the
+        # faster to eliminate, so it is pinned here
+        m = explicit_p2(3)
+        for rep in (m, dual(m)):
+            a, b = rep.dim
+            arrows, ncols = kronecker._integer_arrows(rep)
+            assert a != b and ncols == max(a, b)
+            assert all(len(rows) == min(a, b) for rows in arrows)
+
+    def test_empty_sides(self):
+        for dim in ((0, 3), (3, 0), (0, 0)):
+            m = KroneckerRep(2, DimVector(*dim), tuple(ExactMatrix.zeros(QQ, dim[1], dim[0])
+                                                       for _ in range(2)))
+            assert list(kronecker._sampled_ranks(m, 5, 0)) == [0] * 5
+
+    def test_ranks_stay_out_of_equality_hash_and_json(self):
+        m, fresh = explicit_p2(3), explicit_p2(3)
+        text = m.to_json_str()
+        generic_rank(m, 20, 0)
+        assert m._probe_ranks and not fresh._probe_ranks
+        assert m == fresh and hash(m) == hash(fresh)
+        assert m.to_json_str() == text
+        assert "_probe_ranks" not in repr(m)
+
+    def test_one_rep_shared_by_threads(self):
+        # ranks 2, 0, 1 at the basis points, then mostly 2: a rank stored
+        # under the wrong point would shift the sequence
+        mats = (ExactMatrix.identity(QQ, 2), ExactMatrix.zeros(QQ, 2, 2),
+                ExactMatrix(QQ, [[1, 0], [0, 0]]))
+        fresh = KroneckerRep(3, DimVector(2, 2), mats)
+        want = [pencil(fresh, alpha).rank() for alpha in probe_alphas(QQ, 3, 120, 6)]
+        shared = KroneckerRep(3, DimVector(2, 2), mats)
+        got = {}
+        start = threading.Barrier(8, timeout=60)
+
+        def work(k):
+            n = 40 + 10 * k
+            start.wait()
+            got[k] = list(kronecker._sampled_ranks(shared, n, 6)) == want[:n]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {k: True for k in range(8)}
+        assert len(shared._probe_ranks[6]) == 110
+        assert [shared._probe_ranks[6][k] for k in range(110)] == want[:110]
+
+
+class TestProbePlanPrefix:
+    """probe_alphas for n samples is a prefix of the plan for any larger count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([QQ, GF(2), GF(7)]), st.integers(min_value=2, max_value=5),
+           st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=12),
+           st.integers(min_value=0, max_value=50))
+    def test_prefix(self, field, r, n, extra, seed):
+        assert probe_alphas(field, r, n, seed) == probe_alphas(field, r, n + extra, seed)[:n]
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)])
+    def test_counts_below_and_above_r(self, field):
+        r = 4
+        long_plan = probe_alphas(field, r, 30, 7)
+        for n in (1, 2, r - 1, r, r + 1, 29):
+            assert probe_alphas(field, r, n, 7) == long_plan[:n]
 
 
 class TestConstantJordanType:

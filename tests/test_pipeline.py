@@ -13,7 +13,10 @@ from gf2_oracle import (
 
 from kronjord.cover import is_inj, push_down
 from kronjord.kronecker import DimVector, JordanType, dual, xi
+from kronjord import pipeline
 from kronjord.pipeline import (
+    EKP_SAMPLES,
+    ROUTE_CERTIFICATE,
     JordanTypeRejected,
     classify,
     realize,
@@ -67,7 +70,7 @@ class TestRealize:
     def test_routes(self, r, c, d, route, kind):
         w = realize(r, c, d)
         assert w.construction_trace[0] == f"route:{route}"
-        assert w.ekp_certificate["kind"] == kind
+        assert w.ekp_certificate["kind"] == kind == ROUTE_CERTIFICATE[route]
         assert w.rep.dim == xi(c, d)
         assert w.jordan == JordanType(c, d)
 
@@ -110,6 +113,66 @@ class TestWiderArrowCounts:
                     assert cls.accepted
                     ok, results = validate_witness(json.loads(w.to_json_str()))
                     assert ok, (r, c, d, results)
+
+
+def witness_json(r, c, d, mode="ekp"):
+    return json.loads(realize(r, c, d, mode=mode).to_json_str())
+
+
+class TestValidationDemands:
+    """validate_witness decides the certificate from (r, c, d), not from the file."""
+
+    @pytest.mark.parametrize("r, c, d, mode", [
+        (3, 17, 13, "ekp"),    # cover
+        (3, 2, 3, "ekp"),      # echelon
+        (3, 8, 5, "eip"),      # shift
+    ])
+    def test_downgrade_to_sampled_is_rejected(self, r, c, d, mode):
+        data = witness_json(r, c, d, mode)
+        assert validate_witness(data)[0]
+        data["ekp_certificate"] = {"kind": "sampled", "samples": 1}
+        ok, results = validate_witness(data)
+        assert not ok and not results["certificate"]
+        route = classify(r, c, d).route
+        assert results["reason"] == (f"certificate kind 'sampled': route {route} "
+                                     f"requires {ROUTE_CERTIFICATE[route]!r}")
+
+    def test_sampled_certificate_uses_its_own_count_and_seed(self, monkeypatch):
+        data = witness_json(2, 1, 3)
+        calls = []
+        check = pipeline.ekp_sample_check
+        monkeypatch.setattr(pipeline, "ekp_sample_check",
+                            lambda m, samples, seed: calls.append((samples, seed)) or check(m, samples, seed))
+        data["ekp_certificate"] = {"kind": "sampled", "samples": 1, "seed": 99}
+        assert validate_witness(data, seed=4)[0]
+        assert calls == [(EKP_SAMPLES, 4)]
+
+    def test_dimension_must_be_xi(self):
+        data = witness_json(3, 3, 2)
+        data["jordan"] = [2, 2]     # realizable, but xi(2, 2) = (2, 4) != (2, 5)
+        ok, results = validate_witness(data)
+        assert not ok and not results["dim"]
+
+    def test_unrealizable_jordan_is_rejected_with_reason(self):
+        data = witness_json(3, 3, 2)
+        data["jordan"] = [1, 1]
+        ok, results = validate_witness(data)
+        assert not ok
+        assert results == {"jordan": False,
+                           "reason": "jordan [1, 1] is not realizable: fails clause 'c >= r-1'"}
+
+    @pytest.mark.parametrize("bad", ["3,2", [3], [3, 2, 1], [3.0, 2], [-1, 2], [True, 2], None])
+    def test_malformed_jordan_names_the_field(self, bad):
+        data = witness_json(3, 3, 2)
+        data["jordan"] = bad
+        with pytest.raises(ValueError, match="'jordan'"):
+            validate_witness(data)
+
+    def test_unknown_mode_names_the_field(self):
+        data = witness_json(3, 3, 2)
+        data["mode"] = "both"
+        with pytest.raises(ValueError, match="'mode'"):
+            validate_witness(data)
 
 
 class TestEipMode:

@@ -1,7 +1,7 @@
 """Hom/Ext, the Euler identity, locality, bricks, and the sampled checks."""
 
 import pytest
-from reference_impls import reference_end_is_local
+from reference_impls import reference_end_is_local, reference_intertwining_rows
 
 from kronjord.bgp import build_preprojective, explicit_p2
 from kronjord.cover import (
@@ -12,8 +12,16 @@ from kronjord.cover import (
 )
 from kronjord.echelon import build_echelon_rep, select_phi
 from kronjord.exactmat import GF, QQ, ExactMatrix
-from kronjord.kronecker import DimVector, KroneckerRep, direct_sum, dual, euler_form, simple_rep
-from kronjord import verify
+from kronjord.kronecker import (
+    DimVector,
+    KroneckerRep,
+    direct_sum,
+    dual,
+    euler_form,
+    is_constant_jordan_type,
+    simple_rep,
+)
+from kronjord import kronecker, verify
 from kronjord.verify import (
     HomSpace,
     ekp_sample_check,
@@ -134,6 +142,33 @@ class TestLocality:
             end_is_local(m)
 
 
+def rows_in_order(rows_nvars):
+    rows, nvars = rows_nvars
+    return [list(row.items()) for row in rows], nvars
+
+
+class TestIntertwiningRowsAgainstReference:
+    """Walking the arrow columns gives the entry-wise reference's rows, in order."""
+
+    def test_sweep_witnesses(self, witness_sweep):
+        for r, c, d, w in witness_sweep:
+            rep = w.rep
+            assert rows_in_order(verify._intertwining_rows(rep, rep)) == \
+                rows_in_order(reference_intertwining_rows(rep, rep)), (r, c, d)
+
+    @pytest.mark.parametrize("m, n", [
+        (direct_sum(cover_rep(3, 2, 5), cover_rep(3, 2, 5)),
+         direct_sum(cover_rep(3, 2, 5), cover_rep(3, 2, 5))),
+        (cover_rep(3, 2, 5), explicit_p2(3)),
+        (explicit_p2(3), dual(cover_rep(3, 2, 5))),
+        (simple_rep(3, (1, 0)), simple_rep(3, (0, 1))),
+        (build_echelon_rep(select_phi(3, 2, 4), GF(5)), build_echelon_rep(select_phi(3, 2, 4), GF(5))),
+    ], ids=["M+M", "M-to-P2", "P2-to-dual", "S1-to-S2", "GF5"])
+    def test_pairs(self, m, n):
+        assert rows_in_order(verify._intertwining_rows(m, n)) == \
+            rows_in_order(reference_intertwining_rows(m, n))
+
+
 class TestLocalityAgainstReference:
     """The read-off locality test agrees with the solve-based reference."""
 
@@ -226,6 +261,30 @@ class TestSampledChecks:
         assert not ekp_sample_check(m, 10, 0)
         assert not eip_sample_check(m, 10, 0)
 
+    @pytest.fixture
+    def ranked(self, monkeypatch):
+        """One entry per pencil the sampled checks send to the elimination engine."""
+        calls = []
+        engine = kronecker.sparse_int_echelon
+        monkeypatch.setattr(kronecker, "sparse_int_echelon",
+                            lambda rows, ncols: calls.append(1) or engine(rows, ncols))
+        return calls
+
+    def test_ekp_stops_at_the_first_failing_point(self, ranked):
+        # the zero column of the simple summand puts a kernel vector in every pencil
+        rep = direct_sum(cover_rep(3, 2, 5), simple_rep(3, (1, 0)))
+        assert not ekp_sample_check(rep, 200, 0)
+        assert len(ranked) == 1
+
+    def test_each_point_is_ranked_once_per_rep(self, ranked):
+        rep = cover_rep(3, 2, 5)
+        is_constant_jordan_type(rep, 100, 4)
+        restriction_check(rep, 200, 4)
+        assert ekp_sample_check(rep, 200, 4)
+        assert len(ranked) == 200
+        assert ekp_sample_check(rep, 50, 5)
+        assert len(ranked) == 250
+
 
 class TestRestriction:
     def test_simple_passes_form_inequality(self):
@@ -243,3 +302,22 @@ class TestRestriction:
         ok, detail = restriction_check(mm, 100, 0)
         assert not ok
         assert detail["q"] == 4
+
+    @pytest.mark.parametrize("rep", [
+        cover_rep(3, 2, 5),
+        direct_sum(explicit_p2(3), explicit_p2(3)),
+        KroneckerRep(3, DimVector(1, 1), (ExactMatrix.identity(QQ, 1), ExactMatrix.zeros(QQ, 1, 1),
+                                          ExactMatrix.zeros(QQ, 1, 1))),
+    ], ids=["cover", "P2+P2", "partial-support"])
+    def test_shared_ranks_do_not_depend_on_call_order(self, rep):
+        def fresh():
+            return KroneckerRep.from_json(rep.to_json())
+
+        cjt = is_constant_jordan_type(fresh(), 100, 3)
+        restriction = restriction_check(fresh(), 200, 3)
+        one = fresh()
+        assert is_constant_jordan_type(one, 100, 3) == cjt
+        assert restriction_check(one, 200, 3) == restriction
+        other = fresh()
+        assert restriction_check(other, 200, 3) == restriction
+        assert is_constant_jordan_type(other, 100, 3) == cjt
