@@ -1,94 +1,32 @@
 """Exact scalar arithmetic and dense matrix kernels.
 
 Scalars are either arbitrary-precision rationals (``fractions.Fraction``)
-or elements of a prime field GF(p).  Matrices are dense, immutable after
-construction, and every operation (rank, kernel, solve, block assembly)
-is carried out by exact Gaussian elimination -- no floating point ever
-enters the computation.
+or elements of a prime field GF(p), stored as plain ints in ``[0, p)``.
+Matrices are dense, immutable after construction, and every operation
+(rank, kernel, solve, block assembly) is carried out by exact Gaussian
+elimination -- no floating point ever enters the computation.
 
-Rational elimination internally clears denominators row by row and works
-on integer rows stored as sparse dicts; this keeps coefficient growth in
-check (rows are re-normalized by their gcd after every combination) and
-makes the large, very sparse intertwining systems cheap.
+There is one elimination engine for both kinds of field: rows are sparse
+dicts of ints, and ``sparse_int_echelon`` takes the field's modulus
+(``None`` over Q, ``p`` over GF(p)).  Over Q the rows are denominator-
+cleared integers, re-normalized by their gcd after every combination,
+which keeps coefficient growth in check; over GF(p) every entry is
+reduced mod p.  This makes the large, very sparse intertwining systems
+cheap in either characteristic.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd
+from functools import partial
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
 # fields and scalars
 # ---------------------------------------------------------------------------
-
-class GFElement:
-    """Element of a prime field, with plain operator arithmetic."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def _coerce(self, other) -> "GFElement":
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise ValueError("mixed prime fields")
-            return other
-        if isinstance(other, int):
-            return GFElement(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else GFElement(self.v + o.v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else GFElement(self.v - o.v, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else GFElement(o.v - self.v, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else GFElement(self.v * o.v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return GFElement(self.v * pow(o.v, -1, self.p), self.p)
-
-    def __neg__(self):
-        return GFElement(-self.v, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"GF{self.p}({self.v})"
-
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -107,6 +45,7 @@ class RationalField:
     """The field of rationals; the default ground field."""
 
     name = "Q"
+    modulus = None
 
     def element(self, x) -> Fraction:
         if isinstance(x, Fraction):
@@ -144,38 +83,35 @@ class RationalField:
 
 
 class PrimeField:
-    """GF(p) for a prime p; used for exhaustive micro-searches."""
+    """GF(p) for a prime p; elements are the ints 0, ..., p - 1."""
 
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
+        self.modulus = p
         self.name = f"GF({p})"
 
-    def element(self, x) -> GFElement:
-        if isinstance(x, GFElement):
-            if x.p != self.p:
-                raise ValueError("mixed prime fields")
-            return x
+    def element(self, x) -> int:
         if isinstance(x, int):
-            return GFElement(x, self.p)
+            return x % self.p
         if isinstance(x, Fraction) and x.denominator == 1:
-            return GFElement(x.numerator, self.p)
+            return x.numerator % self.p
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
 
-    def parse(self, s: str) -> GFElement:
-        return GFElement(int(s), self.p)
+    def parse(self, s: str) -> int:
+        return int(s) % self.p
 
-    def to_str(self, x: GFElement) -> str:
-        return str(x.v)
-
-    @property
-    def zero(self) -> GFElement:
-        return GFElement(0, self.p)
+    def to_str(self, x: int) -> str:
+        return str(x)
 
     @property
-    def one(self) -> GFElement:
-        return GFElement(1, self.p)
+    def zero(self) -> int:
+        return 0
+
+    @property
+    def one(self) -> int:
+        return 1
 
     def to_json(self) -> dict:
         return {"type": "GF", "p": self.p}
@@ -202,7 +138,7 @@ def GF(p: int) -> PrimeField:
 
 
 Field = Union[RationalField, PrimeField]
-Scalar = Union[Fraction, GFElement]
+Scalar = Union[Fraction, int]
 
 
 def require_fields(d, fields: Sequence[str], what: str) -> None:
@@ -214,22 +150,43 @@ def require_fields(d, fields: Sequence[str], what: str) -> None:
         raise ValueError(f"{what} is missing field(s) " + ", ".join(repr(f) for f in missing))
 
 
+def is_count_pair(x) -> bool:
+    """True iff the JSON value ``x`` is a pair of non-negative integers."""
+    return isinstance(x, list) and len(x) == 2 and all(type(v) is int and v >= 0 for v in x)
+
+
 def field_from_json(d: dict) -> Field:
     require_fields(d, ("type",), "field descriptor")
     if d["type"] == "Q":
         return QQ
     if d["type"] == "GF":
-        return GF(int(d["p"]))
+        p = d.get("p")
+        if type(p) is not int:
+            raise ValueError(f"field descriptor 'p' must be an integer, got {p!r}")
+        return GF(p)
     raise ValueError(f"unknown field descriptor {d!r}")
 
 
+def integer_rows(rows: Sequence[dict]) -> list[dict]:
+    """Sparse rows of rationals or ints times one common denominator, as ints.
+
+    Zero entries are dropped.  A positive scale changes no rank, kernel or
+    echelon form: the engine divides every row by the gcd of its entries.
+    Prime-field entries are ints already and come back unchanged.
+    """
+    den = lcm(*(v.denominator for row in rows for v in row.values()))
+    return [{c: v.numerator * (den // v.denominator) for c, v in row.items() if v} for row in rows]
+
+
 # ---------------------------------------------------------------------------
-# sparse integer elimination engine (rational matrices)
+# sparse integer elimination engine (Q and GF(p))
 # ---------------------------------------------------------------------------
 #
 # Rows are dicts col -> nonzero int.  Row combinations cross-multiply and
-# re-normalize by the gcd, so every intermediate stays an integer row; the
-# reduced form is only converted back to rationals during extraction.
+# are then normalized: over Q divided by the gcd, so every intermediate
+# stays a primitive integer row and the reduced form is only converted
+# back to rationals during extraction; over GF(p) reduced mod p.  The
+# normalization is chosen once per call from the modulus.
 
 def _normalize_int_row(row: dict) -> dict:
     g = gcd(*row.values())
@@ -238,7 +195,11 @@ def _normalize_int_row(row: dict) -> dict:
     return row
 
 
-def _combine_int(row: dict, piv: dict, col: int) -> dict:
+def _normalize_mod_row(row: dict, p: int) -> dict:
+    return {c: w for c, v in row.items() if (w := v % p)}
+
+
+def _combine_int(row: dict, piv: dict, col: int, normalize) -> dict:
     """Eliminate ``col`` from ``row`` using pivot row ``piv``; both integer rows."""
     a = piv[col]
     b = row[col]
@@ -251,16 +212,19 @@ def _combine_int(row: dict, piv: dict, col: int) -> dict:
             out[c] = w
         else:
             out.pop(c, None)
-    return _normalize_int_row(out)
+    return normalize(out)
 
 
-def sparse_int_echelon(rows: Iterable[dict], ncols: int) -> list[tuple[int, dict]]:
-    """Row echelon form of a system of integer rows.
+def sparse_int_echelon(rows: Iterable[dict], ncols: int,
+                       p: Optional[int] = None) -> list[tuple[int, dict]]:
+    """Row echelon form of a system of integer rows, over Q or modulo a prime ``p``.
 
     Returns the list of (pivot column, row) pairs in increasing column
     order.  Forward elimination only: a pivot row has its support in its
     pivot column and columns to the right, so back-substitution in
-    reverse pivot order recovers kernel vectors and solutions.
+    reverse pivot order recovers kernel vectors and solutions.  With a
+    modulus, the input entries may be any ints (negative, or p and
+    above); every returned entry lies in ``[1, p)``.
 
     Rows are indexed by column: each active row is listed under its
     leading column.  Columns are eliminated left to right, so when column
@@ -272,7 +236,8 @@ def sparse_int_echelon(rows: Iterable[dict], ncols: int) -> list[tuple[int, dict
     and short rows first (Markowitz-lite).  The input rows are not
     mutated.
     """
-    live = [_normalize_int_row(dict(r)) for r in rows if r]
+    normalize = _normalize_int_row if p is None else partial(_normalize_mod_row, p=p)
+    live = [row for row in map(normalize, rows) if row]
     by_lead: defaultdict[int, list[int]] = defaultdict(list)
     for i, row in enumerate(live):
         by_lead[min(row)].append(i)
@@ -293,7 +258,7 @@ def sparse_int_echelon(rows: Iterable[dict], ncols: int) -> list[tuple[int, dict
         for i in listed:
             row = live[i]
             if row is not piv:
-                row = _combine_int(row, piv, col)
+                row = _combine_int(row, piv, col, normalize)
                 if row:
                     live[i] = row
                     by_lead[min(row)].append(i)
@@ -301,46 +266,55 @@ def sparse_int_echelon(rows: Iterable[dict], ncols: int) -> list[tuple[int, dict
     return piv_rows
 
 
-def _back_substitute(piv_rows: list[tuple[int, dict]], seed: dict[int, Fraction]) -> dict[int, Fraction]:
+def _back_substitute(piv_rows: list[tuple[int, dict]], seed: dict[int, Scalar],
+                     p: Optional[int] = None) -> dict[int, Scalar]:
     """Complete a partial assignment to a kernel vector of the echelon system.
 
-    ``seed`` fixes the free coordinates; pivot coordinates are filled in
-    reverse pivot order.
+    ``seed`` fixes the free coordinates (``Fraction``s over Q, ints mod
+    ``p`` otherwise); pivot coordinates are filled in reverse pivot order.
     """
     x = dict(seed)
     for c, prow in reversed(piv_rows):
-        s = Fraction(0)
+        s = 0
         for j, v in prow.items():
             if j != c:
                 xj = x.get(j)
                 if xj:
                     s += v * xj
         if s:
-            x[c] = -s / prow[c]
+            x[c] = -s / prow[c] if p is None else -s * pow(prow[c], -1, p) % p
     return x
 
 
-def sparse_int_kernel(rows: Iterable[dict], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of an integer row system, as rational vectors."""
-    piv_rows = sparse_int_echelon(rows, ncols)
+def sparse_int_kernel(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -> list[list[Scalar]]:
+    """Basis of the right kernel of an integer row system, over Q or modulo ``p``.
+
+    Each basis vector is 1 at its own free column and 0 at every other
+    free column, which makes the basis unique.
+    """
+    piv_rows = sparse_int_echelon(rows, ncols, p)
     pivot_cols = {c for c, _ in piv_rows}
-    zero = Fraction(0)
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
     basis = []
     for f in range(ncols):
         if f in pivot_cols:
             continue
-        x = _back_substitute(piv_rows, {f: Fraction(1)})
+        x = _back_substitute(piv_rows, {f: one}, p)
         basis.append([x.get(j, zero) for j in range(ncols)])
     return basis
 
 
 # ---------------------------------------------------------------------------
-# dense generic elimination (prime fields, small matrices)
+# dense reference elimination (prime fields)
 # ---------------------------------------------------------------------------
 
-def _dense_rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    """In-place RREF over any field whose scalars support /, *, -, bool."""
-    mat = [list(r) for r in rows]
+def _dense_rref(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form modulo ``p`` of a dense integer matrix, and its pivots.
+
+    Nothing in the package calls it: it is the plain reference that the
+    tests compare the sparse engine against over GF(p).
+    """
+    mat = [[x % p for x in r] for r in rows]
     pivots: list[int] = []
     pr = 0
     for col in range(ncols):
@@ -352,12 +326,12 @@ def _dense_rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
         if sel is None:
             continue
         mat[pr], mat[sel] = mat[sel], mat[pr]
-        inv = mat[pr][col]
-        mat[pr] = [x / inv for x in mat[pr]]
+        inv = pow(mat[pr][col], -1, p)
+        mat[pr] = [x * inv % p for x in mat[pr]]
         for i in range(len(mat)):
             if i != pr and mat[i][col]:
                 f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[pr])]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[pr])]
         pivots.append(col)
         pr += 1
         if pr == len(mat):
@@ -370,7 +344,11 @@ def _dense_rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
 # ---------------------------------------------------------------------------
 
 class ExactMatrix:
-    """Dense matrix over Q or GF(p); immutable by convention."""
+    """Dense matrix over Q or GF(p); immutable by convention.
+
+    Over GF(p) the constructor reduces every entry into ``[0, p)``, so
+    sums and products built through it stay reduced.
+    """
 
     __slots__ = ("field", "rows", "cols", "_data")
 
@@ -459,6 +437,8 @@ class ExactMatrix:
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
+        if self.field != other.field:
+            raise ValueError("ground fields differ")
         return ExactMatrix(self.field,
                            [[x + y for x, y in zip(r, s)] for r, s in zip(self._data, other._data)],
                            self.rows, self.cols)
@@ -477,6 +457,8 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
+        if self.field != other.field:
+            raise ValueError("ground fields differ")
         z = self.field.zero
         out = [[z] * other.cols for _ in range(self.rows)]
         for i in range(self.rows):
@@ -504,7 +486,7 @@ class ExactMatrix:
             for x, y in zip(row, v):
                 if x and y:
                     s = s + x * y
-            out.append(s)
+            out.append(self.field.element(s))
         return out
 
     def transpose(self) -> "ExactMatrix":
@@ -514,89 +496,36 @@ class ExactMatrix:
 
     # -- elimination-backed queries -----------------------------------------
 
-    def _int_rows(self) -> list[dict]:
-        """Denominator-cleared sparse rows (rational matrices only)."""
-        out = []
-        for row in self._data:
-            den = 1
-            for x in row:
-                if x:
-                    den = den * x.denominator // gcd(den, x.denominator)
-            d = {}
-            for j, x in enumerate(row):
-                if x:
-                    d[j] = int(x * den)
-            out.append(d)
-        return out
+    def _sparse_rows(self) -> list[dict]:
+        return [{j: x for j, x in enumerate(row) if x} for row in self._data]
 
     def rank(self) -> int:
         """Dimension of the column space, by exact elimination."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        if self.field == QQ:
-            return len(sparse_int_echelon(self._int_rows(), self.cols))
-        _, pivots = _dense_rref(self._data, self.cols)
-        return len(pivots)
+        return len(sparse_int_echelon(integer_rows(self._sparse_rows()), self.cols,
+                                      self.field.modulus))
 
     def kernel_basis(self) -> list[list[Scalar]]:
         """Basis of the right null space; empty iff full column rank."""
-        if self.cols == 0:
-            return []
-        if self.rows == 0:
-            return [self._unit_vector(j) for j in range(self.cols)]
-        if self.field == QQ:
-            return sparse_int_kernel(self._int_rows(), self.cols)
-        red, pivots = _dense_rref(self._data, self.cols)
-        pivset = set(pivots)
-        basis = []
-        for f in range(self.cols):
-            if f in pivset:
-                continue
-            vec = [self.field.zero] * self.cols
-            vec[f] = self.field.one
-            for r, c in enumerate(pivots):
-                vec[c] = -red[r][f]
-            basis.append(vec)
-        return basis
-
-    def _unit_vector(self, j: int) -> list:
-        vec = [self.field.zero] * self.cols
-        vec[j] = self.field.one
-        return vec
+        return sparse_int_kernel(integer_rows(self._sparse_rows()), self.cols, self.field.modulus)
 
     def solve(self, b: Sequence) -> Optional[list]:
         """One solution of ``self @ x = b``, or None if inconsistent."""
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        bvec = [self.field.element(x) for x in b]
         n = self.cols
-        if self.field == QQ:
-            # augmented column carries -b so that solutions are kernel
-            # vectors with last coordinate 1
-            rows = []
-            for row, rhs in zip(self._data, bvec):
-                den = rhs.denominator
-                for x in row:
-                    if x:
-                        den = den * x.denominator // gcd(den, x.denominator)
-                d = {j: int(x * den) for j, x in enumerate(row) if x}
-                if rhs:
-                    d[n] = -int(rhs * den)
-                rows.append(d)
-            piv = sparse_int_echelon(rows, n + 1)
-            if any(c == n for c, _ in piv):
-                return None
-            x = _back_substitute(piv, {n: Fraction(1)})
-            zero = Fraction(0)
-            return [x.get(j, zero) for j in range(n)]
-        aug = [list(r) + [x] for r, x in zip(self._data, bvec)]
-        red, pivots = _dense_rref(aug, n + 1)
-        if n in pivots:
+        p = self.field.modulus
+        # the augmented column carries -b, so that solutions are kernel
+        # vectors with last coordinate 1
+        rows = self._sparse_rows()
+        for row, rhs in zip(rows, b):
+            rhs = self.field.element(rhs)
+            if rhs:
+                row[n] = -rhs
+        piv = sparse_int_echelon(integer_rows(rows), n + 1, p)
+        if any(c == n for c, _ in piv):
             return None
-        sol = [self.field.zero] * n
-        for r, c in enumerate(pivots):
-            sol[c] = red[r][n]
-        return sol
+        x = _back_substitute(piv, {n: self.field.one}, p)
+        return [x.get(j, self.field.zero) for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +564,8 @@ def block_matrix(blocks: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
                 raise ValueError("row count mismatch inside a block row")
             if b.cols != w:
                 raise ValueError("column count mismatch inside a block column")
+            if b.field != field:
+                raise ValueError("ground fields differ")
         for i in range(h):
             row: list = []
             for b in grid_row:
@@ -646,10 +577,6 @@ def block_matrix(blocks: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
 
 def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     return block_matrix([[m] for m in mats])
-
-
-def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    return block_matrix([list(mats)])
 
 
 def left_kernel_matrix(m: ExactMatrix) -> ExactMatrix:

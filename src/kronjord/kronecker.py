@@ -8,11 +8,12 @@ evaluation and Jordan types, duality, direct sums, the translation to
 nilpotent operator matrices, and the JSON interchange format shared by
 every CLI command.
 
-The sampled checks rank pencils at a seeded plan of probe points.  Over Q
-the arrow matrices are cleared to integers once, each pencil is formed as
-sparse integer rows and ranked by ``exactmat.sparse_int_echelon``, and
-the ranks are kept on the representation per seed, so checks that share
-a seed rank each point once.
+The sampled checks rank pencils at a seeded plan of probe points.  The
+arrow matrices are cleared to integers once (over GF(p) they are ints
+already), each pencil is formed as sparse integer rows and ranked by
+``exactmat.sparse_int_echelon`` with the field's modulus, and the ranks
+are kept on the representation per seed, so checks that share a seed
+rank each point once, over Q and GF(p) alike.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field as dc_field
-from math import lcm
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exactmat import (
@@ -29,6 +29,8 @@ from .exactmat import (
     Field,
     Scalar,
     field_from_json,
+    integer_rows,
+    is_count_pair,
     require_fields,
     sparse_int_echelon,
 )
@@ -68,7 +70,7 @@ class KroneckerRep:
     dim: DimVector
     mats: tuple[ExactMatrix, ...]
     field: Field = QQ
-    # seed -> {k: rank of the pencil at probe point k} over Q, filled from
+    # seed -> {k: rank of the pencil at probe point k}, filled from
     # k = 0 up; a cache that never changes a result, so it is not part of
     # equality, hash or JSON
     _probe_ranks: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
@@ -105,7 +107,10 @@ class KroneckerRep:
     def from_json(d: dict) -> "KroneckerRep":
         require_fields(d, ("r", "dim", "field", "mats"), "representation")
         field = field_from_json(d["field"])
-        a, b = (int(x) for x in d["dim"])
+        if not is_count_pair(d["dim"]):
+            raise ValueError(f"representation field 'dim' must be a pair of non-negative "
+                             f"integers [a, b], got {d['dim']!r}")
+        a, b = d["dim"]
         mats = tuple(
             ExactMatrix.from_str_lists(field, m, b, a) for m in d["mats"]
         )
@@ -202,18 +207,14 @@ def jordan_type_at(m: KroneckerRep, alpha: Sequence) -> JordanType:
 
 def _draw(field: Field, r: int, rng: random.Random) -> list[int]:
     """Integer representatives of a nonzero vector from the sampling box."""
+    p = field.modulus
     while True:
-        if field == QQ:
+        if p is None:
             vals = [rng.randint(-ALPHA_BOX, ALPHA_BOX) for _ in range(r)]
         else:
-            vals = [rng.randint(0, field.p - 1) for _ in range(r)]
+            vals = [rng.randint(0, p - 1) for _ in range(r)]
         if any(vals):
             return vals
-
-
-def sample_alpha(field: Field, r: int, rng: random.Random) -> list[Scalar]:
-    """A nonzero coefficient vector with entries from the sampling box."""
-    return [field.element(v) for v in _draw(field, r, rng)]
 
 
 def _probe_points(field: Field, r: int, samples: int, seed: int) -> list[list[int]]:
@@ -247,23 +248,24 @@ def _integer_arrows(m: KroneckerRep) -> tuple[list[list[list[tuple[int, int]]]],
     faster to eliminate.
     """
     a, b = m.dim
-    den = lcm(*(x.denominator for mat in m.mats for x in mat.entries))
+    rows = integer_rows([{j: x for j, x in enumerate(mat.row_list(i)) if x}
+                         for mat in m.mats for i in range(b)])
     out = []
-    for mat in m.mats:
-        rows = [[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(mat.row_list(i)) if x]
-                for i in range(b)]
+    for t in range(m.r):
+        arrow = [list(row.items()) for row in rows[t * b:(t + 1) * b]]
         if a < b:
             cols: list[list[tuple[int, int]]] = [[] for _ in range(a)]
-            for i, row in enumerate(rows):
+            for i, row in enumerate(arrow):
                 for j, v in row:
                     cols[j].append((i, v))
-            rows = cols
-        out.append(rows)
+            arrow = cols
+        out.append(arrow)
     return out, max(a, b)
 
 
-def _integer_pencil_rank(arrows: list, alpha: Sequence[int], ncols: int) -> int:
-    """Rank of sum(alpha_t * arrows[t]) for integer alpha, by sparse integer elimination."""
+def _integer_pencil_rank(arrows: list, alpha: Sequence[int], ncols: int,
+                         p: Optional[int] = None) -> int:
+    """Rank of sum(alpha_t * arrows[t]) for integer alpha, over Q or mod ``p``."""
     rows = []
     for i in range(len(arrows[0])):
         acc: dict[int, int] = {}
@@ -274,31 +276,28 @@ def _integer_pencil_rank(arrows: list, alpha: Sequence[int], ncols: int) -> int:
         row = {j: v for j, v in acc.items() if v}
         if row:
             rows.append(row)
-    return len(sparse_int_echelon(rows, ncols)) if rows else 0
+    return len(sparse_int_echelon(rows, ncols, p)) if rows else 0
 
 
 def _sampled_ranks(m: KroneckerRep, samples: int, seed: int) -> Iterator[int]:
     """Pencil ranks at ``probe_alphas(m.field, m.r, samples, seed)``, lazily, in order.
 
-    Over Q the pencils are ranked from integer rows along their shorter
-    side, at the integer points of the plan, and the ranks are kept on
-    ``m`` per seed.  The points for ``n`` samples are a prefix of those
-    for any larger count, so every check that samples ``m`` with one seed
-    ranks each point once, and a caller that stops early leaves the later
-    points unranked.  Prime-field pencils are ranked directly, every time.
+    The pencils are ranked from integer rows along their shorter side, at
+    the integer points of the plan (over GF(p), modulo p), and the ranks
+    are kept on ``m`` per seed.  The points for ``n`` samples are a prefix
+    of those for any larger count, so every check that samples ``m`` with
+    one seed ranks each point once, and a caller that stops early leaves
+    the later points unranked.
     """
-    if m.field != QQ:
-        for alpha in probe_alphas(m.field, m.r, samples, seed):
-            yield pencil(m, alpha).rank()
-        return
     ranks = m._probe_ranks.setdefault(seed, {})
     if len(ranks) < samples:
         arrows, ncols = _integer_arrows(m)
-        points = _probe_points(QQ, m.r, samples, seed)
+        points = _probe_points(m.field, m.r, samples, seed)
+        p = m.field.modulus
     for k in range(samples):
         rk = ranks.get(k)
         if rk is None:
-            rk = ranks[k] = _integer_pencil_rank(arrows, points[k], ncols)
+            rk = ranks[k] = _integer_pencil_rank(arrows, points[k], ncols, p)
         yield rk
 
 

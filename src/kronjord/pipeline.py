@@ -32,7 +32,7 @@ from .cover import (
     thin_path_rep,
 )
 from .echelon import build_echelon_rep, ekp_echelon_certificate, select_phi
-from .exactmat import require_fields
+from .exactmat import is_count_pair, require_fields
 from .kronecker import (
     DimVector,
     JordanType,
@@ -134,12 +134,14 @@ class CertifiedWitness:
         require_fields(d, ("rep", "jordan", "mode", "ekp_certificate", "indec_evidence"),
                        "witness")
         jordan = d["jordan"]
-        if not (isinstance(jordan, list) and len(jordan) == 2
-                and all(type(x) is int and x >= 0 for x in jordan)):
+        if not is_count_pair(jordan):
             raise ValueError(f"witness field 'jordan' must be a pair of non-negative "
                              f"integers [c, d], got {jordan!r}")
         if d["mode"] not in ("ekp", "eip"):
             raise ValueError(f"witness field 'mode' must be 'ekp' or 'eip', got {d['mode']!r}")
+        if not isinstance(d["ekp_certificate"], dict):
+            raise ValueError(f"witness field 'ekp_certificate' must be a JSON object, "
+                             f"got {d['ekp_certificate']!r}")
         return CertifiedWitness(
             rep=KroneckerRep.from_json(d["rep"]),
             jordan=JordanType(*jordan),

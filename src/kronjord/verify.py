@@ -10,17 +10,17 @@ characteristic zero).  The locality test solves no linear system: the
 Hom basis is reduced at its free columns, so the coordinates of a product
 of basis endomorphisms are read off there, each product is checked
 exactly against the combination they name, and the trace form is built
-from the resulting structure constants.  All eliminations over Q go
-through the column-indexed sparse integer engine of ``exactmat``.
+from the resulting structure constants.  Every elimination, over Q or
+GF(p), goes through the column-indexed sparse integer engine of
+``exactmat``, given the field's modulus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .exactmat import ExactMatrix, QQ, sparse_int_echelon, sparse_int_kernel
+from .exactmat import ExactMatrix, QQ, integer_rows, sparse_int_echelon, sparse_int_kernel
 from .kronecker import KroneckerRep, _sampled_ranks, generic_rank, tits_form
 
 
@@ -65,14 +65,6 @@ def _intertwining_rows(m: KroneckerRep, n: KroneckerRep):
     return rows, nvars
 
 
-def _clear_denominators(row: dict) -> dict:
-    den = 1
-    for v in row.values():
-        d = v.denominator
-        den = den * d // gcd(den, d)
-    return {c: int(v * den) for c, v in row.items() if v}
-
-
 def hom_space(m: KroneckerRep, n: KroneckerRep) -> HomSpace:
     """Basis of the space of morphisms from m to n, solved exactly."""
     if m.r != n.r:
@@ -83,15 +75,7 @@ def hom_space(m: KroneckerRep, n: KroneckerRep) -> HomSpace:
     aN, bN = n.dim
     rows, nvars = _intertwining_rows(m, n)
     fld = m.field
-    if fld == QQ:
-        kernel = sparse_int_kernel([_clear_denominators(r) for r in rows], nvars)
-    else:
-        dense = [[fld.zero] * nvars for _ in rows]
-        for rrow, drow in zip(rows, dense):
-            for c, v in rrow.items():
-                drow[c] = v
-        kernel = ExactMatrix(fld, dense, len(dense), nvars).kernel_basis() if rows \
-            else [ExactMatrix.identity(fld, nvars).row_list(i) for i in range(nvars)]
+    kernel = sparse_int_kernel(integer_rows(rows), nvars, fld.modulus)
     basis = []
     for vec in kernel:
         f1 = ExactMatrix(fld, [[vec[i * aM + j] for j in range(aM)] for i in range(aN)], aN, aM)
@@ -113,15 +97,7 @@ def ext_dim(m: KroneckerRep, n: KroneckerRep) -> int:
     if m.field != n.field:
         raise ValueError("ground fields differ")
     rows, nvars = _intertwining_rows(m, n)
-    fld = m.field
-    if fld == QQ:
-        rk = len(sparse_int_echelon([_clear_denominators(r) for r in rows], nvars))
-    else:
-        dense = [[fld.zero] * nvars for _ in rows]
-        for rrow, drow in zip(rows, dense):
-            for c, v in rrow.items():
-                drow[c] = v
-        rk = ExactMatrix(fld, dense, len(dense), nvars).rank() if rows else 0
+    rk = len(sparse_int_echelon(integer_rows(rows), nvars, m.field.modulus))
     return m.r * m.dim.a * n.dim.b - rk
 
 

@@ -74,7 +74,7 @@ def reference_sparse_int_echelon(rows, ncols):
         new_active = []
         for r in active:
             if col in r:
-                r = _combine_int(r, piv, col)
+                r = _combine_int(r, piv, col, _normalize_int_row)
             if r:
                 new_active.append(r)
         active = new_active

@@ -87,6 +87,17 @@ class TestVerify:
         assert code == 1
         assert "missing field" in err and "'field'" in err
 
+    def test_malformed_dim_named(self, tmp_path, capsys):
+        target = tmp_path / "w.json"
+        run(capsys, "realize", "--r", "3", "--jordan", "3,2", "--out", str(target))
+        data = json.loads(target.read_text())
+        data["rep"]["dim"] = [2]
+        target.write_text(json.dumps(data))
+        code = main(["verify", str(target)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: representation field 'dim' must be a pair of non-negative integers" in err
+
 
 class TestRootsCoxeterPushdown:
     def test_roots_table(self, capsys):

@@ -8,10 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_impls import reference_sparse_int_echelon
 
+from kronjord import kronecker
+from kronjord.cover import (
+    build_indecomposable_tree_rep,
+    build_root_vector,
+    build_source_regular,
+    push_down,
+)
+from kronjord.echelon import build_echelon_rep, select_phi
 from kronjord.exactmat import (
     GF,
     QQ,
     ExactMatrix,
+    _dense_rref,
     block_matrix,
     kernel_basis,
     left_kernel_matrix,
@@ -19,6 +28,8 @@ from kronjord.exactmat import (
     solve_linear_system,
     sparse_int_echelon,
 )
+from kronjord.kronecker import direct_sum, pencil, probe_alphas
+from kronjord.verify import _intertwining_rows, ext_dim, hom_space
 
 
 def qq(rows):
@@ -132,11 +143,20 @@ class TestArithmetic:
         p = left_kernel_matrix(m)
         assert p.rows == 1 and (p @ m).is_zero()
 
+    def test_mixed_fields_rejected(self):
+        # prime-field scalars are bare ints, so the matrix carries the field
+        a = ExactMatrix(GF(5), [[1]])
+        for b in (ExactMatrix(GF(7), [[1]]), qq([[1]])):
+            for combine in (lambda x, y: x + y, lambda x, y: x @ y,
+                            lambda x, y: block_matrix([[x, y]])):
+                with pytest.raises(ValueError, match="ground fields differ"):
+                    combine(a, b)
+
     def test_gf_exactness(self):
         f = GF(7)
-        x, y = f.element(5), f.element(4)
-        assert (x + y) - y == x
-        assert x / y * y == x
+        assert f.element(-2) == 5
+        # 4 * 3 = 12 = 5 mod 7
+        assert ExactMatrix(f, [[4]]).solve([5]) == [3]
 
 
 class TestSerialization:
@@ -244,3 +264,102 @@ def int_row_systems(draw):
 def test_indexed_echelon_matches_full_scan(system):
     rows, ncols = system
     assert_same_echelon(rows, ncols)
+
+
+# --- GF(p): the modular sparse engine against the dense reference ------------
+
+def dense_kernel(data, ncols, p):
+    """Kernel basis read off the dense RREF: 1 at its free column, 0 at the others."""
+    red, pivots = _dense_rref(data, ncols, p)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [0] * ncols
+            vec[f] = 1
+            for r, c in enumerate(pivots):
+                vec[c] = -red[r][f] % p
+            basis.append(vec)
+    return basis
+
+
+def dense_solve(data, rhs, ncols, p):
+    red, pivots = _dense_rref([row + [x] for row, x in zip(data, rhs)], ncols + 1, p)
+    if ncols in pivots:
+        return None
+    sol = [0] * ncols
+    for r, c in enumerate(pivots):
+        sol[c] = red[r][ncols]
+    return sol
+
+
+@st.composite
+def gf_systems(draw):
+    """A prime, an integer matrix with negative and out-of-range entries, zero
+    rows and possibly no rows or columns, and a right-hand side."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nrows = draw(st.integers(min_value=0, max_value=6))
+    ncols = draw(st.integers(min_value=0, max_value=6))
+    entry = st.integers(min_value=-2 * p, max_value=2 * p)
+    data = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for i in draw(st.sets(st.integers(0, 5), max_size=2)):
+        if i < nrows:
+            data[i] = [p * draw(st.integers(-1, 1)) for _ in range(ncols)]
+    if nrows > 1 and draw(st.booleans()):
+        # a combination of the first two rows, so rank deficiency is common
+        k = draw(st.integers(1, p - 1)) if p > 2 else 1
+        data.append([x + k * y for x, y in zip(data[0], data[1])])
+    rhs = [draw(entry) for _ in data]
+    return p, data, ncols, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf_systems())
+def test_modular_engine_matches_dense_reference(system):
+    p, data, ncols, rhs = system
+    rows = [{j: x for j, x in enumerate(row) if x} for row in data]
+    _, pivots = _dense_rref(data, ncols, p)
+    echelon = sparse_int_echelon(rows, ncols, p)
+    assert [c for c, _ in echelon] == pivots
+    assert all(0 < v < p for _, row in echelon for v in row.values())
+    m = ExactMatrix(GF(p), data, len(data), ncols)
+    assert m.rank() == len(pivots)
+    # a basis reduced at its free columns is unique: equal vector for vector
+    assert m.kernel_basis() == dense_kernel(data, ncols, p)
+    assert m.solve(rhs) == dense_solve(data, rhs, ncols, p)
+
+
+# the six representations of the modp-verify benchmark deck:
+# (kind, r, a, b, p, verify M + M instead of M)
+MODP_SHAPES = [
+    ("echelon", 3, 6, 10, 101, False),
+    ("echelon", 4, 5, 11, 103, False),
+    ("cover", 3, 5, 12, 107, False),
+    ("cover", 4, 4, 13, 109, False),
+    ("echelon", 3, 3, 6, 113, True),
+    ("cover", 3, 3, 7, 101, True),
+]
+
+
+def modp_rep(kind, r, a, b, p, double):
+    if kind == "echelon":
+        rep = build_echelon_rep(select_phi(r, a, b), GF(p))
+    else:
+        quiver = build_source_regular(r, a)
+        tree = build_indecomposable_tree_rep(quiver, build_root_vector(quiver, a, b), field=GF(p))
+        rep = push_down(tree)
+    return direct_sum(rep, rep) if double else rep
+
+
+@pytest.mark.parametrize("shape", MODP_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_prime_field_certificates_match_dense_reference(shape):
+    m = modp_rep(*shape)
+    p = shape[4]
+    rows, nvars = _intertwining_rows(m, m)
+    dense = [[row.get(j, 0) for j in range(nvars)] for row in rows]
+    _, pivots = _dense_rref(dense, nvars, p)
+    endos = hom_space(m, m)
+    assert [list(f1.entries + f2.entries) for f1, f2 in endos.basis] == dense_kernel(dense, nvars, p)
+    assert ext_dim(m, m) == m.r * m.dim.a * m.dim.b - len(pivots)
+    want = [len(_dense_rref(pencil(m, alpha).to_lists(), m.dim.a, p)[1])
+            for alpha in probe_alphas(m.field, m.r, 30, 7)]
+    assert list(kronecker._sampled_ranks(m, 30, 7)) == want

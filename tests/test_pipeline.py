@@ -17,6 +17,7 @@ from kronjord import pipeline
 from kronjord.pipeline import (
     EKP_SAMPLES,
     ROUTE_CERTIFICATE,
+    CertifiedWitness,
     JordanTypeRejected,
     classify,
     realize,
@@ -173,6 +174,28 @@ class TestValidationDemands:
         data["mode"] = "both"
         with pytest.raises(ValueError, match="'mode'"):
             validate_witness(data)
+
+    @pytest.mark.parametrize("bad", ["x", 5, None, ["kind", "echelon"]])
+    def test_malformed_certificate_names_the_field(self, bad):
+        data = witness_json(3, 3, 2)
+        data["ekp_certificate"] = bad
+        with pytest.raises(ValueError, match="'ekp_certificate' must be a JSON object"):
+            CertifiedWitness.from_json(data)
+
+    @pytest.mark.parametrize("bad", [[2], 7, None, [2, 5, 1], [2.0, 5], [-2, 5], ["2", "5"]])
+    def test_malformed_dim_names_the_field(self, bad):
+        data = witness_json(3, 3, 2)
+        data["rep"]["dim"] = bad
+        with pytest.raises(ValueError, match="'dim' must be a pair of non-negative integers"):
+            CertifiedWitness.from_json(data)
+
+    @pytest.mark.parametrize("field", [{"type": "GF"}, {"type": "GF", "p": "5"},
+                                       {"type": "GF", "p": None}])
+    def test_malformed_prime_names_p(self, field):
+        data = witness_json(3, 3, 2)
+        data["rep"]["field"] = field
+        with pytest.raises(ValueError, match="'p' must be an integer"):
+            CertifiedWitness.from_json(data)
 
 
 class TestEipMode:

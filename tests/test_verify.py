@@ -267,7 +267,7 @@ class TestSampledChecks:
         calls = []
         engine = kronecker.sparse_int_echelon
         monkeypatch.setattr(kronecker, "sparse_int_echelon",
-                            lambda rows, ncols: calls.append(1) or engine(rows, ncols))
+                            lambda *args: calls.append(1) or engine(*args))
         return calls
 
     def test_ekp_stops_at_the_first_failing_point(self, ranked):
