@@ -7,7 +7,7 @@ them (equal-kernels property, indecomposability, constant Jordan type) with
 exact rational arithmetic.
 """
 
-from .exactmat import ExactMatrix, GF, QQ, block_matrix, kernel_basis, rank, solve_linear_system
+from .exactmat import ExactMatrix, GF, QQ, block_matrix
 from .kronecker import (
     DimVector,
     JordanType,
@@ -64,7 +64,7 @@ from .pipeline import CertifiedWitness, classify, realize
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactMatrix", "GF", "QQ", "block_matrix", "kernel_basis", "rank", "solve_linear_system",
+    "ExactMatrix", "GF", "QQ", "block_matrix",
     "DimVector", "JordanType", "KroneckerRep", "RootClass", "classify_root", "coxeter_apply",
     "dual", "euler_form", "generic_rank", "is_constant_jordan_type", "is_in_ijt",
     "jordan_type_at", "pencil", "preinjective_dim_vectors", "preprojective_dim_vectors",

@@ -5,8 +5,9 @@ outgoing map and reverses the incident arrows.  On the bipartite cover the
 inverse Auslander-Reiten translate factors as two such sweeps: reflect
 every source in the one-ring extension of the support, then every old
 sink (which became a source); the orientation returns to the bipartite
-standard and zero vertices are trimmed.  The same two-step sweep on the
-Kronecker quiver itself drives the preprojective chain.
+standard and zero vertices are trimmed.  This is the only inverse
+translate: the Coxeter shift and the preprojective chain both run it on
+tree representations, whose push-downs the pipeline certifies.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from .cover import (
     TreeRep,
     is_source,
     neighbors,
+    thin_path_rep,
 )
 from .exactmat import ExactMatrix, Field, QQ, left_kernel_matrix, vstack
-from .kronecker import DimVector, KroneckerRep, coxeter_apply, simple_rep, tits_form
+from .kronecker import DimVector, coxeter_apply, preprojective_dim_vectors, tits_form
 
 
 # ---------------------------------------------------------------------------
@@ -157,65 +159,26 @@ def coxeter_shift_plan(r: int, a: int, b: int) -> ReflectionPlan:
 
 
 # ---------------------------------------------------------------------------
-# the translate on the Kronecker quiver and preprojective witnesses
+# preprojective witnesses on the cover
 # ---------------------------------------------------------------------------
 
-def kron_tau_inverse(m: KroneckerRep) -> KroneckerRep:
-    """Inverse translate on the Kronecker quiver via two source reflections.
+def build_preprojective(r: int, a: int, b: int, field: Field = QQ) -> TreeRep:
+    """A lift to the cover of the indecomposable with real root (a, b), a < b.
 
-    Vertex 1 is reflected first (cokernel of the stacked arrow matrices),
-    then vertex 2; the arrows end up in their original direction and the
-    dimension vector is the inverse Coxeter matrix applied to the input.
-    """
-    a, b = m.dim
-    stacked = vstack(list(m.mats)) if b else ExactMatrix.zeros(m.field, 0, a)
-    proj1 = left_kernel_matrix(stacked)          # (r*b - rank) x (r*b)
-    n1 = proj1.rows
-    blocks1 = []
-    for j in range(m.r):
-        blocks1.append(ExactMatrix(m.field,
-                                   [[proj1[i, j * b + k] for k in range(b)] for i in range(n1)],
-                                   n1, b))
-    stacked2 = vstack(blocks1) if n1 else ExactMatrix.zeros(m.field, 0, b)
-    proj2 = left_kernel_matrix(stacked2)         # (r*n1 - rank) x (r*n1)
-    n2 = proj2.rows
-    mats = []
-    for i in range(m.r):
-        mats.append(ExactMatrix(m.field,
-                                [[proj2[p, i * n1 + k] for k in range(n1)] for p in range(n2)],
-                                n2, n1))
-    return KroneckerRep(m.r, DimVector(n1, n2), tuple(mats), m.field)
-
-
-def explicit_p2(r: int, field: Field = QQ) -> KroneckerRep:
-    """The projective of dimension (1, r): arrow i is the i-th basis column."""
-    mats = []
-    for i in range(r):
-        col = [[field.one] if j == i else [field.zero] for j in range(r)]
-        mats.append(ExactMatrix(field, col, r, 1))
-    return KroneckerRep(r, DimVector(1, r), tuple(mats), field)
-
-
-def build_preprojective(r: int, a: int, b: int, field: Field = QQ) -> KroneckerRep:
-    """The unique indecomposable with real-root dimension vector (a, b), a < b.
-
-    Located on the chain (0,1), (1,r), ... via the recursion
-    v_{i+2} = r v_{i+1} - v_i, then constructed by iterating the inverse
-    translate from the explicit seed of matching parity.
+    Located on the chain (0,1), (1,r), ... of ``preprojective_dim_vectors``,
+    then built by applying ``tau_inverse_tree`` idx // 2 times to the lift
+    of matching parity: the simple at the sink (1,) for an even chain
+    index, the star at the root for an odd one.  The push-down is the
+    preprojective with dimension vector (a, b); push-down along the Galois
+    cover keeps indecomposability (Gabriel 1981; Bongartz and Gabriel 1982).
     """
     if tits_form(r, (a, b)) != 1 or not a < b:
         raise ValueError(f"({a},{b}) is not a preprojective root")
-    chain = [DimVector(0, 1), DimVector(1, r)]
-    while max(chain[-1]) < b:
-        p, q = chain[-2], chain[-1]
-        chain.append(DimVector(r * q.a - p.a, r * q.b - p.b))
     try:
-        idx = chain.index(DimVector(a, b))
+        idx = preprojective_dim_vectors(r, b).index(DimVector(a, b))
     except ValueError:
         raise ValueError(f"({a},{b}) is not on the preprojective chain") from None
-    rep = simple_rep(r, (0, 1), field) if idx % 2 == 0 else explicit_p2(r, field)
+    tree = TreeRep(r, {(1,): 1}, {}, field) if idx % 2 == 0 else thin_path_rep(r, 1, r, field)
     for _ in range(idx // 2):
-        rep = kron_tau_inverse(rep)
-    if rep.dim != DimVector(a, b):
-        raise AssertionError("translate chain missed the requested dimension vector")
-    return rep
+        tree = tau_inverse_tree(tree)
+    return tree

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .exactmat import QQ, ExactMatrix, Field, field_from_json, require_fields
+from .exactmat import QQ, ExactMatrix, Field, check_field, field_from_json, require_fields
 from .kronecker import DimVector, KroneckerRep
 
 Address = tuple[int, ...]
@@ -287,18 +287,33 @@ class TreeRep:
     @staticmethod
     def from_json(d: dict) -> "TreeRep":
         require_fields(d, ("r", "vertices", "edges"), "tree")
-        for v in d["vertices"]:
+        r, verts, edges = d["r"], d["vertices"], d["edges"]
+        check_field(type(r) is int, "tree", "r", "an integer", r)
+        check_field(isinstance(verts, list), "tree", "vertices", "a list", verts)
+        check_field(isinstance(edges, list), "tree", "edges", "a list", edges)
+        for v in verts:
             require_fields(v, ("addr", "dim"), "tree vertex")
-        for e in d["edges"]:
+            check_field(_is_word(v["addr"], r), "tree vertex", "addr", f"a list of colors 1..{r}",
+                        v["addr"])
+            check_field(type(v["dim"]) is int, "tree vertex", "dim", "an integer", v["dim"])
+        for e in edges:
             require_fields(e, ("src", "dst", "mat"), "tree edge")
-        r = int(d["r"])
+            for end in ("src", "dst"):
+                check_field(_is_word(e[end], r), "tree edge", end, f"a list of colors 1..{r}",
+                            e[end])
         fld = field_from_json(d["field"]) if "field" in d else QQ
-        dims = {tuple(v["addr"]): int(v["dim"]) for v in d["vertices"]}
+        dims = {tuple(v["addr"]): v["dim"] for v in verts}
         maps = {}
-        for e in d["edges"]:
+        for e in edges:
             t, h = tuple(e["src"]), tuple(e["dst"])
-            maps[(t, h)] = ExactMatrix.from_str_lists(fld, e["mat"], dims.get(h, 0), dims.get(t, 0))
+            maps[(t, h)] = ExactMatrix.from_str_lists(fld, e["mat"], dims.get(h, 0), dims.get(t, 0),
+                                                      f"tree edge {list(t)} -> {list(h)} 'mat'")
         return TreeRep(r, dims, maps, fld)
+
+
+def _is_word(x, r: int) -> bool:
+    """True iff the JSON value ``x`` is a list of colors in 1..r, as addresses are written."""
+    return isinstance(x, list) and all(type(c) is int and 1 <= c <= r for c in x)
 
 
 def _identity_1x1(fld: Field) -> ExactMatrix:

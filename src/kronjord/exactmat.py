@@ -17,6 +17,7 @@ cheap in either characteristic.
 
 from __future__ import annotations
 
+import reprlib
 from collections import defaultdict
 from fractions import Fraction
 from functools import partial
@@ -148,6 +149,12 @@ def require_fields(d, fields: Sequence[str], what: str) -> None:
     missing = [f for f in fields if f not in d]
     if missing:
         raise ValueError(f"{what} is missing field(s) " + ", ".join(repr(f) for f in missing))
+
+
+def check_field(ok: bool, what: str, name: str, expected: str, value) -> None:
+    """Raise a ValueError naming the field ``name`` of ``what`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{what} field {name!r} must be {expected}, got {reprlib.repr(value)}")
 
 
 def is_count_pair(x) -> bool:
@@ -410,8 +417,21 @@ class ExactMatrix:
         return [[f.to_str(x) for x in r] for r in self._data]
 
     @staticmethod
-    def from_str_lists(field: Field, data: Sequence[Sequence[str]], rows: int, cols: int) -> "ExactMatrix":
-        parsed = [[field.parse(x) for x in r] for r in data]
+    def from_str_lists(field: Field, data: Sequence[Sequence[str]], rows: int, cols: int,
+                       what: str = "matrix") -> "ExactMatrix":
+        """Parse rows of scalar strings; a ValueError names ``what`` on a bad shape or entry."""
+        if not (isinstance(data, list) and len(data) == rows
+                and all(isinstance(r, list) and len(r) == cols for r in data)):
+            raise ValueError(f"{what} must be a {rows} x {cols} list of rows, "
+                             f"got {reprlib.repr(data)}")
+        strings = all(type(x) is str for r in data for x in r)
+        try:
+            parsed = [[field.parse(x) for x in r] for r in data] if strings else None
+        except (ValueError, ZeroDivisionError):
+            parsed = None
+        if parsed is None:
+            raise ValueError(f"{what} has an entry that is not a scalar string of {field!r}: "
+                             f"{reprlib.repr(data)}")
         return ExactMatrix(field, parsed, rows, cols)
 
     def __eq__(self, other):
@@ -526,22 +546,6 @@ class ExactMatrix:
             return None
         x = _back_substitute(piv, {n: self.field.one}, p)
         return [x.get(j, self.field.zero) for j in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# spec-level operation wrappers
-# ---------------------------------------------------------------------------
-
-def rank(m: ExactMatrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: ExactMatrix) -> list[list[Scalar]]:
-    return m.kernel_basis()
-
-
-def solve_linear_system(a: ExactMatrix, b: Sequence) -> Optional[list]:
-    return a.solve(b)
 
 
 def block_matrix(blocks: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:

@@ -28,6 +28,7 @@ from .exactmat import (
     ExactMatrix,
     Field,
     Scalar,
+    check_field,
     field_from_json,
     integer_rows,
     is_count_pair,
@@ -107,14 +108,16 @@ class KroneckerRep:
     def from_json(d: dict) -> "KroneckerRep":
         require_fields(d, ("r", "dim", "field", "mats"), "representation")
         field = field_from_json(d["field"])
-        if not is_count_pair(d["dim"]):
-            raise ValueError(f"representation field 'dim' must be a pair of non-negative "
-                             f"integers [a, b], got {d['dim']!r}")
-        a, b = d["dim"]
-        mats = tuple(
-            ExactMatrix.from_str_lists(field, m, b, a) for m in d["mats"]
-        )
-        return KroneckerRep(int(d["r"]), DimVector(a, b), mats, field)
+        r, dim, mats = d["r"], d["dim"], d["mats"]
+        check_field(type(r) is int, "representation", "r", "an integer", r)
+        check_field(is_count_pair(dim), "representation", "dim",
+                    "a pair of non-negative integers [a, b]", dim)
+        check_field(isinstance(mats, list) and len(mats) == r, "representation", "mats",
+                    f"a list of r = {r} matrices", mats)
+        a, b = dim
+        mats = tuple(ExactMatrix.from_str_lists(field, m, b, a, f"representation 'mats'[{t}]")
+                     for t, m in enumerate(mats))
+        return KroneckerRep(r, DimVector(a, b), mats, field)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,19 @@ certify it, and emit a machine-readable record.
 Dispatch on (c, d) with target dimension vector (a, b) = (d, d+c):
 
 * (1, 0)                            -> the simple of dimension (0, 1);
-* q(a,b) = 1                        -> preprojective chain (sampled certificate);
+* q(a,b) = 1                        -> preprojective chain;
 * q(a,b) <= 0, b <= (r-1)a          -> echelon witness (structural certificate);
 * q(a,b) <= 0, (r-1)a+1 <= b inside
-  the cover window                  -> source-regular tree witness (Inj certificate);
+  the cover window                  -> source-regular tree witness;
 * otherwise                         -> Coxeter shift: build at the shifted vector
-  (tree or thin zigzag) and apply the inverse translate, then re-check Inj.
+  (tree or thin zigzag) and apply the inverse translate.
 
-Every boundary test is integer arithmetic; the equal-images variant is
-obtained by dualizing an equal-kernels witness.
+Every route but echelon builds a tree on the universal cover (the simple
+and the preprojectives as inverse translates of the simple at a sink or
+of the star at the root) and certifies its push-down the same way: Inj on
+the tree is the exact equal-kernels certificate, and End of the push-down
+is local.  Every boundary test is integer arithmetic; the equal-images
+variant is obtained by dualizing an equal-kernels witness.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .cover import (
     thin_path_rep,
 )
 from .echelon import build_echelon_rep, ekp_echelon_certificate, select_phi
-from .exactmat import is_count_pair, require_fields
+from .exactmat import check_field, is_count_pair, require_fields
 from .kronecker import (
     DimVector,
     JordanType,
@@ -40,16 +44,15 @@ from .kronecker import (
     dual,
     is_constant_jordan_type,
     is_in_ijt,
-    simple_rep,
     tits_form,
     xi,
 )
-from .verify import ekp_sample_check, eip_sample_check, end_is_local, is_brick, restriction_check
+from .verify import eip_sample_check, end_is_local, is_brick, restriction_check
 
 CJT_SAMPLES = 100
 EKP_SAMPLES = 200
 # the equal-kernels certificate each route produces, and validation demands
-ROUTE_CERTIFICATE = {"simple": "sampled", "preprojective": "sampled", "echelon": "echelon",
+ROUTE_CERTIFICATE = {"simple": "inj-cover", "preprojective": "inj-cover", "echelon": "echelon",
                      "cover": "inj-cover", "shift": "inj-cover"}
 
 
@@ -106,7 +109,7 @@ class CertifiedWitness:
     rep: KroneckerRep
     jordan: JordanType
     mode: str                      # ekp | eip
-    ekp_certificate: dict          # {"kind": echelon|inj-cover|sampled, ...}
+    ekp_certificate: dict          # {"kind": echelon|inj-cover, ...}
     indec_evidence: str            # brick | local-endo
     construction_trace: list[str] = dc_field(default_factory=list)
     tree: Optional[TreeRep] = None
@@ -133,24 +136,28 @@ class CertifiedWitness:
     def from_json(d: dict) -> "CertifiedWitness":
         require_fields(d, ("rep", "jordan", "mode", "ekp_certificate", "indec_evidence"),
                        "witness")
-        jordan = d["jordan"]
-        if not is_count_pair(jordan):
-            raise ValueError(f"witness field 'jordan' must be a pair of non-negative "
-                             f"integers [c, d], got {jordan!r}")
-        if d["mode"] not in ("ekp", "eip"):
-            raise ValueError(f"witness field 'mode' must be 'ekp' or 'eip', got {d['mode']!r}")
-        if not isinstance(d["ekp_certificate"], dict):
-            raise ValueError(f"witness field 'ekp_certificate' must be a JSON object, "
-                             f"got {d['ekp_certificate']!r}")
+        jordan, mode, certificate = d["jordan"], d["mode"], d["ekp_certificate"]
+        evidence = d["indec_evidence"]
+        trace, checks = d.get("construction_trace", []), d.get("checks", {})
+        check_field(is_count_pair(jordan), "witness", "jordan",
+                    "a pair of non-negative integers [c, d]", jordan)
+        check_field(mode in ("ekp", "eip"), "witness", "mode", "'ekp' or 'eip'", mode)
+        check_field(isinstance(certificate, dict), "witness", "ekp_certificate",
+                    "a JSON object", certificate)
+        check_field(evidence in ("brick", "local-endo"), "witness", "indec_evidence",
+                    "'brick' or 'local-endo'", evidence)
+        check_field(isinstance(trace, list) and all(isinstance(t, str) for t in trace),
+                    "witness", "construction_trace", "a list of strings", trace)
+        check_field(isinstance(checks, dict), "witness", "checks", "a JSON object", checks)
         return CertifiedWitness(
             rep=KroneckerRep.from_json(d["rep"]),
             jordan=JordanType(*jordan),
-            mode=d["mode"],
-            ekp_certificate=dict(d["ekp_certificate"]),
-            indec_evidence=d["indec_evidence"],
-            construction_trace=list(d.get("construction_trace", [])),
+            mode=mode,
+            ekp_certificate=dict(certificate),
+            indec_evidence=evidence,
+            construction_trace=list(trace),
             tree=TreeRep.from_json(d["tree"]) if "tree" in d else None,
-            checks=dict(d.get("checks", {})),
+            checks=dict(checks),
         )
 
 
@@ -161,6 +168,25 @@ def _build_cover_tree(r: int, a: int, b: int, trace: list[str]) -> TreeRep:
     budgets = sorted(((v, alpha[v]) for v in alpha if alpha[v] > 1))
     trace.append(f"root_vector:extra={[(list(v), x) for v, x in budgets]}")
     return build_indecomposable_tree_rep(quiver, alpha, trace=trace)
+
+
+def _build_tree(route: str, r: int, a: int, b: int, trace: list[str]) -> TreeRep:
+    """The tree on the cover whose push-down is the witness of a non-echelon route."""
+    if route in ("simple", "preprojective"):
+        return build_preprojective(r, a, b)
+    if route == "cover":
+        return _build_cover_tree(r, a, b, trace)
+    plan = coxeter_shift_plan(r, a, b)
+    u, v = plan.intermediate
+    trace.append(f"shift:l={plan.l}:{plan.window_case}:intermediate=({u},{v})")
+    if plan.window_case == "cover-case":
+        tree = _build_cover_tree(r, u, v, trace)
+    else:
+        tree = thin_path_rep(r, u, v)
+        trace.append(f"thin_path:u={u},v={v}")
+    for _ in range(plan.l):
+        tree = tau_inverse_tree(tree)
+    return tree
 
 
 def realize(r: int, c: int, d: int, mode: str = "ekp", seed: int = 0) -> CertifiedWitness:
@@ -181,23 +207,7 @@ def realize(r: int, c: int, d: int, mode: str = "ekp", seed: int = 0) -> Certifi
     certificate = {"kind": ROUTE_CERTIFICATE[cls.route]}
     evidence: str
 
-    if cls.route == "simple":
-        rep = simple_rep(r, (0, 1))
-        if not ekp_sample_check(rep, EKP_SAMPLES, seed):
-            raise AssertionError("vacuous kernel condition failed")
-        certificate.update(samples=EKP_SAMPLES, seed=seed)
-        if not is_brick(rep):
-            raise AssertionError("simple failed the brick check")
-        evidence = "brick"
-    elif cls.route == "preprojective":
-        rep = build_preprojective(r, a, b)
-        if not ekp_sample_check(rep, EKP_SAMPLES, seed):
-            raise AssertionError("preprojective failed the sampled kernel check")
-        certificate.update(samples=EKP_SAMPLES, seed=seed)
-        if not is_brick(rep):
-            raise AssertionError("preprojective failed the brick check")
-        evidence = "brick"
-    elif cls.route == "echelon":
+    if cls.route == "echelon":
         spec = select_phi(r, a, b)
         trace.append(f"echelon:{spec.case_tag}:phi={list(spec.phi)}")
         rep = build_echelon_rep(spec)
@@ -206,45 +216,26 @@ def realize(r: int, c: int, d: int, mode: str = "ekp", seed: int = 0) -> Certifi
         if not is_brick(rep):
             raise AssertionError("echelon witness failed the brick check")
         evidence = "brick"
-    elif cls.route == "cover":
-        tree = _build_cover_tree(r, a, b, trace)
+    else:
+        tree = _build_tree(cls.route, r, a, b, trace)
         rep = push_down(tree)
         inj, witness = is_inj(tree)
         if not inj:
-            raise AssertionError(f"cover witness failed Inj at edge {witness}")
+            raise AssertionError(f"{cls.route} witness failed Inj at edge {witness}")
         if not end_is_local(rep):
-            raise AssertionError("cover witness has non-local endomorphisms")
-        evidence = "local-endo"
-    else:  # shift
-        plan = coxeter_shift_plan(r, a, b)
-        u, v = plan.intermediate
-        trace.append(f"shift:l={plan.l}:{plan.window_case}:intermediate=({u},{v})")
-        if plan.window_case == "cover-case":
-            tree = _build_cover_tree(r, u, v, trace)
-        else:
-            tree = thin_path_rep(r, u, v)
-            trace.append(f"thin_path:u={u},v={v}")
-        for _ in range(plan.l):
-            tree = tau_inverse_tree(tree)
-        rep = push_down(tree)
-        if rep.dim != DimVector(a, b):
-            raise AssertionError(f"shifted witness has dimension {rep.dim}, wanted {(a, b)}")
-        inj, witness = is_inj(tree)
-        if not inj:
-            raise AssertionError(f"shifted witness failed Inj at edge {witness}")
-        if not end_is_local(rep):
-            raise AssertionError("shifted witness has non-local endomorphisms")
+            raise AssertionError(f"{cls.route} witness has non-local endomorphisms")
         evidence = "local-endo"
 
     if rep.dim != DimVector(a, b):
-        raise AssertionError("witness dimension vector mismatch")
+        raise AssertionError(f"{cls.route} witness has dimension {rep.dim}, wanted {(a, b)}")
 
-    constant, jtype, record = is_constant_jordan_type(rep, CJT_SAMPLES, seed)
-    if not constant or jtype != JordanType(c, d):
-        raise AssertionError(f"witness Jordan type {jtype} does not match ({c},{d})")
+    # the longer plan first: the shorter one is its prefix, so it is drawn once
     restriction_ok, restriction_detail = restriction_check(rep, EKP_SAMPLES, seed)
     if not restriction_ok:
         raise AssertionError("witness failed the generic-rank restrictions")
+    constant, jtype, record = is_constant_jordan_type(rep, CJT_SAMPLES, seed)
+    if not constant or jtype != JordanType(c, d):
+        raise AssertionError(f"witness Jordan type {jtype} does not match ({c},{d})")
 
     checks = {
         "jordan_samples": record,
@@ -271,11 +262,10 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
     """Re-validate a serialized witness from its JSON alone.
 
     The certificate a witness needs is decided from (r, c, d) by
-    ``classify``, never taken from the file: the echelon structure, Inj on
-    the embedded tree plus push-down agreement, or the sampled check with
-    EKP_SAMPLES points and this seed.  The equal-kernels side must have
-    dimension vector xi(c, d).  Then a fresh constant-Jordan-type sampling
-    and the locality certificate run.  A Jordan type that is not
+    ``classify``, never taken from the file: the echelon structure, or Inj
+    on the embedded tree plus push-down agreement.  The equal-kernels side
+    must have dimension vector xi(c, d).  Then a fresh constant-Jordan-type
+    sampling and the locality certificate run.  A Jordan type that is not
     realizable, or a certificate of the wrong kind, is rejected with a
     ``reason``.
     """
@@ -296,14 +286,9 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
         reason = f"certificate kind {kind!r}: route {cls.route} requires {required!r}"
     elif kind == "echelon":
         results["certificate"] = ekp_echelon_certificate(ekp_side)
-    elif kind == "inj-cover":
-        if w.tree is None:
-            results["certificate"] = False
-        else:
-            inj, _ = is_inj(w.tree)
-            results["certificate"] = inj and push_down(w.tree) == ekp_side
     else:
-        results["certificate"] = ekp_sample_check(ekp_side, EKP_SAMPLES, seed)
+        results["certificate"] = (w.tree is not None and is_inj(w.tree)[0]
+                                  and push_down(w.tree) == ekp_side)
     if w.mode == "eip":
         results["eip_samples"] = eip_sample_check(w.rep, EKP_SAMPLES, seed)
     constant, jtype, _ = is_constant_jordan_type(w.rep, CJT_SAMPLES, seed)

@@ -7,11 +7,25 @@ scans every active row for every column.  ``reference_intertwining_rows``
 reads the arrow matrices entry by entry.  The package versions read the
 coordinates off, index rows by column and read each arrow once; the tests
 assert that both give identical answers.
+
+``kron_tau_inverse`` is the inverse translate on the Kronecker quiver
+itself, and ``explicit_p2`` the projective of dimension (1, r) written
+down by hand.  The package builds the preprojectives on the universal
+cover instead; the tests check its push-downs against these.
 """
 
 from fractions import Fraction
 
-from kronjord.exactmat import QQ, ExactMatrix, _combine_int, _normalize_int_row
+from kronjord.exactmat import (
+    QQ,
+    ExactMatrix,
+    Field,
+    _combine_int,
+    _normalize_int_row,
+    left_kernel_matrix,
+    vstack,
+)
+from kronjord.kronecker import DimVector, KroneckerRep
 from kronjord.verify import hom_space
 
 
@@ -108,3 +122,39 @@ def reference_intertwining_rows(m, n):
                 if row:
                     rows.append(row)
     return rows, nvars
+
+
+def kron_tau_inverse(m):
+    """Inverse translate on the Kronecker quiver via two source reflections.
+
+    Vertex 1 is reflected first (cokernel of the stacked arrow matrices),
+    then vertex 2; the arrows end up in their original direction and the
+    dimension vector is the inverse Coxeter matrix applied to the input.
+    """
+    a, b = m.dim
+    stacked = vstack(list(m.mats)) if b else ExactMatrix.zeros(m.field, 0, a)
+    proj1 = left_kernel_matrix(stacked)          # (r*b - rank) x (r*b)
+    n1 = proj1.rows
+    blocks1 = []
+    for j in range(m.r):
+        blocks1.append(ExactMatrix(m.field,
+                                   [[proj1[i, j * b + k] for k in range(b)] for i in range(n1)],
+                                   n1, b))
+    stacked2 = vstack(blocks1) if n1 else ExactMatrix.zeros(m.field, 0, b)
+    proj2 = left_kernel_matrix(stacked2)         # (r*n1 - rank) x (r*n1)
+    n2 = proj2.rows
+    mats = []
+    for i in range(m.r):
+        mats.append(ExactMatrix(m.field,
+                                [[proj2[p, i * n1 + k] for k in range(n1)] for p in range(n2)],
+                                n2, n1))
+    return KroneckerRep(m.r, DimVector(n1, n2), tuple(mats), m.field)
+
+
+def explicit_p2(r, field: Field = QQ):
+    """The projective of dimension (1, r): arrow i is the i-th basis column."""
+    mats = []
+    for i in range(r):
+        col = [[field.one] if j == i else [field.zero] for j in range(r)]
+        mats.append(ExactMatrix(field, col, r, 1))
+    return KroneckerRep(r, DimVector(1, r), tuple(mats), field)

@@ -8,8 +8,9 @@ the per-criterion lines.
 from fractions import Fraction
 
 from gf2_oracle import gf2_indecomposable, gf2_reps, has_constant_type
+from reference_impls import explicit_p2
 
-from kronjord.bgp import explicit_p2, tau_inverse_tree
+from kronjord.bgp import tau_inverse_tree
 from kronjord.cover import build_source_regular, is_inj, max_cover_b, push_down, source_regular_bound_check
 from kronjord.echelon import ekp_echelon_certificate
 from kronjord.exactmat import ExactMatrix, QQ
@@ -54,14 +55,12 @@ def test_criterion_01_realization_sweep(witness_sweep):
         assert w.rep.dim == xi(c, d) == DimVector(d, d + c), (r, c, d)
         route = w.construction_trace[0].removeprefix("route:")
         kind = w.ekp_certificate["kind"]
-        if route in ("echelon",):
+        if route == "echelon":
             assert kind == "echelon" and ekp_echelon_certificate(w.rep), (r, c, d)
-        elif route in ("cover", "shift"):
+        else:
             assert kind == "inj-cover" and w.tree is not None, (r, c, d)
             assert is_inj(w.tree)[0] and push_down(w.tree) == w.rep, (r, c, d)
-        else:
-            assert kind == "sampled"
-            assert ekp_sample_check(w.rep, 200, seed), (r, c, d)
+        assert ekp_sample_check(w.rep, 200, seed), (r, c, d)
         constant, jtype, _ = is_constant_jordan_type(w.rep, 100, seed + 1)
         assert constant and jtype == JordanType(c, d), (r, c, d)
         assert end_is_local(w.rep), (r, c, d)

@@ -1,12 +1,11 @@
 """Reflection functors, the inverse translate, shift planning, preprojectives."""
 
 import pytest
+from reference_impls import explicit_p2, kron_tau_inverse
 
 from kronjord.bgp import (
     build_preprojective,
     coxeter_shift_plan,
-    explicit_p2,
-    kron_tau_inverse,
     reflect_functor_source,
     tau_inverse_tree,
     weyl_reflect,
@@ -21,7 +20,7 @@ from kronjord.cover import (
     thin_path_rep,
 )
 from kronjord.exactmat import QQ, ExactMatrix
-from kronjord.kronecker import DimVector, coxeter_apply, tits_form
+from kronjord.kronecker import DimVector, coxeter_apply, preprojective_dim_vectors, simple_rep, tits_form
 from kronjord.verify import ekp_sample_check, hom_space, is_brick
 
 
@@ -125,7 +124,6 @@ class TestTauInverseTree:
         # the tree sweep and the Kronecker-level sweep produce isomorphic
         # push-downs, certified by an invertible intertwiner
         import itertools
-        from kronjord.kronecker import simple_rep
 
         def isomorphic(x, y):
             if x.dim != y.dim:
@@ -208,17 +206,26 @@ class TestShiftPlan:
 
 class TestPreprojectives:
     def test_p2_explicit(self):
+        for r in (2, 3, 4, 5):
+            tree = build_preprojective(r, 1, r)
+            assert tree == thin_path_rep(r, 1, r)
+            assert push_down(tree) == explicit_p2(r)
+
+    def test_simple_is_the_sink_lift(self):
         for r in (2, 3, 4):
-            rep = build_preprojective(r, 1, r)
-            assert rep == explicit_p2(r)
+            tree = build_preprojective(r, 0, 1)
+            assert tree == TreeRep(r, {(1,): 1})
+            assert push_down(tree) == simple_rep(r, (0, 1))
 
     def test_p3_r3(self):
-        rep = build_preprojective(3, 3, 8)
+        tree = build_preprojective(3, 3, 8)
+        assert isinstance(tree, TreeRep) and is_inj(tree)[0]
+        rep = push_down(tree)
         assert rep.dim == DimVector(3, 8)
         assert is_brick(rep)
 
     def test_r2_chain(self):
-        rep = build_preprojective(2, 3, 4)
+        rep = push_down(build_preprojective(2, 3, 4))
         assert rep.dim == DimVector(3, 4)
         assert is_brick(rep)
 
@@ -226,10 +233,30 @@ class TestPreprojectives:
         for r in (2, 3):
             for (a, b) in [(0, 1), (1, r)] + (
                     [(3, 8), (8, 21)] if r == 3 else [(2, 3), (3, 4), (4, 5)]):
-                rep = build_preprojective(r, a, b)
+                rep = push_down(build_preprojective(r, a, b))
                 assert tits_form(r, rep.dim) == 1
                 assert is_brick(rep)
                 assert ekp_sample_check(rep, 60, 5)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_lifts_are_inj_bricks_isomorphic_to_the_kronecker_translate(self, r):
+        # the reference chain: the Kronecker-level translate of the simple
+        # (even index) or of P2 (odd index); both are bricks, so the lift's
+        # push-down is isomorphic to it iff the one Hom basis map is invertible
+        chain = [v for v in preprojective_dim_vectors(r, 60) if sum(v) <= 60]
+        refs = [simple_rep(r, (0, 1)), explicit_p2(r)]
+        while len(refs) < len(chain):
+            refs.append(kron_tau_inverse(refs[-2]))
+        for (a, b), ref in zip(chain, refs):
+            assert ref.dim == DimVector(a, b)
+            tree = build_preprojective(r, a, b)
+            assert is_inj(tree)[0], (r, a, b)
+            rep = push_down(tree)
+            assert rep.dim == DimVector(a, b) and is_brick(rep), (r, a, b)
+            hom = hom_space(rep, ref)
+            assert hom.dim == 1, (r, a, b)
+            f1, f2 = hom.basis[0]
+            assert f1.rank() == a and f2.rank() == b, (r, a, b)
 
     def test_off_chain_rejected(self):
         with pytest.raises(ValueError):

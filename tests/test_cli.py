@@ -99,6 +99,17 @@ class TestVerify:
         assert "error: representation field 'dim' must be a pair of non-negative integers" in err
 
 
+    def test_malformed_mats_named(self, tmp_path, capsys):
+        target = tmp_path / "w.json"
+        run(capsys, "realize", "--r", "3", "--jordan", "3,2", "--out", str(target))
+        data = json.loads(target.read_text())
+        data["rep"]["mats"] = 5
+        target.write_text(json.dumps(data))
+        code = main(["verify", str(target)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: representation field 'mats' must be a list of r = 3 matrices, got 5" in err
+
 class TestRootsCoxeterPushdown:
     def test_roots_table(self, capsys):
         code, out = run(capsys, "roots", "--r", "3", "--max", "5", "--json")

@@ -1,8 +1,8 @@
 """Echelon witnesses: offset selection, assembly, and the structural certificate."""
 
 import pytest
+from reference_impls import explicit_p2
 
-from kronjord.bgp import explicit_p2
 from kronjord.echelon import (
     EchelonSpec,
     build_echelon_rep,

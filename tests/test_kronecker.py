@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_impls import explicit_p2
 
 from kronjord import kronecker
-from kronjord.bgp import explicit_p2
 from kronjord.exactmat import GF, QQ, ExactMatrix
 from kronjord.kronecker import (
     DimVector,

@@ -1,6 +1,7 @@
 """Dispatch, realization, round-trip validation, and negative-space oracles."""
 
 import json
+import re
 
 import pytest
 from gf2_oracle import (
@@ -13,8 +14,9 @@ from gf2_oracle import (
 
 from kronjord.cover import is_inj, push_down
 from kronjord.kronecker import DimVector, JordanType, dual, xi
-from kronjord import pipeline
+from kronjord import kronecker
 from kronjord.pipeline import (
+    CJT_SAMPLES,
     EKP_SAMPLES,
     ROUTE_CERTIFICATE,
     CertifiedWitness,
@@ -64,9 +66,9 @@ class TestRealize:
         (3, 3, 2, "cover", "inj-cover"),
         (3, 2, 2, "echelon", "echelon"),
         (3, 8, 5, "shift", "inj-cover"),
-        (2, 1, 1, "preprojective", "sampled"),
-        (4, 3, 1, "preprojective", "sampled"),
-        (3, 1, 0, "simple", "sampled"),
+        (2, 1, 1, "preprojective", "inj-cover"),
+        (4, 3, 1, "preprojective", "inj-cover"),
+        (3, 1, 0, "simple", "inj-cover"),
     ])
     def test_routes(self, r, c, d, route, kind):
         w = realize(r, c, d)
@@ -74,6 +76,11 @@ class TestRealize:
         assert w.ekp_certificate["kind"] == kind == ROUTE_CERTIFICATE[route]
         assert w.rep.dim == xi(c, d)
         assert w.jordan == JordanType(c, d)
+        if kind == "inj-cover":
+            assert w.tree is not None and is_inj(w.tree)[0] and push_down(w.tree) == w.rep
+            assert w.indec_evidence == "local-endo"
+        else:
+            assert w.tree is None and w.indec_evidence == "brick"
 
     def test_rejection_carries_clause(self):
         with pytest.raises(JordanTypeRejected) as err:
@@ -91,6 +98,15 @@ class TestRealize:
         for (r, c, d) in ((3, 4, 3), (4, 3, 2), (2, 1, 5)):
             w = realize(r, c, d)
             assert w.rep.dim == xi(c, d)
+
+    def test_probe_plan_is_drawn_once(self, monkeypatch):
+        draws = []
+        plan = kronecker._probe_points
+        monkeypatch.setattr(kronecker, "_probe_points",
+                            lambda *args: draws.append(args[2]) or plan(*args))
+        w = realize(3, 3, 2)
+        assert draws == [EKP_SAMPLES]
+        assert w.checks["jordan_samples"]["samples"] == CJT_SAMPLES
 
     def test_shift_witness_is_inj_after_translates(self):
         w = realize(3, 8, 5)
@@ -127,6 +143,8 @@ class TestValidationDemands:
         (3, 17, 13, "ekp"),    # cover
         (3, 2, 3, "ekp"),      # echelon
         (3, 8, 5, "eip"),      # shift
+        (2, 1, 3, "ekp"),      # preprojective
+        (3, 1, 0, "eip"),      # simple
     ])
     def test_downgrade_to_sampled_is_rejected(self, r, c, d, mode):
         data = witness_json(r, c, d, mode)
@@ -138,15 +156,20 @@ class TestValidationDemands:
         assert results["reason"] == (f"certificate kind 'sampled': route {route} "
                                      f"requires {ROUTE_CERTIFICATE[route]!r}")
 
-    def test_sampled_certificate_uses_its_own_count_and_seed(self, monkeypatch):
-        data = witness_json(2, 1, 3)
-        calls = []
-        check = pipeline.ekp_sample_check
-        monkeypatch.setattr(pipeline, "ekp_sample_check",
-                            lambda m, samples, seed: calls.append((samples, seed)) or check(m, samples, seed))
-        data["ekp_certificate"] = {"kind": "sampled", "samples": 1, "seed": 99}
-        assert validate_witness(data, seed=4)[0]
-        assert calls == [(EKP_SAMPLES, 4)]
+    @pytest.mark.parametrize("r, c, d, mode", [
+        (3, 3, 2, "ekp"),      # cover
+        (2, 1, 3, "eip"),      # preprojective
+        (4, 3, 1, "ekp"),      # preprojective
+    ])
+    def test_tree_must_push_down_to_the_witness(self, r, c, d, mode):
+        # swapping two arrows keeps EKP and indecomposability; only the
+        # push-down comparison can tell the witness from its tree
+        data = witness_json(r, c, d, mode)
+        mats = data["rep"]["mats"]
+        mats[0], mats[1] = mats[1], mats[0]
+        ok, results = validate_witness(data)
+        assert not ok and results["certificate"] is False
+        assert results["jordan"] and results["indecomposable"]
 
     def test_dimension_must_be_xi(self):
         data = witness_json(3, 3, 2)
@@ -195,6 +218,41 @@ class TestValidationDemands:
         data = witness_json(3, 3, 2)
         data["rep"]["field"] = field
         with pytest.raises(ValueError, match="'p' must be an integer"):
+            CertifiedWitness.from_json(data)
+
+    @pytest.mark.parametrize("path, bad, message", [
+        (("rep", "mats"), 5, "representation field 'mats' must be a list of r = 3 matrices"),
+        (("rep", "mats"), [[]], "representation field 'mats' must be a list of r = 3 matrices"),
+        (("rep", "mats", 1), 5, "representation 'mats'[1] must be a 5 x 2 list of rows"),
+        (("rep", "mats", 0, 0, 1), "x", "representation 'mats'[0] has an entry that is not a "
+                                        "scalar string of QQ"),
+        (("rep", "mats", 2, 1, 0), 0.5, "representation 'mats'[2] has an entry that is not a "
+                                        "scalar string of QQ"),
+        (("rep", "mats", 0, 0, 0), "1/0", "representation 'mats'[0] has an entry that is not a "
+                                          "scalar string of QQ"),
+        (("rep", "r"), "x", "representation field 'r' must be an integer"),
+        (("tree", "r"), "x", "tree field 'r' must be an integer"),
+        (("tree", "vertices"), 5, "tree field 'vertices' must be a list"),
+        (("tree", "edges"), {}, "tree field 'edges' must be a list"),
+        (("tree", "vertices", 0, "addr"), 5, "tree vertex field 'addr' must be a list of colors 1..3"),
+        (("tree", "vertices", 1, "addr"), [7], "tree vertex field 'addr' must be a list of colors 1..3"),
+        (("tree", "vertices", 0, "dim"), "1", "tree vertex field 'dim' must be an integer"),
+        (("tree", "edges", 0, "src"), None, "tree edge field 'src' must be a list of colors 1..3"),
+        (("tree", "edges", 0, "mat"), [[1, 2]], "tree edge [] -> [1] 'mat' must be a 1 x 1 list of rows"),
+        (("construction_trace",), 5, "witness field 'construction_trace' must be a list of strings"),
+        (("construction_trace",), ["route:cover", 7],
+         "witness field 'construction_trace' must be a list of strings"),
+        (("checks",), "x", "witness field 'checks' must be a JSON object"),
+        (("indec_evidence",), 5, "witness field 'indec_evidence' must be 'brick' or 'local-endo'"),
+        (("indec_evidence",), "likely", "witness field 'indec_evidence' must be 'brick' or"),
+    ])
+    def test_malformed_field_is_named(self, path, bad, message):
+        data = witness_json(3, 3, 2)
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        with pytest.raises(ValueError, match=re.escape(message)):
             CertifiedWitness.from_json(data)
 
 

@@ -1,9 +1,9 @@
 """Hom/Ext, the Euler identity, locality, bricks, and the sampled checks."""
 
 import pytest
-from reference_impls import reference_end_is_local, reference_intertwining_rows
+from reference_impls import explicit_p2, reference_end_is_local, reference_intertwining_rows
 
-from kronjord.bgp import build_preprojective, explicit_p2
+from kronjord.bgp import build_preprojective
 from kronjord.cover import (
     build_indecomposable_tree_rep,
     build_root_vector,
@@ -87,9 +87,9 @@ class TestExt:
         reps = [
             simple_rep(3, (1, 0)),
             simple_rep(3, (0, 1)),
-            build_preprojective(3, 0, 1),
+            push_down(build_preprojective(3, 0, 1)),
             explicit_p2(3),
-            build_preprojective(3, 3, 8),
+            push_down(build_preprojective(3, 3, 8)),
             build_echelon_rep(select_phi(3, 2, 4)),
             build_echelon_rep(select_phi(3, 3, 5)),
             cover_rep(3, 2, 5),
