@@ -48,7 +48,7 @@ def _cmd_classify(args) -> int:
 def _cmd_realize(args) -> int:
     c, d = args.jordan
     try:
-        witness = realize(args.r, c, d, mode=args.mode, seed=args.seed)
+        witness = realize(args.r, c, d, mode=args.mode)
     except JordanTypeRejected as exc:
         if args.json:
             print(json.dumps({"accepted": False, "reason": exc.clause}, sort_keys=True))
@@ -175,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--jordan", type=_parse_pair, required=True, metavar="C,D")
     p.add_argument("--mode", choices=["ekp", "eip"], default="ekp")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_realize)

@@ -17,6 +17,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -33,7 +34,7 @@ Edge = tuple[Address, Address]
 # ---------------------------------------------------------------------------
 
 def is_reduced(addr: Address) -> bool:
-    return all(addr[i] != addr[i + 1] for i in range(len(addr) - 1))
+    return not any(map(operator.eq, addr, addr[1:]))
 
 
 def is_source(addr: Address) -> bool:
@@ -237,11 +238,14 @@ class TreeRep:
         # read-only views of private copies make the value immutable, hence hashable
         object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
         object.__setattr__(self, "maps", MappingProxyType(dict(self.maps)))
+        colors = frozenset(range(1, self.r + 1))
         for v, d in self.dims.items():
             if d <= 0:
                 raise ValueError(f"dims must list only positive dimensions, got {d} at {v}")
             if not is_reduced(v):
                 raise ValueError(f"address {v} is not reduced")
+            if not colors.issuperset(v):
+                raise ValueError(f"address {v} uses colors outside 1..{self.r}")
         for (t, h), m in self.maps.items():
             edge_color(t, h)  # validates adjacency
             if (m.rows, m.cols) != (self.dims.get(h, 0), self.dims.get(t, 0)):
@@ -251,9 +255,6 @@ class TreeRep:
         return hash((self.r, frozenset(self.dims.items()), frozenset(self.maps.items()),
                      self.field))
 
-    def support(self) -> set[Address]:
-        return set(self.dims)
-
     def support_sources(self) -> list[Address]:
         return sorted(v for v in self.dims if is_source(v))
 
@@ -262,9 +263,6 @@ class TreeRep:
 
     def is_canonically_oriented(self) -> bool:
         return all(is_source(t) for (t, h) in self.maps)
-
-    def dim_vector(self) -> dict[Address, int]:
-        return dict(self.dims)
 
     def to_json(self) -> dict:
         verts = [{"addr": list(v), "dim": d} for v, d in sorted(self.dims.items())]
@@ -314,10 +312,6 @@ class TreeRep:
 def _is_word(x, r: int) -> bool:
     """True iff the JSON value ``x`` is a list of colors in 1..r, as addresses are written."""
     return isinstance(x, list) and all(type(c) is int and 1 <= c <= r for c in x)
-
-
-def _identity_1x1(fld: Field) -> ExactMatrix:
-    return ExactMatrix.identity(fld, 1)
 
 
 def _column(fld: Field, m: int, j: Optional[int]) -> ExactMatrix:
@@ -374,7 +368,7 @@ def _build_tree_rep(vertices: set[Address], alpha: dict[Address, int], r: int,
         if any(alpha[v] != 1 for v in vertices):
             raise ValueError("star case requires the all-ones vector")
         dims = {v: 1 for v in vertices}
-        maps = {(x, y): _identity_1x1(fld) for y in vertices if y != x}
+        maps = {(x, y): ExactMatrix.identity(fld, 1) for y in vertices if y != x}
         trace.append(f"star@{x}")
         return dims, maps
 
@@ -408,7 +402,7 @@ def _build_tree_rep(vertices: set[Address], alpha: dict[Address, int], r: int,
         maps[(x, y)] = _column(fld, m, None)
         for w in leaves:
             dims[w] = 1
-            maps[(x, w)] = _identity_1x1(fld)
+            maps[(x, w)] = ExactMatrix.identity(fld, 1)
         trace.append(f"reflect@{x}->{y}:dim{m}")
         return dims, maps
 
@@ -419,7 +413,7 @@ def _build_tree_rep(vertices: set[Address], alpha: dict[Address, int], r: int,
         maps[(x, y)] = _column(fld, dims[y], 0)
         for w in leaves:
             dims[w] = 1
-            maps[(x, w)] = _identity_1x1(fld)
+            maps[(x, w)] = ExactMatrix.identity(fld, 1)
         trace.append(f"extend@{x}->{y}")
         return dims, maps
 
@@ -457,7 +451,7 @@ def thin_path_rep(r: int, u: int, v: int, field: Field = QQ) -> TreeRep:
     for x in xs:
         for w in neighbors(x, r):
             if w in chosen:
-                maps[(x, w)] = _identity_1x1(field)
+                maps[(x, w)] = ExactMatrix.identity(field, 1)
     return TreeRep(r, dims, maps, field)
 
 

@@ -378,10 +378,6 @@ class ExactMatrix:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_rows(field: Field, data: Sequence[Sequence]) -> "ExactMatrix":
-        return ExactMatrix(field, data)
-
-    @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "ExactMatrix":
         z = field.zero
         return ExactMatrix(field, [[z] * cols for _ in range(rows)], rows, cols)
@@ -390,10 +386,6 @@ class ExactMatrix:
     def identity(field: Field, n: int) -> "ExactMatrix":
         z, o = field.zero, field.one
         return ExactMatrix(field, [[o if i == j else z for j in range(n)] for i in range(n)], n, n)
-
-    @staticmethod
-    def column(field: Field, entries: Sequence) -> "ExactMatrix":
-        return ExactMatrix(field, [[x] for x in entries], len(entries), 1)
 
     # -- basic access ------------------------------------------------------
 

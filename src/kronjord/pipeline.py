@@ -15,8 +15,15 @@ Every route but echelon builds a tree on the universal cover (the simple
 and the preprojectives as inverse translates of the simple at a sink or
 of the star at the root) and certifies its push-down the same way: Inj on
 the tree is the exact equal-kernels certificate, and End of the push-down
-is local.  Every boundary test is integer arithmetic; the equal-images
-variant is obtained by dualizing an equal-kernels witness.
+is local.  ``ROUTE_CERTIFICATE`` names the two certificates of each route
+and ``_certify`` runs them, for ``realize`` and ``validate_witness`` alike.
+
+An equal-kernels witness of dimension (a, b) has constant Jordan type
+[1]^(b-a) [2]^a, since every nonzero pencil has rank a; so ``realize``
+records the Jordan type and the generic-rank restrictions from its exact
+certificates and samples no pencil.  Every boundary test is integer
+arithmetic; the equal-images variant is obtained by dualizing an
+equal-kernels witness.
 """
 
 from __future__ import annotations
@@ -47,13 +54,19 @@ from .kronecker import (
     tits_form,
     xi,
 )
-from .verify import eip_sample_check, end_is_local, is_brick, restriction_check
+from .verify import eip_sample_check, end_is_local, is_brick
 
+# sample counts of the cross-checks in validate_witness
 CJT_SAMPLES = 100
 EKP_SAMPLES = 200
-# the equal-kernels certificate each route produces, and validation demands
-ROUTE_CERTIFICATE = {"simple": "inj-cover", "preprojective": "inj-cover", "echelon": "echelon",
-                     "cover": "inj-cover", "shift": "inj-cover"}
+# (equal-kernels certificate, indecomposability evidence) each route
+# produces, and validation demands
+ROUTE_CERTIFICATE = {"simple": ("inj-cover", "local-endo"),
+                     "preprojective": ("inj-cover", "local-endo"),
+                     "echelon": ("echelon", "brick"),
+                     "cover": ("inj-cover", "local-endo"),
+                     "shift": ("inj-cover", "local-endo")}
+_EVIDENCE = sorted({evidence for _, evidence in ROUTE_CERTIFICATE.values()})
 
 
 class JordanTypeRejected(ValueError):
@@ -113,6 +126,8 @@ class CertifiedWitness:
     indec_evidence: str            # brick | local-endo
     construction_trace: list[str] = dc_field(default_factory=list)
     tree: Optional[TreeRep] = None
+    # what the exact certificates imply: "jordan" {c, d, from: certificate
+    # kind}, "restriction" {d, c, q} and, in eip mode, "eip" {from: duality}
     checks: dict = dc_field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -144,8 +159,8 @@ class CertifiedWitness:
         check_field(mode in ("ekp", "eip"), "witness", "mode", "'ekp' or 'eip'", mode)
         check_field(isinstance(certificate, dict), "witness", "ekp_certificate",
                     "a JSON object", certificate)
-        check_field(evidence in ("brick", "local-endo"), "witness", "indec_evidence",
-                    "'brick' or 'local-endo'", evidence)
+        check_field(evidence in _EVIDENCE, "witness", "indec_evidence",
+                    " or ".join(map(repr, _EVIDENCE)), evidence)
         check_field(isinstance(trace, list) and all(isinstance(t, str) for t in trace),
                     "witness", "construction_trace", "a list of strings", trace)
         check_field(isinstance(checks, dict), "witness", "checks", "a JSON object", checks)
@@ -189,12 +204,27 @@ def _build_tree(route: str, r: int, a: int, b: int, trace: list[str]) -> TreeRep
     return tree
 
 
+def _certify(route: str, rep: KroneckerRep, tree: Optional[TreeRep]) -> dict[str, bool]:
+    """Run the two exact certificates ``ROUTE_CERTIFICATE`` gives ``route``.
+
+    ``rep`` is the equal-kernels side.  An echelon witness must have the
+    echelon structure and be a brick; any other witness needs a tree that
+    satisfies Inj and pushes down to ``rep``, and a local End(rep).
+    """
+    if route == "echelon":
+        return {"certificate": ekp_echelon_certificate(rep), "indecomposable": is_brick(rep)}
+    return {"certificate": tree is not None and is_inj(tree)[0] and push_down(tree) == rep,
+            "indecomposable": end_is_local(rep)}
+
+
 def realize(r: int, c: int, d: int, mode: str = "ekp", seed: int = 0) -> CertifiedWitness:
     """Construct and certify a witness of constant Jordan type [1]^c [2]^d.
 
     Raises JordanTypeRejected when the type is not realizable, naming the
     failed clause.  Certificate failures after a successful construction
     indicate an implementation bug and surface as hard assertion errors.
+    The witness is certified exactly and nothing is sampled, so ``seed``
+    has no effect; it is still accepted so that existing callers work.
     """
     if mode not in ("ekp", "eip"):
         raise ValueError("mode must be 'ekp' or 'eip'")
@@ -204,52 +234,29 @@ def realize(r: int, c: int, d: int, mode: str = "ekp", seed: int = 0) -> Certifi
     a, b = cls.dim
     trace = [f"route:{cls.route}"]
     tree: Optional[TreeRep] = None
-    certificate = {"kind": ROUTE_CERTIFICATE[cls.route]}
-    evidence: str
-
     if cls.route == "echelon":
         spec = select_phi(r, a, b)
         trace.append(f"echelon:{spec.case_tag}:phi={list(spec.phi)}")
         rep = build_echelon_rep(spec)
-        if not ekp_echelon_certificate(rep):
-            raise AssertionError("echelon witness failed its structural certificate")
-        if not is_brick(rep):
-            raise AssertionError("echelon witness failed the brick check")
-        evidence = "brick"
     else:
         tree = _build_tree(cls.route, r, a, b, trace)
         rep = push_down(tree)
-        inj, witness = is_inj(tree)
-        if not inj:
-            raise AssertionError(f"{cls.route} witness failed Inj at edge {witness}")
-        if not end_is_local(rep):
-            raise AssertionError(f"{cls.route} witness has non-local endomorphisms")
-        evidence = "local-endo"
-
     if rep.dim != DimVector(a, b):
         raise AssertionError(f"{cls.route} witness has dimension {rep.dim}, wanted {(a, b)}")
+    verdicts = _certify(cls.route, rep, tree)
+    if not all(verdicts.values()):
+        raise AssertionError(f"{cls.route} witness failed its exact certificates: {verdicts}")
 
-    # the longer plan first: the shorter one is its prefix, so it is drawn once
-    restriction_ok, restriction_detail = restriction_check(rep, EKP_SAMPLES, seed)
-    if not restriction_ok:
-        raise AssertionError("witness failed the generic-rank restrictions")
-    constant, jtype, record = is_constant_jordan_type(rep, CJT_SAMPLES, seed)
-    if not constant or jtype != JordanType(c, d):
-        raise AssertionError(f"witness Jordan type {jtype} does not match ({c},{d})")
-
-    checks = {
-        "jordan_samples": record,
-        "restriction": {"d": restriction_detail["d"], "c": restriction_detail["c"],
-                        "q": restriction_detail["q"]},
-    }
-
+    kind, evidence = ROUTE_CERTIFICATE[cls.route]
+    certificate = {"kind": kind}
+    # every nonzero pencil of an equal-kernels witness has rank a
+    checks = {"jordan": {"c": c, "d": d, "from": kind},
+              "restriction": {"d": a, "c": b - a, "q": tits_form(r, (a, b))}}
     if mode == "eip":
         rep = dual(rep)
         certificate["via_duality"] = True
         trace.append("dualized:eip")
-        if not eip_sample_check(rep, EKP_SAMPLES, seed):
-            raise AssertionError("dual witness failed the sampled image check")
-        checks["eip_samples"] = {"samples": EKP_SAMPLES, "seed": seed}
+        checks["eip"] = {"from": "duality"}
 
     return CertifiedWitness(rep, JordanType(c, d), mode, certificate, evidence, trace, tree, checks)
 
@@ -261,13 +268,15 @@ def realize(r: int, c: int, d: int, mode: str = "ekp", seed: int = 0) -> Certifi
 def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
     """Re-validate a serialized witness from its JSON alone.
 
-    The certificate a witness needs is decided from (r, c, d) by
-    ``classify``, never taken from the file: the echelon structure, or Inj
-    on the embedded tree plus push-down agreement.  The equal-kernels side
-    must have dimension vector xi(c, d).  Then a fresh constant-Jordan-type
-    sampling and the locality certificate run.  A Jordan type that is not
-    realizable, or a certificate of the wrong kind, is rejected with a
-    ``reason``.
+    The certificates a witness needs are decided from (r, c, d) by
+    ``classify``, never taken from the file, and run by ``_certify`` on
+    the equal-kernels side: the echelon structure and the brick check, or
+    Inj on the embedded tree, push-down agreement and locality of End.
+    The equal-kernels side must have dimension vector xi(c, d).  Fresh
+    sampled constant-Jordan-type and, in eip mode, image checks run as
+    independent cross-checks.  A Jordan type that is not realizable, or a
+    certificate kind or indecomposability evidence other than the route's,
+    is rejected with a ``reason``.
     """
     w = CertifiedWitness.from_json(data)
     c, d = w.jordan
@@ -275,26 +284,23 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
     if not cls.accepted:
         return False, {"jordan": False,
                        "reason": f"jordan {[c, d]} is not realizable: fails clause {cls.reason!r}"}
-    results = {}
-    reason = None
     ekp_side = w.rep if w.mode == "ekp" else dual(w.rep)
-    results["dim"] = ekp_side.dim == cls.dim
-    kind = w.ekp_certificate.get("kind")
-    required = ROUTE_CERTIFICATE[cls.route]
-    if kind != required:
+    results = {"dim": ekp_side.dim == cls.dim, **_certify(cls.route, ekp_side, w.tree)}
+    kind, evidence = ROUTE_CERTIFICATE[cls.route]
+    found = w.ekp_certificate.get("kind")
+    reasons = []
+    if found != kind:
         results["certificate"] = False
-        reason = f"certificate kind {kind!r}: route {cls.route} requires {required!r}"
-    elif kind == "echelon":
-        results["certificate"] = ekp_echelon_certificate(ekp_side)
-    else:
-        results["certificate"] = (w.tree is not None and is_inj(w.tree)[0]
-                                  and push_down(w.tree) == ekp_side)
+        reasons.append(f"certificate kind {found!r}: route {cls.route} requires {kind!r}")
+    if w.indec_evidence != evidence:
+        results["indecomposable"] = False
+        reasons.append(f"indec_evidence {w.indec_evidence!r}: "
+                       f"route {cls.route} requires {evidence!r}")
     if w.mode == "eip":
         results["eip_samples"] = eip_sample_check(w.rep, EKP_SAMPLES, seed)
     constant, jtype, _ = is_constant_jordan_type(w.rep, CJT_SAMPLES, seed)
     results["jordan"] = constant and jtype == w.jordan
-    results["indecomposable"] = end_is_local(w.rep)
     ok = all(results.values())
-    if reason:
-        results["reason"] = reason
+    if reasons:
+        results["reason"] = "; ".join(reasons)
     return ok, results

@@ -43,6 +43,15 @@ class TestAddresses:
         with pytest.raises(ValueError):
             TreeQuiver(3, frozenset({(), (1, 2)}))
 
+    def test_tree_rep_rejects_colors_outside_range(self):
+        one = ExactMatrix.identity(QQ, 1)
+        with pytest.raises(ValueError, match=r"address \(7,\) uses colors outside 1\.\.3"):
+            TreeRep(3, {(): 1, (7,): 1}, {((), (7,)): one})
+        with pytest.raises(ValueError, match="colors outside 1..2"):
+            TreeRep(2, {(0,): 1})
+        with pytest.raises(ValueError, match="is not reduced"):
+            TreeRep(3, {(1, 1): 1})
+
 
 class TestSourceRegular:
     def test_star(self):

@@ -12,12 +12,12 @@ from gf2_oracle import (
     rep_from_bits,
 )
 
+from conftest import derived_seed
+
 from kronjord.cover import is_inj, push_down
-from kronjord.kronecker import DimVector, JordanType, dual, xi
-from kronjord import kronecker
+from kronjord.kronecker import DimVector, JordanType, dual, is_constant_jordan_type, xi
+from kronjord import kronecker, pipeline, verify
 from kronjord.pipeline import (
-    CJT_SAMPLES,
-    EKP_SAMPLES,
     ROUTE_CERTIFICATE,
     CertifiedWitness,
     JordanTypeRejected,
@@ -25,7 +25,10 @@ from kronjord.pipeline import (
     realize,
     validate_witness,
 )
-from kronjord.verify import eip_sample_check
+from kronjord.verify import eip_sample_check, restriction_check
+
+# one witness of each route
+ROUTE_WITNESSES = [(3, 1, 0), (3, 2, 1), (3, 2, 2), (3, 3, 2), (3, 8, 5)]
 
 
 class TestClassify:
@@ -73,7 +76,8 @@ class TestRealize:
     def test_routes(self, r, c, d, route, kind):
         w = realize(r, c, d)
         assert w.construction_trace[0] == f"route:{route}"
-        assert w.ekp_certificate["kind"] == kind == ROUTE_CERTIFICATE[route]
+        assert (w.ekp_certificate["kind"], w.indec_evidence) == ROUTE_CERTIFICATE[route]
+        assert w.ekp_certificate["kind"] == kind
         assert w.rep.dim == xi(c, d)
         assert w.jordan == JordanType(c, d)
         if kind == "inj-cover":
@@ -99,14 +103,49 @@ class TestRealize:
             w = realize(r, c, d)
             assert w.rep.dim == xi(c, d)
 
-    def test_probe_plan_is_drawn_once(self, monkeypatch):
-        draws = []
-        plan = kronecker._probe_points
-        monkeypatch.setattr(kronecker, "_probe_points",
-                            lambda *args: draws.append(args[2]) or plan(*args))
-        w = realize(3, 3, 2)
-        assert draws == [EKP_SAMPLES]
-        assert w.checks["jordan_samples"]["samples"] == CJT_SAMPLES
+    def test_realize_samples_nothing(self, monkeypatch):
+        calls = []
+        sampled = ("is_constant_jordan_type", "restriction_check", "eip_sample_check",
+                   "_probe_points")
+        for module in (kronecker, verify, pipeline):
+            for name in sampled:
+                if hasattr(module, name):
+                    fn = getattr(module, name)
+                    monkeypatch.setattr(module, name, lambda *a, _n=name, _f=fn, **k:
+                                        calls.append(_n) or _f(*a, **k))
+        routes = set()
+        for (r, c, d) in ROUTE_WITNESSES:
+            routes.add(classify(r, c, d).route)
+            for mode in ("ekp", "eip"):
+                w = realize(r, c, d, mode=mode, seed=5)
+                assert w.checks["jordan"] == {"c": c, "d": d,
+                                              "from": w.ekp_certificate["kind"]}
+                assert ("eip" in w.checks) == (mode == "eip")
+        assert routes == set(ROUTE_CERTIFICATE)
+        assert calls == []
+
+    def test_exact_records_match_sampling(self, witness_sweep):
+        for r, c, d, w in witness_sweep:
+            s = derived_seed(r, c, d) + 5
+            constant, jtype, _ = is_constant_jordan_type(w.rep, 100, s)
+            assert constant and w.checks["jordan"] == {
+                "c": jtype.c, "d": jtype.d, "from": ROUTE_CERTIFICATE[classify(r, c, d).route][0]}
+            ok, detail = restriction_check(w.rep, 200, s)
+            assert ok and w.checks["restriction"] == {k: detail[k] for k in ("d", "c", "q")}
+
+    @pytest.mark.parametrize("name, failing, r, c, d", [
+        ("ekp_echelon_certificate", False, 3, 2, 2),
+        ("is_brick", False, 3, 2, 2),
+        ("is_inj", (False, None), 3, 3, 2),
+        ("is_inj", (False, None), 3, 8, 5),
+        ("end_is_local", False, 3, 3, 2),
+        ("end_is_local", False, 3, 2, 1),
+    ])
+    def test_failing_certificate_is_caught(self, monkeypatch, name, failing, r, c, d):
+        monkeypatch.setattr(pipeline, name, lambda *args: failing)
+        route = classify(r, c, d).route
+        with pytest.raises(AssertionError, match=f"{route} witness failed its exact certificates"):
+            realize(r, c, d)
 
     def test_shift_witness_is_inj_after_translates(self):
         w = realize(3, 8, 5)
@@ -154,7 +193,7 @@ class TestValidationDemands:
         assert not ok and not results["certificate"]
         route = classify(r, c, d).route
         assert results["reason"] == (f"certificate kind 'sampled': route {route} "
-                                     f"requires {ROUTE_CERTIFICATE[route]!r}")
+                                     f"requires {ROUTE_CERTIFICATE[route][0]!r}")
 
     @pytest.mark.parametrize("r, c, d, mode", [
         (3, 3, 2, "ekp"),      # cover
@@ -170,6 +209,19 @@ class TestValidationDemands:
         ok, results = validate_witness(data)
         assert not ok and results["certificate"] is False
         assert results["jordan"] and results["indecomposable"]
+
+    @pytest.mark.parametrize("r, c, d, label", [
+        (3, 3, 2, "brick"),         # cover
+        (3, 2, 2, "local-endo"),    # echelon
+    ])
+    def test_wrong_evidence_label_is_rejected(self, r, c, d, label):
+        data = witness_json(r, c, d)
+        data["indec_evidence"] = label
+        ok, results = validate_witness(data)
+        route = classify(r, c, d).route
+        assert not ok and results["indecomposable"] is False and results["certificate"]
+        assert results["reason"] == (f"indec_evidence {label!r}: route {route} "
+                                     f"requires {ROUTE_CERTIFICATE[route][1]!r}")
 
     def test_dimension_must_be_xi(self):
         data = witness_json(3, 3, 2)
