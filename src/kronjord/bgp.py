@@ -22,7 +22,7 @@ from .cover import (
     neighbors,
     thin_path_rep,
 )
-from .exactmat import ExactMatrix, Field, QQ, left_kernel_matrix, vstack
+from .exactmat import ExactMatrix, Field, QQ, left_kernel_matrix
 from .kronecker import DimVector, coxeter_apply, preprojective_dim_vectors, tits_form
 
 
@@ -48,74 +48,70 @@ def weyl_reflect(q: TreeQuiver, v: dict[Address, int], vertex: Address) -> dict[
 # reflection functor at a source
 # ---------------------------------------------------------------------------
 
-def reflect_functor_source(m: TreeRep, x: Address) -> TreeRep:
-    """Reflection functor at a source vertex of the current orientation.
+def reflect_functor_source(m: TreeRep, *xs: Address) -> TreeRep:
+    """Reflection functor at pairwise non-adjacent sources of the current orientation.
 
-    The space at x becomes the cokernel of the combined map into the sum
-    of the neighbor spaces; the incident arrows reverse and the induced
+    The space at each x becomes the cokernel of the combined map into the
+    sum of the neighbor spaces; the incident arrows reverse and the induced
     maps are the neighbor injections followed by the cokernel projection.
     When the combined map is injective the new dimension is the Weyl
     reflection of the old one.  Vertices of dimension zero are allowed
-    (their reflection is the direct sum of the neighbor spaces).
+    (their reflection is the direct sum of the neighbor spaces).  No two
+    of the xs share an edge, so every cokernel is read from ``m`` and one
+    pass builds the result.
     """
+    reflected = set(xs)
+    for x in reflected:
+        for y in neighbors(x, m.r):
+            if y in reflected:
+                raise ValueError(f"{x} and {y} are adjacent")
     for (t, h) in m.maps:
-        if h == x:
-            raise ValueError(f"{x} is not a source: incoming edge from {t}")
-    dx = m.dims.get(x, 0)
-    nbrs = sorted(y for y in neighbors(x, m.r) if m.dims.get(y, 0) > 0)
-    blocks = [m.maps.get((x, y), ExactMatrix.zeros(m.field, m.dims[y], dx)) for y in nbrs]
-    total = sum(m.dims[y] for y in nbrs)
-    if total == 0:
-        # cokernel of the map into the zero space
-        new_dims = {v: d for v, d in m.dims.items() if v != x}
-        new_maps = {e: mat for e, mat in m.maps.items() if x not in e}
-        return TreeRep(m.r, new_dims, new_maps, m.field)
-    stacked = vstack(blocks) if blocks else ExactMatrix.zeros(m.field, 0, dx)
-    proj = left_kernel_matrix(stacked)   # rows span the cokernel
-    new_dim = proj.rows
-    new_dims = {v: d for v, d in m.dims.items() if v != x}
-    new_maps = {e: mat for e, mat in m.maps.items() if x not in e}
-    if new_dim > 0:
-        new_dims[x] = new_dim
-        off = 0
+        if h in reflected:
+            raise ValueError(f"{h} is not a source: incoming edge from {t}")
+    dims = {v: d for v, d in m.dims.items() if v not in reflected}
+    maps = {(t, h): mat for (t, h), mat in m.maps.items() if t not in reflected}
+    for x in reflected:
+        dx = m.dims.get(x, 0)
+        nbrs = sorted(y for y in neighbors(x, m.r) if y in m.dims)
+        stacked = []
         for y in nbrs:
-            dy = m.dims[y]
-            block = ExactMatrix(m.field,
-                                [[proj[i, off + j] for j in range(dy)] for i in range(new_dim)],
-                                new_dim, dy)
-            new_maps[(y, x)] = block
-            off += dy
-    return TreeRep(m.r, new_dims, new_maps, m.field)
+            mat = m.maps.get((x, y))
+            stacked += mat.to_lists() if mat is not None else [[m.field.zero] * dx] * m.dims[y]
+        proj = left_kernel_matrix(ExactMatrix(m.field, stacked, len(stacked), dx)).to_lists()
+        if proj:
+            dims[x] = len(proj)
+            off = 0
+            for y in nbrs:
+                dy = m.dims[y]
+                maps[(y, x)] = ExactMatrix(m.field, [row[off:off + dy] for row in proj],
+                                           len(proj), dy)
+                off += dy
+    return TreeRep(m.r, dims, maps, m.field)
 
 
 def tau_inverse_tree(m: TreeRep) -> TreeRep:
     """Inverse translate on the cover as a double reflection sweep.
 
-    Sources adjacent to the support are reflected first (including the
+    Every source adjacent to the support is reflected first (including the
     zero-dimensional ones, whose cokernels grow the support), then every
-    old sink.  The result carries the bipartite orientation again; a zero
-    result means the input was a sum of injectives and is an error.
+    old sink; each sweep is one ``reflect_functor_source`` call.  The
+    result carries the bipartite orientation again; a zero result means
+    the input was zero or injective and is an error.
     """
-    if not m.dims:
-        raise ValueError("cannot translate the zero representation")
     if not m.is_canonically_oriented():
         raise ValueError("translate defined for the bipartite orientation")
-    support = set(m.dims)
-    first = {v for v in support if is_source(v)}
-    for y in support:
+    first = {v for v in m.dims if is_source(v)}
+    for y in m.dims:
         if not is_source(y):
             first.update(neighbors(y, m.r))
-    cur = m
-    for x in sorted(first):
-        cur = reflect_functor_source(cur, x)
+    cur = reflect_functor_source(m, *first)
     second = {v for v in cur.dims if not is_source(v)}
     for x in cur.dims:
         if is_source(x):
             second.update(neighbors(x, m.r))
-    for y in sorted(second):
-        cur = reflect_functor_source(cur, y)
+    cur = reflect_functor_source(cur, *second)
     if not cur.dims:
-        raise ValueError("translate vanished: input had injective summands")
+        raise ValueError("translate vanished: input was zero or injective")
     if not cur.is_canonically_oriented():
         raise AssertionError("sweep did not restore the bipartite orientation")
     return cur

@@ -16,6 +16,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import heapq
 import json
 import operator
 from dataclasses import dataclass, field as dc_field
@@ -59,11 +60,6 @@ def edge_color(x: Address, y: Address) -> int:
     if len(longer) != len(shorter) + 1 or longer[:-1] != shorter:
         raise ValueError(f"{x} and {y} are not adjacent")
     return longer[-1]
-
-
-def canonical_edge(x: Address, y: Address) -> Edge:
-    """Orient an adjacent pair source -> sink."""
-    return (x, y) if is_source(x) else (y, x)
 
 
 # ---------------------------------------------------------------------------
@@ -132,25 +128,27 @@ def build_source_regular(r: int, n: int) -> TreeQuiver:
 
     Grown inductively: extend at the unique intermediate-degree sink when
     one exists, otherwise at the lexicographically least degree-1 sink.
-    At every stage at most one sink has degree strictly between 1 and r.
+    Each extension raises one sink's degree and adds new degree-1 sinks,
+    so a heap of the degree-1 sinks and the one sink being extended, with
+    its degree, carry the state: at most one sink has degree strictly
+    between 1 and r.
     """
     if n < 1:
         raise ValueError("need at least one source")
     root: Address = ()
     verts: set[Address] = {root, *neighbors(root, r)}
+    leaves = sorted(verts - {root})   # a sorted list is a heap
+    y, degree = None, r               # the sink being extended, r once full
     for _ in range(n - 1):
-        sinks = sorted(v for v in verts if not is_source(v))
-        degree = lambda v: sum(1 for w in neighbors(v, r) if w in verts)
-        intermediate = [y for y in sinks if 1 < degree(y) < r]
-        if intermediate:
-            if len(intermediate) > 1:
-                raise AssertionError("more than one intermediate sink")
-            y = intermediate[0]
-        else:
-            y = min(v for v in sinks if degree(v) == 1)
+        if degree == r:
+            y, degree = heapq.heappop(leaves), 1
         x = min(w for w in neighbors(y, r) if w not in verts)
         verts.add(x)
-        verts.update(neighbors(x, r))
+        for w in neighbors(x, r):
+            if w != y:
+                verts.add(w)
+                heapq.heappush(leaves, w)
+        degree += 1
     return TreeQuiver(r, frozenset(verts))
 
 
@@ -339,14 +337,16 @@ def build_indecomposable_tree_rep(q: TreeQuiver, alpha: dict[Address, int],
                                   trace: Optional[list[str]] = None) -> TreeRep:
     """Indecomposable tree representation with dimension vector alpha.
 
-    Recursion: peel a source whose neighbors are all leaves except one.
-    When the remaining neighbor y carries the maximal value deg(y)-1 the
-    recursion descends with value 1 at y and the step afterwards regrows
-    y to a coordinate frame (standard basis columns on the old edges, the
-    all-ones column on the new one); any endomorphism fixing those lines
-    is scalar, which is what forces locality.  Otherwise the new source
-    is adjoined with identity maps to its leaves and the inclusion of the
-    first basis vector into the space at y.
+    Peel the least source whose neighbors are all leaves except one, y,
+    until one source is left; build that star with identity maps, then
+    undo the peels in reverse order.  When y carries the maximal value
+    deg(y)-1 at its peel, the quiver left behind gets value 1 at y and
+    undoing the peel regrows y to a coordinate frame (standard basis
+    columns on the old edges, the all-ones column on the new one); any
+    endomorphism fixing those lines is scalar, which is what forces
+    locality.  Otherwise undoing the peel adjoins the source with identity
+    maps to its leaves and the inclusion of the first basis vector into
+    the space at y.
 
     The endomorphism algebra of the result is verified downstream; the
     builder itself only guarantees the dimension vector and injectivity
@@ -355,69 +355,54 @@ def build_indecomposable_tree_rep(q: TreeQuiver, alpha: dict[Address, int],
     _validate_alpha(q, alpha)
     if trace is None:
         trace = []
-    dims, maps = _build_tree_rep(set(q.vertices), dict(alpha), q.r, field, trace)
-    return TreeRep(q.r, dims, maps, field)
-
-
-def _build_tree_rep(vertices: set[Address], alpha: dict[Address, int], r: int,
-                    fld: Field, trace: list[str]):
+    r = q.r
+    vertices, alpha, sources = set(q.vertices), dict(alpha), q.sources()
     degree = lambda v: sum(1 for w in neighbors(v, r) if w in vertices)
-    sources = sorted(v for v in vertices if is_source(v))
-    if len(sources) == 1:
-        x = sources[0]
-        if any(alpha[v] != 1 for v in vertices):
-            raise ValueError("star case requires the all-ones vector")
-        dims = {v: 1 for v in vertices}
-        maps = {(x, y): ExactMatrix.identity(fld, 1) for y in vertices if y != x}
-        trace.append(f"star@{x}")
-        return dims, maps
+    peels = []    # (source, its non-leaf sink y, leaves, frame size at y or None)
+    while len(sources) > 1:
+        for x in sources:
+            nbrs = [w for w in neighbors(x, r) if w in vertices]
+            if len(nbrs) != r:
+                raise ValueError("quiver is not source-regular at a source")
+            nonleaf = [y for y in nbrs if degree(y) >= 2]
+            if len(nonleaf) == 1:
+                break
+        else:
+            raise AssertionError("no peelable source in a multi-source tree")
+        y = nonleaf[0]
+        leaves = [w for w in nbrs if w != y]
+        t = degree(y)
+        if alpha[y] > t - 1:
+            raise ValueError(f"alpha at {y} violates the sink bound")
+        frame = alpha[y] if alpha[y] == t - 1 else None
+        if frame is not None:
+            alpha[y] = 1
+        peels.append((x, y, leaves, frame))
+        sources.remove(x)
+        vertices.difference_update([x, *leaves])
 
-    for x in sources:
-        nbrs = [w for w in neighbors(x, r) if w in vertices]
-        if len(nbrs) != r:
-            raise ValueError("quiver is not source-regular at a source")
-        nonleaf = [y for y in nbrs if degree(y) >= 2]
-        if len(nonleaf) == 1:
-            break
-    else:
-        raise AssertionError("no peelable source in a multi-source tree")
-
-    y = nonleaf[0]
-    leaves = [w for w in nbrs if w != y]
-    t = degree(y)
-    rest = vertices - {x, *leaves}
-
-    if alpha[y] == t - 1:
-        # regrow y: the recursion carries value 1 there, the step installs
-        # the rigid frame of t = alpha[y]+1 lines in general position
-        m = alpha[y]
-        sub_alpha = {v: alpha[v] for v in rest}
-        sub_alpha[y] = 1
-        dims, maps = _build_tree_rep(rest, sub_alpha, r, fld, trace)
-        old_sources = sorted(w for w in neighbors(y, r) if w in rest)
-        dims[y] = m
-        for j, z in enumerate(old_sources):
-            maps[(z, y)] = _column(fld, m, j)
+    if any(alpha[v] != 1 for v in vertices):
+        raise ValueError("star case requires the all-ones vector")
+    one = ExactMatrix.identity(field, 1)
+    dims = {v: 1 for v in vertices}
+    maps = {(sources[0], y): one for y in vertices if y != sources[0]}
+    trace.append(f"star@{sources[0]}")
+    for x, y, leaves, frame in reversed(peels):
+        if frame is None:
+            maps[(x, y)] = _column(field, dims[y], 0)
+            trace.append(f"extend@{x}->{y}")
+        else:
+            # regrow y: the rigid frame of frame+1 lines in general position
+            for j, z in enumerate(sorted(w for w in neighbors(y, r) if w in dims)):
+                maps[(z, y)] = _column(field, frame, j)
+            dims[y] = frame
+            maps[(x, y)] = _column(field, frame, None)
+            trace.append(f"reflect@{x}->{y}:dim{frame}")
         dims[x] = 1
-        maps[(x, y)] = _column(fld, m, None)
         for w in leaves:
             dims[w] = 1
-            maps[(x, w)] = ExactMatrix.identity(fld, 1)
-        trace.append(f"reflect@{x}->{y}:dim{m}")
-        return dims, maps
-
-    if alpha[y] <= t - 2:
-        sub_alpha = {v: alpha[v] for v in rest}
-        dims, maps = _build_tree_rep(rest, sub_alpha, r, fld, trace)
-        dims[x] = 1
-        maps[(x, y)] = _column(fld, dims[y], 0)
-        for w in leaves:
-            dims[w] = 1
-            maps[(x, w)] = ExactMatrix.identity(fld, 1)
-        trace.append(f"extend@{x}->{y}")
-        return dims, maps
-
-    raise ValueError(f"alpha at {y} violates the sink bound")
+            maps[(x, w)] = one
+    return TreeRep(r, dims, maps, field)
 
 
 def thin_path_rep(r: int, u: int, v: int, field: Field = QQ) -> TreeRep:

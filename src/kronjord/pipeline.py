@@ -209,11 +209,13 @@ def _certify(route: str, rep: KroneckerRep, tree: Optional[TreeRep]) -> dict[str
 
     ``rep`` is the equal-kernels side.  An echelon witness must have the
     echelon structure and be a brick; any other witness needs a tree that
-    satisfies Inj and pushes down to ``rep``, and a local End(rep).
+    satisfies Inj, and a local End(rep).  That the tree pushes down to
+    ``rep`` is the caller's to ensure: ``realize`` builds ``rep`` that
+    way, and ``validate_witness`` compares the two.
     """
     if route == "echelon":
         return {"certificate": ekp_echelon_certificate(rep), "indecomposable": is_brick(rep)}
-    return {"certificate": tree is not None and is_inj(tree)[0] and push_down(tree) == rep,
+    return {"certificate": tree is not None and is_inj(tree)[0],
             "indecomposable": end_is_local(rep)}
 
 
@@ -271,12 +273,12 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
     The certificates a witness needs are decided from (r, c, d) by
     ``classify``, never taken from the file, and run by ``_certify`` on
     the equal-kernels side: the echelon structure and the brick check, or
-    Inj on the embedded tree, push-down agreement and locality of End.
-    The equal-kernels side must have dimension vector xi(c, d).  Fresh
-    sampled constant-Jordan-type and, in eip mode, image checks run as
-    independent cross-checks.  A Jordan type that is not realizable, or a
-    certificate kind or indecomposability evidence other than the route's,
-    is rejected with a ``reason``.
+    Inj on the embedded tree and locality of End, and then the tree must
+    push down to the equal-kernels side, which must have dimension vector
+    xi(c, d).  Fresh sampled constant-Jordan-type and, in eip mode, image
+    checks run as independent cross-checks.  A Jordan type that is not
+    realizable, or a certificate kind or indecomposability evidence other
+    than the route's, is rejected with a ``reason``.
     """
     w = CertifiedWitness.from_json(data)
     c, d = w.jordan
@@ -286,6 +288,8 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
                        "reason": f"jordan {[c, d]} is not realizable: fails clause {cls.reason!r}"}
     ekp_side = w.rep if w.mode == "ekp" else dual(w.rep)
     results = {"dim": ekp_side.dim == cls.dim, **_certify(cls.route, ekp_side, w.tree)}
+    if cls.route != "echelon" and results["certificate"]:
+        results["certificate"] = push_down(w.tree) == ekp_side
     kind, evidence = ROUTE_CERTIFICATE[cls.route]
     found = w.ekp_certificate.get("kind")
     reasons = []

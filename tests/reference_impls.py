@@ -12,10 +12,19 @@ assert that both give identical answers.
 itself, and ``explicit_p2`` the projective of dimension (1, r) written
 down by hand.  The package builds the preprojectives on the universal
 cover instead; the tests check its push-downs against these.
+
+The cover constructions keep their earlier forms here as well:
+``reference_tau_inverse_tree`` reflects one vertex at a time (one tree
+per vertex), ``reference_source_regular_growth`` rescans every sink at
+every growth step, and ``reference_build_indecomposable_tree_rep``
+recurses once per peeled source.  The package builds each in one pass;
+the tests assert identical trees, quivers and construction traces.
 """
 
 from fractions import Fraction
 
+from kronjord.bgp import reflect_functor_source
+from kronjord.cover import TreeRep, _column, is_source, neighbors
 from kronjord.exactmat import (
     QQ,
     ExactMatrix,
@@ -158,3 +167,95 @@ def explicit_p2(r, field: Field = QQ):
         col = [[field.one] if j == i else [field.zero] for j in range(r)]
         mats.append(ExactMatrix(field, col, r, 1))
     return KroneckerRep(r, DimVector(1, r), tuple(mats), field)
+
+
+def reference_tau_inverse_tree(m):
+    """Inverse translate on the cover reflecting one vertex at a time, in address order."""
+    first = {v for v in m.dims if is_source(v)}
+    for y in m.dims:
+        if not is_source(y):
+            first.update(neighbors(y, m.r))
+    cur = m
+    for x in sorted(first):
+        cur = reflect_functor_source(cur, x)
+    second = {v for v in cur.dims if not is_source(v)}
+    for x in cur.dims:
+        if is_source(x):
+            second.update(neighbors(x, m.r))
+    for y in sorted(second):
+        cur = reflect_functor_source(cur, y)
+    return cur
+
+
+def reference_source_regular_growth(r, n):
+    """Vertex sets of the source-regular quivers with 1..n sources, in growth order.
+
+    Every step re-sorts and re-scans every sink for its degree.
+    """
+    verts = {(), *neighbors((), r)}
+    yield frozenset(verts)
+    for _ in range(n - 1):
+        sinks = sorted(v for v in verts if not is_source(v))
+        degree = lambda v: sum(1 for w in neighbors(v, r) if w in verts)
+        intermediate = [y for y in sinks if 1 < degree(y) < r]
+        if len(intermediate) > 1:
+            raise AssertionError("more than one intermediate sink")
+        y = intermediate[0] if intermediate else min(v for v in sinks if degree(v) == 1)
+        x = min(w for w in neighbors(y, r) if w not in verts)
+        verts.add(x)
+        verts.update(neighbors(x, r))
+        yield frozenset(verts)
+
+
+def reference_build_indecomposable_tree_rep(q, alpha, field=QQ, trace=None):
+    """Tree witness built by one recursive call per peeled source."""
+    if trace is None:
+        trace = []
+    dims, maps = _reference_tree(set(q.vertices), dict(alpha), q.r, field, trace)
+    return TreeRep(q.r, dims, maps, field)
+
+
+def _reference_tree(vertices, alpha, r, fld, trace):
+    degree = lambda v: sum(1 for w in neighbors(v, r) if w in vertices)
+    sources = sorted(v for v in vertices if is_source(v))
+    if len(sources) == 1:
+        x = sources[0]
+        if any(alpha[v] != 1 for v in vertices):
+            raise ValueError("star case requires the all-ones vector")
+        trace.append(f"star@{x}")
+        return ({v: 1 for v in vertices},
+                {(x, y): ExactMatrix.identity(fld, 1) for y in vertices if y != x})
+    for x in sources:
+        nbrs = [w for w in neighbors(x, r) if w in vertices]
+        if len(nbrs) != r:
+            raise ValueError("quiver is not source-regular at a source")
+        nonleaf = [y for y in nbrs if degree(y) >= 2]
+        if len(nonleaf) == 1:
+            break
+    else:
+        raise AssertionError("no peelable source in a multi-source tree")
+    y = nonleaf[0]
+    leaves = [w for w in nbrs if w != y]
+    t = degree(y)
+    rest = vertices - {x, *leaves}
+    sub_alpha = {v: alpha[v] for v in rest}
+    if alpha[y] == t - 1:
+        m = alpha[y]
+        sub_alpha[y] = 1
+        dims, maps = _reference_tree(rest, sub_alpha, r, fld, trace)
+        for j, z in enumerate(sorted(w for w in neighbors(y, r) if w in rest)):
+            maps[(z, y)] = _column(fld, m, j)
+        dims[y] = m
+        maps[(x, y)] = _column(fld, m, None)
+        trace.append(f"reflect@{x}->{y}:dim{m}")
+    elif alpha[y] <= t - 2:
+        dims, maps = _reference_tree(rest, sub_alpha, r, fld, trace)
+        maps[(x, y)] = _column(fld, dims[y], 0)
+        trace.append(f"extend@{x}->{y}")
+    else:
+        raise ValueError(f"alpha at {y} violates the sink bound")
+    dims[x] = 1
+    for w in leaves:
+        dims[w] = 1
+        maps[(x, w)] = ExactMatrix.identity(fld, 1)
+    return dims, maps

@@ -1,8 +1,9 @@
 """Reflection functors, the inverse translate, shift planning, preprojectives."""
 
 import pytest
-from reference_impls import explicit_p2, kron_tau_inverse
+from reference_impls import explicit_p2, kron_tau_inverse, reference_tau_inverse_tree
 
+from kronjord import bgp
 from kronjord.bgp import (
     build_preprojective,
     coxeter_shift_plan,
@@ -12,6 +13,7 @@ from kronjord.bgp import (
 )
 from kronjord.cover import (
     TreeRep,
+    neighbor_via,
     build_indecomposable_tree_rep,
     build_root_vector,
     build_source_regular,
@@ -21,6 +23,7 @@ from kronjord.cover import (
 )
 from kronjord.exactmat import QQ, ExactMatrix
 from kronjord.kronecker import DimVector, coxeter_apply, preprojective_dim_vectors, simple_rep, tits_form
+from kronjord.pipeline import classify
 from kronjord.verify import ekp_sample_check, hom_space, is_brick
 
 
@@ -75,8 +78,34 @@ class TestReflectFunctor:
 
     def test_rejects_non_source(self):
         t = TreeRep(3, {(): 1, (1,): 1}, {((), (1,)): ExactMatrix.identity(QQ, 1)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not a source"):
             reflect_functor_source(t, (1,))
+        with pytest.raises(ValueError, match="is not a source"):
+            reflect_functor_source(t, (2, 1), (1,))
+
+    def test_rejects_adjacent_vertices(self):
+        t = TreeRep(3, {(1,): 1}, {})
+        with pytest.raises(ValueError, match="are adjacent"):
+            reflect_functor_source(t, (), (2,))
+        with pytest.raises(ValueError, match="are adjacent"):
+            reflect_functor_source(t, (2, 1), (2,), (3,))
+
+    @pytest.mark.parametrize("r, a, b", [(3, 2, 5), (3, 4, 10), (4, 3, 10)])
+    def test_two_sources_at_once_equal_two_single_reflections(self, r, a, b):
+        q = build_source_regular(r, a)
+        rep = build_indecomposable_tree_rep(q, build_root_vector(q, a, b))
+        xs = rep.support_sources()
+        for x in xs:
+            for y in xs:
+                if x < y:
+                    once = reflect_functor_source(rep, x, y)
+                    assert once == reflect_functor_source(reflect_functor_source(rep, x), y)
+                    assert once == reflect_functor_source(reflect_functor_source(rep, y), x)
+        # a zero-dimensional source beside the support grows it in the same pass
+        zero = next(z for z in (neighbor_via(y, c) for y in rep.support_sinks()
+                                for c in range(1, r + 1)) if z not in rep.dims)
+        assert (reflect_functor_source(rep, xs[0], zero)
+                == reflect_functor_source(reflect_functor_source(rep, zero), xs[0]))
 
 
 class TestTauInverseTree:
@@ -119,6 +148,41 @@ class TestTauInverseTree:
         t = TreeRep(3, {(): 1}, {})
         with pytest.raises(ValueError):
             tau_inverse_tree(t)
+
+    def test_one_reflection_call_per_sweep(self, monkeypatch):
+        calls = []
+        reflect = bgp.reflect_functor_source
+        monkeypatch.setattr(bgp, "reflect_functor_source",
+                            lambda m, *xs: calls.append(len(xs)) or reflect(m, *xs))
+        q = build_source_regular(3, 4)
+        tau_inverse_tree(build_indecomposable_tree_rep(q, build_root_vector(q, 4, 10)))
+        assert len(calls) == 2 and min(calls) > 1
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_sweeps_match_the_per_vertex_reference(self, r):
+        # every chain lift and every tree on a shift witness's path with a+b <= 60
+        trees = [build_preprojective(r, a, b) for (a, b) in preprojective_dim_vectors(r, 60)
+                 if a + b <= 60]
+        shifts = 0
+        for a in range(1, 60):
+            for b in range(a + 1, 61 - a):
+                if classify(r, b - a, a).route != "shift":
+                    continue
+                shifts += 1
+                plan = coxeter_shift_plan(r, a, b)
+                u, v = plan.intermediate
+                if plan.window_case == "cover-case":
+                    q = build_source_regular(r, u)
+                    tree = build_indecomposable_tree_rep(q, build_root_vector(q, u, v))
+                else:
+                    tree = thin_path_rep(r, u, v)
+                for _ in range(plan.l - 1):
+                    trees.append(tree)
+                    tree = tau_inverse_tree(tree)
+                trees.append(tree)
+        assert shifts > 0 or r == 2
+        for tree in trees:
+            assert tau_inverse_tree(tree) == reference_tau_inverse_tree(tree), tree.dims
 
     def test_commutes_with_quiver_level_translate(self):
         # the tree sweep and the Kronecker-level sweep produce isomorphic

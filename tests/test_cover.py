@@ -1,9 +1,12 @@
 """Cover subquivers, root vectors, tree witnesses, thin zigzags, push-down."""
 
+import inspect
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from reference_impls import reference_source_regular_growth
 
 from kronjord.cover import (
     TreeQuiver,
@@ -86,6 +89,13 @@ class TestSourceRegular:
                 q = build_source_regular(r, n)
                 inter = [y for y in q.sinks() if 1 < q.degree(y) < r]
                 assert len(inter) <= 1
+
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_heap_growth_matches_the_rescanning_reference(self, r):
+        for n, verts in enumerate(reference_source_regular_growth(r, 400), 1):
+            if n <= 120 or n in (250, 400):
+                assert build_source_regular(r, n).vertices == verts, (r, n)
 
 
 class TestRootVector:
@@ -176,6 +186,17 @@ class TestTreeBuilder:
         trace = []
         build_indecomposable_tree_rep(q, build_root_vector(q, 2, 5), trace=trace)
         assert any(step.startswith("star@") for step in trace)
+
+    def test_many_sources_need_no_recursion(self):
+        q = build_source_regular(3, 300)
+        alpha = build_root_vector(q, 300, 700)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            rep = build_indecomposable_tree_rep(q, alpha)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert dict(rep.dims) == alpha and is_inj(rep)[0]
 
     def test_hypothesis_violation_rejected(self):
         q = build_source_regular(3, 1)

@@ -4,6 +4,11 @@ import json
 import re
 
 import pytest
+from reference_impls import (
+    reference_build_indecomposable_tree_rep,
+    reference_source_regular_growth,
+    reference_tau_inverse_tree,
+)
 from gf2_oracle import (
     gf2_cjt_survivors,
     gf2_indecomposable,
@@ -14,7 +19,7 @@ from gf2_oracle import (
 
 from conftest import derived_seed
 
-from kronjord.cover import is_inj, push_down
+from kronjord.cover import TreeQuiver, is_inj, push_down
 from kronjord.kronecker import DimVector, JordanType, dual, is_constant_jordan_type, xi
 from kronjord import kronecker, pipeline, verify
 from kronjord.pipeline import (
@@ -146,6 +151,33 @@ class TestRealize:
         route = classify(r, c, d).route
         with pytest.raises(AssertionError, match=f"{route} witness failed its exact certificates"):
             realize(r, c, d)
+
+    def test_each_tree_is_pushed_down_once(self, monkeypatch):
+        calls = []
+        down = pipeline.push_down
+        monkeypatch.setattr(pipeline, "push_down", lambda t: calls.append(t) or down(t))
+        for (r, c, d) in ROUTE_WITNESSES:
+            for mode in ("ekp", "eip"):
+                calls.clear()
+                w = realize(r, c, d, mode=mode)
+                assert calls == ([] if w.tree is None else [w.tree]), (r, c, d, mode)
+
+    def test_cover_and_shift_trees_match_the_references(self, monkeypatch, witness_sweep):
+        monkeypatch.setattr(pipeline, "build_source_regular", lambda r, n: TreeQuiver(
+            r, list(reference_source_regular_growth(r, n))[-1]))
+        monkeypatch.setattr(pipeline, "build_indecomposable_tree_rep",
+                            reference_build_indecomposable_tree_rep)
+        monkeypatch.setattr(pipeline, "tau_inverse_tree", reference_tau_inverse_tree)
+        seen = set()
+        for r, c, d, w in witness_sweep:
+            route = classify(r, c, d).route
+            if route in ("cover", "shift"):
+                seen.add(route)
+                a, b = xi(c, d)
+                trace = [f"route:{route}"]
+                assert pipeline._build_tree(route, r, a, b, trace) == w.tree, (r, c, d)
+                assert trace == w.construction_trace, (r, c, d)
+        assert seen == {"cover", "shift"}
 
     def test_shift_witness_is_inj_after_translates(self):
         w = realize(3, 8, 5)
