@@ -338,55 +338,60 @@ def build_indecomposable_tree_rep(q: TreeQuiver, alpha: dict[Address, int],
     """Indecomposable tree representation with dimension vector alpha.
 
     Peel the least source whose neighbors are all leaves except one, y,
-    until one source is left; build that star with identity maps, then
-    undo the peels in reverse order.  When y carries the maximal value
-    deg(y)-1 at its peel, the quiver left behind gets value 1 at y and
-    undoing the peel regrows y to a coordinate frame (standard basis
-    columns on the old edges, the all-ones column on the new one); any
-    endomorphism fixing those lines is scalar, which is what forces
-    locality.  Otherwise undoing the peel adjoins the source with identity
-    maps to its leaves and the inclusion of the first basis vector into
-    the space at y.
+    until one source is left (a heap: a source becomes peelable when a
+    sink next to it drops to degree 1, and stays so); build that star with
+    identity maps, then undo the peels in reverse order.  When y carries
+    the maximal value deg(y)-1 at its peel, the quiver left behind gets
+    value 1 at y and undoing the peel regrows y to a coordinate frame
+    (standard basis columns on the old edges, the all-ones column on the
+    new one); any endomorphism fixing those lines is scalar, which is what
+    forces locality.  Otherwise undoing the peel adjoins the source with
+    identity maps to its leaves and the inclusion of the first basis
+    vector into the space at y.
 
     The endomorphism algebra of the result is verified downstream; the
     builder itself only guarantees the dimension vector and injectivity
     of every edge map.
     """
     _validate_alpha(q, alpha)
+    if not q.is_source_regular():
+        raise ValueError("quiver is not source-regular at a source")
     if trace is None:
         trace = []
     r = q.r
     vertices, alpha, sources = set(q.vertices), dict(alpha), q.sources()
-    degree = lambda v: sum(1 for w in neighbors(v, r) if w in vertices)
+    degree = {y: q.degree(y) for y in q.sinks()}
+    nonleaf = {x: sum(degree[y] >= 2 for y in neighbors(x, r)) for x in sources}
+    ready = [x for x in sources if nonleaf[x] == 1]   # a sorted list is a heap
     peels = []    # (source, its non-leaf sink y, leaves, frame size at y or None)
-    while len(sources) > 1:
-        for x in sources:
-            nbrs = [w for w in neighbors(x, r) if w in vertices]
-            if len(nbrs) != r:
-                raise ValueError("quiver is not source-regular at a source")
-            nonleaf = [y for y in nbrs if degree(y) >= 2]
-            if len(nonleaf) == 1:
-                break
-        else:
+    for _ in range(len(sources) - 1):
+        if not ready:
             raise AssertionError("no peelable source in a multi-source tree")
-        y = nonleaf[0]
-        leaves = [w for w in nbrs if w != y]
-        t = degree(y)
+        x = heapq.heappop(ready)
+        y = next(w for w in neighbors(x, r) if degree[w] >= 2)
+        leaves = [w for w in neighbors(x, r) if w != y]
+        t = degree[y]
         if alpha[y] > t - 1:
             raise ValueError(f"alpha at {y} violates the sink bound")
         frame = alpha[y] if alpha[y] == t - 1 else None
         if frame is not None:
             alpha[y] = 1
         peels.append((x, y, leaves, frame))
-        sources.remove(x)
         vertices.difference_update([x, *leaves])
+        degree[y] -= 1
+        if degree[y] == 1:   # its last source z has lost a non-leaf neighbor
+            z = next(w for w in neighbors(y, r) if w in vertices)
+            nonleaf[z] -= 1
+            if nonleaf[z] == 1:
+                heapq.heappush(ready, z)
+    root = next(x for x in sources if x in vertices)
 
     if any(alpha[v] != 1 for v in vertices):
         raise ValueError("star case requires the all-ones vector")
     one = ExactMatrix.identity(field, 1)
     dims = {v: 1 for v in vertices}
-    maps = {(sources[0], y): one for y in vertices if y != sources[0]}
-    trace.append(f"star@{sources[0]}")
+    maps = {(root, y): one for y in vertices if y != root}
+    trace.append(f"star@{root}")
     for x, y, leaves, frame in reversed(peels):
         if frame is None:
             maps[(x, y)] = _column(field, dims[y], 0)

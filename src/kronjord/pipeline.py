@@ -13,10 +13,10 @@ Dispatch on (c, d) with target dimension vector (a, b) = (d, d+c):
 
 Every route but echelon builds a tree on the universal cover (the simple
 and the preprojectives as inverse translates of the simple at a sink or
-of the star at the root) and certifies its push-down the same way: Inj on
-the tree is the exact equal-kernels certificate, and End of the push-down
-is local.  ``ROUTE_CERTIFICATE`` names the two certificates of each route
-and ``_certify`` runs them, for ``realize`` and ``validate_witness`` alike.
+of the star at the root) and certifies it on the tree: Inj is the exact
+equal-kernels certificate, and a brick tree has an indecomposable push-down.
+``ROUTE_CERTIFICATE`` names the two certificates of each route and
+``_certify`` runs them, for ``realize`` and ``validate_witness`` alike.
 
 An equal-kernels witness of dimension (a, b) has constant Jordan type
 [1]^(b-a) [2]^a, since every nonzero pencil has rank a; so ``realize``
@@ -54,13 +54,15 @@ from .kronecker import (
     tits_form,
     xi,
 )
-from .verify import eip_sample_check, end_is_local, is_brick
+from .verify import eip_sample_check, is_brick
 
 # sample counts of the cross-checks in validate_witness
 CJT_SAMPLES = 100
 EKP_SAMPLES = 200
 # (equal-kernels certificate, indecomposability evidence) each route
-# produces, and validation demands
+# produces, and validation demands.  A brick tree certifies "local-endo": the
+# universal cover's group is free, so torsion-free, and push-down keeps it
+# indecomposable (Gabriel 1981; Bongartz-Gabriel 1982): End local, often not k.
 ROUTE_CERTIFICATE = {"simple": ("inj-cover", "local-endo"),
                      "preprojective": ("inj-cover", "local-endo"),
                      "echelon": ("echelon", "brick"),
@@ -209,14 +211,14 @@ def _certify(route: str, rep: KroneckerRep, tree: Optional[TreeRep]) -> dict[str
 
     ``rep`` is the equal-kernels side.  An echelon witness must have the
     echelon structure and be a brick; any other witness needs a tree that
-    satisfies Inj, and a local End(rep).  That the tree pushes down to
-    ``rep`` is the caller's to ensure: ``realize`` builds ``rep`` that
-    way, and ``validate_witness`` compares the two.
+    satisfies Inj and is a brick.  That the tree pushes down to ``rep`` is
+    the caller's to ensure: ``realize`` builds ``rep`` that way, and
+    ``validate_witness`` compares the two.
     """
     if route == "echelon":
         return {"certificate": ekp_echelon_certificate(rep), "indecomposable": is_brick(rep)}
     return {"certificate": tree is not None and is_inj(tree)[0],
-            "indecomposable": end_is_local(rep)}
+            "indecomposable": tree is not None and is_brick(tree)}
 
 
 def realize(r: int, c: int, d: int, mode: str = "ekp", seed: int = 0) -> CertifiedWitness:
@@ -273,7 +275,7 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
     The certificates a witness needs are decided from (r, c, d) by
     ``classify``, never taken from the file, and run by ``_certify`` on
     the equal-kernels side: the echelon structure and the brick check, or
-    Inj on the embedded tree and locality of End, and then the tree must
+    Inj and the brick check on the embedded tree, and then the tree must
     push down to the equal-kernels side, which must have dimension vector
     xi(c, d).  Fresh sampled constant-Jordan-type and, in eip mode, image
     checks run as independent cross-checks.  A Jordan type that is not

@@ -1,18 +1,17 @@
 """Certification: Hom spaces, Ext dimensions, indecomposability, sampling checks.
 
-Hom(M, N) is computed as the solution space of the intertwining system
-f2 M(arrow_i) = N(arrow_i) f1; Ext^1 is the cokernel dimension of the same
+Hom(M, N) is the solution space of the intertwining system
+f_h M(e) = N(e) f_t over the arrows e: t -> h, set up alike for Kronecker
+and tree representations; Ext^1 is the cokernel dimension of the same
 presentation, computed from the rank rather than from the bilinear form so
-the Euler identity remains a nontrivial cross-check.  Indecomposability is
-certified through locality of the endomorphism algebra, whose radical is
-the kernel of the trace form of the left regular representation (valid in
-characteristic zero).  The locality test solves no linear system: the
-Hom basis is reduced at its free columns, so the coordinates of a product
-of basis endomorphisms are read off there, each product is checked
-exactly against the combination they name, and the trace form is built
-from the resulting structure constants.  Every elimination, over Q or
-GF(p), goes through the column-indexed sparse integer engine of
-``exactmat``, given the field's modulus.
+the Euler identity remains a nontrivial cross-check.  A brick (End of
+dimension 1) is decided from the rank of the End system over any field;
+it certifies every witness, on the tree for a push-down.  Locality of End,
+for bare representations, is decided over the rationals: the radical is
+the kernel of the trace form of the left regular representation, built
+from structure constants read off a Hom basis reduced at its free columns,
+each product checked exactly.  Every elimination, over Q or GF(p), goes
+through the sparse integer engine of ``exactmat``, given the modulus.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cover import TreeRep
 from .exactmat import ExactMatrix, QQ, integer_rows, sparse_int_echelon, sparse_int_kernel
 from .kronecker import KroneckerRep, _sampled_ranks, generic_rank, tits_form
 
@@ -35,31 +35,46 @@ class HomSpace:
         return len(self.basis)
 
 
-def _intertwining_rows(m: KroneckerRep, n: KroneckerRep):
-    """Sparse rows of the system f2 M(g_i) - N(g_i) f1 = 0.
+def _quiver(m: KroneckerRep | TreeRep):
+    """Vertex dimensions and arrows {key: (tail, head, matrix)} of a representation."""
+    if isinstance(m, TreeRep):
+        return m.dims, {e: (*e, mat) for e, mat in m.maps.items()}
+    return {1: m.dim.a, 2: m.dim.b}, {t: (1, 2, mat) for t, mat in enumerate(m.mats)}
 
-    Unknowns are the entries of f1 (row-major) followed by the entries of
-    f2 (row-major).  One row per (arrow, target row p, source column j).
-    Each arrow of m is read once, into the non-zero entries of its columns.
+
+def _intertwining_rows(m: KroneckerRep | TreeRep, n: KroneckerRep | TreeRep):
+    """Sparse rows of the system f_h M(e) - N(e) f_t = 0 over the arrows e: t -> h.
+
+    m and n are both Kronecker or both tree representations, with the same
+    arrows.  Unknowns are the entries of each f_v (row-major), vertex by
+    vertex in order: f1, then f2, on the Kronecker quiver.  One row per
+    (arrow, target row p, source column j).  Each arrow of m is read once.
     """
-    aM, bM = m.dim
-    aN, bN = n.dim
-    nvars = aN * aM + bN * bM
-    f2_off = aN * aM
+    if m.field != n.field:
+        raise ValueError("ground fields differ")
+    (dims_m, arrows_m), (dims_n, arrows_n) = _quiver(m), _quiver(n)
+    if arrows_m.keys() != arrows_n.keys():
+        raise ValueError("arrows differ")
+    off, nvars = {}, 0
+    for v in sorted(dims_m):
+        off[v] = nvars
+        nvars += dims_n.get(v, 0) * dims_m[v]
     rows = []
-    for t in range(m.r):
-        a_cols = [[] for _ in range(aM)]   # column j of M(g_t): its (q, entry) pairs
-        for q in range(bM):
-            for j, x in enumerate(m.mats[t].row_list(q)):
+    for key in sorted(arrows_m):
+        t, h, A = arrows_m[key]
+        B = arrows_n[key][2]   # dim N_h x dim N_t
+        dt, dh = dims_m.get(t, 0), dims_m.get(h, 0)
+        a_cols = [[] for _ in range(dt)]   # column j of M(e): its (q, entry) pairs
+        for q in range(dh):
+            for j, x in enumerate(A.row_list(q)):
                 if x:
                     a_cols[j].append((q, x))
-        B = n.mats[t]   # bN x aN
-        for p in range(bN):
+        for p in range(B.rows):
             b_row = [(i, y) for i, y in enumerate(B.row_list(p)) if y]
-            for j in range(aM):
-                row = {f2_off + p * bM + q: x for q, x in a_cols[j]}
+            for j in range(dt):
+                row = {off[h] + p * dh + q: x for q, x in a_cols[j]}
                 for i, y in b_row:
-                    row[i * aM + j] = -y
+                    row[off[t] + i * dt + j] = -y
                 if row:
                     rows.append(row)
     return rows, nvars
@@ -67,12 +82,7 @@ def _intertwining_rows(m: KroneckerRep, n: KroneckerRep):
 
 def hom_space(m: KroneckerRep, n: KroneckerRep) -> HomSpace:
     """Basis of the space of morphisms from m to n, solved exactly."""
-    if m.r != n.r:
-        raise ValueError("arrow counts differ")
-    if m.field != n.field:
-        raise ValueError("ground fields differ")
-    aM, bM = m.dim
-    aN, bN = n.dim
+    (aM, bM), (aN, bN) = m.dim, n.dim
     rows, nvars = _intertwining_rows(m, n)
     fld = m.field
     kernel = sparse_int_kernel(integer_rows(rows), nvars, fld.modulus)
@@ -92,18 +102,16 @@ def ext_dim(m: KroneckerRep, n: KroneckerRep) -> int:
     of the map (f1, f2) -> (f2 M(g_i) - N(g_i) f1)_i), independently of
     the bilinear form.
     """
-    if m.r != n.r:
-        raise ValueError("arrow counts differ")
-    if m.field != n.field:
-        raise ValueError("ground fields differ")
     rows, nvars = _intertwining_rows(m, n)
     rk = len(sparse_int_echelon(integer_rows(rows), nvars, m.field.modulus))
     return m.r * m.dim.a * n.dim.b - rk
 
 
-def is_brick(m: KroneckerRep) -> bool:
-    """True iff the endomorphism algebra is one-dimensional."""
-    return hom_space(m, m).dim == 1
+def is_brick(m: KroneckerRep | TreeRep) -> bool:
+    """True iff End(m) is one-dimensional; m is a Kronecker or a tree
+    representation over any field, and its End system is only ranked."""
+    rows, nvars = _intertwining_rows(m, m)
+    return nvars - len(sparse_int_echelon(integer_rows(rows), nvars, m.field.modulus)) == 1
 
 
 def _block_diagonal_rows(f1: ExactMatrix, f2: ExactMatrix) -> list[list[tuple[int, Fraction]]]:

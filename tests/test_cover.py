@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from reference_impls import reference_source_regular_growth
+from reference_impls import reference_build_indecomposable_tree_rep, reference_source_regular_growth
 
 from kronjord.cover import (
     TreeQuiver,
@@ -197,6 +197,20 @@ class TestTreeBuilder:
         finally:
             sys.setrecursionlimit(limit)
         assert dict(rep.dims) == alpha and is_inj(rep)[0]
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_heap_peel_matches_the_recursive_reference(self, r):
+        for a in (1, 2, 3, 5, 8, 13, 40, 120):
+            q = build_source_regular(r, a)
+            low, high = (r - 1) * a + 1, max_cover_b(r, a)
+            alphas = [{v: 1 for v in q.vertices}]
+            if low <= high:
+                alphas += [build_root_vector(q, a, b) for b in sorted({low, (low + high) // 2, high})]
+            for alpha in alphas:
+                trace, want = [], []
+                tree = build_indecomposable_tree_rep(q, alpha, trace=trace)
+                assert tree == reference_build_indecomposable_tree_rep(q, alpha, trace=want)
+                assert trace == want, (r, a)
 
     def test_hypothesis_violation_rejected(self):
         q = build_source_regular(3, 1)

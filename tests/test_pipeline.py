@@ -19,7 +19,7 @@ from gf2_oracle import (
 
 from conftest import derived_seed
 
-from kronjord.cover import TreeQuiver, is_inj, push_down
+from kronjord.cover import TreeQuiver, TreeRep, is_inj, push_down
 from kronjord.kronecker import DimVector, JordanType, dual, is_constant_jordan_type, xi
 from kronjord import kronecker, pipeline, verify
 from kronjord.pipeline import (
@@ -143,8 +143,8 @@ class TestRealize:
         ("is_brick", False, 3, 2, 2),
         ("is_inj", (False, None), 3, 3, 2),
         ("is_inj", (False, None), 3, 8, 5),
-        ("end_is_local", False, 3, 3, 2),
-        ("end_is_local", False, 3, 2, 1),
+        ("is_brick", False, 3, 3, 2),
+        ("is_brick", False, 3, 2, 1),
     ])
     def test_failing_certificate_is_caught(self, monkeypatch, name, failing, r, c, d):
         monkeypatch.setattr(pipeline, name, lambda *args: failing)
@@ -254,6 +254,30 @@ class TestValidationDemands:
         assert not ok and results["indecomposable"] is False and results["certificate"]
         assert results["reason"] == (f"indec_evidence {label!r}: route {route} "
                                      f"requires {ROUTE_CERTIFICATE[route][1]!r}")
+
+    @pytest.mark.parametrize("r, c, d, mode", [
+        (3, 3, 2, "ekp"),      # cover
+        (3, 2, 1, "eip"),      # preprojective
+        (3, 8, 5, "ekp"),      # shift
+    ])
+    def test_tree_that_is_not_a_brick_is_rejected(self, monkeypatch, r, c, d, mode):
+        # indecomposability is certified on the tree, so a failing brick
+        # check on the tree alone rejects the witness
+        data = witness_json(r, c, d, mode)
+        brick = pipeline.is_brick
+        monkeypatch.setattr(pipeline, "is_brick",
+                            lambda m: not isinstance(m, TreeRep) and brick(m))
+        ok, results = validate_witness(data)
+        assert not ok and results["indecomposable"] is False and results["certificate"]
+
+    def test_no_tree_reaches_hom_space(self, monkeypatch):
+        seen = []
+        hom = verify.hom_space
+        monkeypatch.setattr(verify, "hom_space", lambda m, n: seen.append((m, n)) or hom(m, n))
+        for (r, c, d) in ROUTE_WITNESSES:
+            for mode in ("ekp", "eip"):
+                assert validate_witness(witness_json(r, c, d, mode))[0], (r, c, d, mode)
+        assert not any(isinstance(x, TreeRep) for pair in seen for x in pair)
 
     def test_dimension_must_be_xi(self):
         data = witness_json(3, 3, 2)

@@ -5,6 +5,7 @@ from reference_impls import explicit_p2, reference_end_is_local, reference_inter
 
 from kronjord.bgp import build_preprojective
 from kronjord.cover import (
+    TreeRep,
     build_indecomposable_tree_rep,
     build_root_vector,
     build_source_regular,
@@ -22,6 +23,7 @@ from kronjord.kronecker import (
     simple_rep,
 )
 from kronjord import kronecker, verify
+from kronjord.pipeline import realize
 from kronjord.verify import (
     HomSpace,
     ekp_sample_check,
@@ -240,6 +242,78 @@ class TestBrick:
         for rep in (explicit_p2(3), build_echelon_rep(select_phi(3, 2, 4)), cover_rep(3, 2, 5)):
             assert is_brick(rep)
             assert end_is_local(rep)
+
+    @pytest.mark.parametrize("rep", [
+        explicit_p2(3),
+        build_echelon_rep(select_phi(3, 2, 4)),
+        build_echelon_rep(select_phi(4, 3, 8)),
+        build_echelon_rep(select_phi(3, 2, 4), GF(5)),
+        cover_rep(3, 2, 5),
+        cover_rep(3, 5, 12),
+        simple_rep(3, (1, 0)),
+        simple_rep(3, (0, 1)),
+        tube_rep_r2(),
+        direct_sum(explicit_p2(3), explicit_p2(3)),
+        direct_sum(simple_rep(3, (1, 0)), simple_rep(3, (0, 1))),
+    ], ids=["P2", "echelon-2-4", "echelon-3-8", "echelon-GF5", "cover-2-5", "folded-5-12",
+            "S1", "S2", "tube", "P2+P2", "S1+S2"])
+    def test_agrees_with_the_hom_space_dimension(self, rep):
+        assert is_brick(rep) == (hom_space(rep, rep).dim == 1)
+
+    def test_agrees_with_the_hom_space_dimension_on_the_sweep(self, witness_sweep):
+        for r, c, d, w in witness_sweep:
+            assert is_brick(w.rep) == (hom_space(w.rep, w.rep).dim == 1), (r, c, d)
+
+
+def two_line_tree(r=3):
+    """Two sources sending e1 and e2 into one sink of dimension 2: a direct sum."""
+    e1, e2 = ExactMatrix(QQ, [[1], [0]]), ExactMatrix(QQ, [[0], [1]])
+    return TreeRep(r, {(): 1, (1,): 2, (1, 2): 1}, {((), (1,)): e1, ((1, 2), (1,)): e2})
+
+
+class TestTreeBrick:
+    """The tree End system certifies indecomposability of the push-down."""
+
+    def test_sweep_tree_witnesses(self, witness_sweep):
+        checked = 0
+        for r, c, d, w in witness_sweep:
+            if w.indec_evidence == "local-endo":
+                assert is_brick(w.tree) and end_is_local(push_down(w.tree)), (r, c, d)
+                checked += 1
+        assert checked >= 25
+
+    @pytest.mark.parametrize("c, d, end_dim", [(17, 13, 10), (15, 11, 7), (20, 13, 5),
+                                               (70, 50, 96)],
+                             ids=["cover-13-30", "cover-11-26", "shift-13-33", "cover-50-120"])
+    def test_large_end_witnesses(self, c, d, end_dim):
+        # the push-downs are local non-bricks; their trees are bricks
+        tree = realize(3, c, d).tree
+        down = push_down(tree)
+        assert hom_space(down, down).dim == end_dim
+        assert is_brick(tree) and end_is_local(down)
+
+    def test_decomposable_tree(self):
+        tree = two_line_tree()
+        down = push_down(tree)
+        assert down.dim == DimVector(2, 2)
+        assert not is_brick(tree)
+        assert not end_is_local(down)
+
+    def test_end_system_counts_the_unknowns_of_the_tree(self):
+        tree = two_line_tree()
+        rows, nvars = verify._intertwining_rows(tree, tree)
+        assert nvars == 1 + 4 + 1 and len(rows) == 4
+
+    @pytest.mark.parametrize("r, a, b, p", [(3, 5, 12, 107), (4, 4, 13, 109), (3, 3, 7, 101)])
+    def test_prime_field_cover_trees(self, r, a, b, p):
+        # the cover shapes of the modp-verify benchmark deck
+        q = build_source_regular(r, a)
+        tree = build_indecomposable_tree_rep(q, build_root_vector(q, a, b), field=GF(p))
+        assert tree.field == GF(p) and is_brick(tree)
+
+    def test_mixed_kinds_rejected(self):
+        with pytest.raises(ValueError, match="arrows differ"):
+            verify._intertwining_rows(two_line_tree(), explicit_p2(3))
 
 
 class TestSampledChecks:
