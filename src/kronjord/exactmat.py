@@ -1,7 +1,8 @@
 """Exact scalar arithmetic and dense matrix kernels.
 
-Scalars are either arbitrary-precision rationals (``fractions.Fraction``)
-or elements of a prime field GF(p), stored as plain ints in ``[0, p)``.
+Scalars are either rationals or elements of a prime field GF(p).  A
+rational is a plain int when it is integral and a ``fractions.Fraction``
+only when it is not; GF(p) elements are plain ints in ``[0, p)``.
 Matrices are dense, immutable after construction, and every operation
 (rank, kernel, solve, block assembly) is carried out by exact Gaussian
 elimination -- no floating point ever enters the computation.
@@ -43,32 +44,39 @@ def _is_prime(p: int) -> bool:
 
 
 class RationalField:
-    """The field of rationals; the default ground field."""
+    """The field of rationals; the default ground field.
+
+    An integral element is a plain int and a non-integral one a reduced
+    ``Fraction``, so the witnesses' integer matrices never box a scalar.
+    """
 
     name = "Q"
     modulus = None
+    zero = 0
+    one = 1
 
-    def element(self, x) -> Fraction:
-        if isinstance(x, Fraction):
+    def element(self, x) -> Scalar:
+        if type(x) is int:
             return x
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
-    def parse(self, s: str) -> Fraction:
-        return Fraction(s)
+    def parse(self, s: str) -> Scalar:
+        # int() takes underscores that Fraction() rejects before Python 3.11;
+        # without one, the strings int() accepts are a subset of Fraction's
+        if "_" not in s:
+            try:
+                return int(s)
+            except ValueError:
+                pass
+        return self.element(Fraction(s))
 
-    def to_str(self, x: Fraction) -> str:
-        # canonical reduced form; plain integer when the denominator is 1
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def to_str(self, x: Scalar) -> str:
+        # an int, or a reduced "n/d"
+        return str(x)
 
     def to_json(self) -> dict:
         return {"type": "Q"}
@@ -85,6 +93,9 @@ class RationalField:
 
 class PrimeField:
     """GF(p) for a prime p; elements are the ints 0, ..., p - 1."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -105,14 +116,6 @@ class PrimeField:
 
     def to_str(self, x: int) -> str:
         return str(x)
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def to_json(self) -> dict:
         return {"type": "GF", "p": self.p}
@@ -177,10 +180,13 @@ def field_from_json(d: dict) -> Field:
 def integer_rows(rows: Sequence[dict]) -> list[dict]:
     """Sparse rows of rationals or ints times one common denominator, as ints.
 
-    Zero entries are dropped.  A positive scale changes no rank, kernel or
-    echelon form: the engine divides every row by the gcd of its entries.
-    Prime-field entries are ints already and come back unchanged.
+    Rows that hold ints only (every witness, over Q and GF(p) alike) are
+    returned as they are; otherwise zero entries are dropped.  A positive
+    scale changes no rank, kernel or echelon form: the engine divides
+    every row by the gcd of its entries.
     """
+    if all(type(v) is int for row in rows for v in row.values()):
+        return list(rows)
     den = lcm(*(v.denominator for row in rows for v in row.values()))
     return [{c: v.numerator * (den // v.denominator) for c, v in row.items() if v} for row in rows]
 
@@ -277,8 +283,10 @@ def _back_substitute(piv_rows: list[tuple[int, dict]], seed: dict[int, Scalar],
                      p: Optional[int] = None) -> dict[int, Scalar]:
     """Complete a partial assignment to a kernel vector of the echelon system.
 
-    ``seed`` fixes the free coordinates (``Fraction``s over Q, ints mod
-    ``p`` otherwise); pivot coordinates are filled in reverse pivot order.
+    ``seed`` fixes the free coordinates (elements of Q, or ints mod ``p``);
+    pivot coordinates are filled in reverse pivot order.  Over Q each is
+    one exact division, an int when it is integral and a ``Fraction``
+    otherwise.
     """
     x = dict(seed)
     for c, prow in reversed(piv_rows):
@@ -289,7 +297,11 @@ def _back_substitute(piv_rows: list[tuple[int, dict]], seed: dict[int, Scalar],
                 if xj:
                     s += v * xj
         if s:
-            x[c] = -s / prow[c] if p is None else -s * pow(prow[c], -1, p) % p
+            if p is None:
+                q, rem = divmod(-s, prow[c])
+                x[c] = Fraction(-s, prow[c]) if rem else q
+            else:
+                x[c] = -s * pow(prow[c], -1, p) % p
     return x
 
 
@@ -297,17 +309,17 @@ def sparse_int_kernel(rows: Iterable[dict], ncols: int, p: Optional[int] = None)
     """Basis of the right kernel of an integer row system, over Q or modulo ``p``.
 
     Each basis vector is 1 at its own free column and 0 at every other
-    free column, which makes the basis unique.
+    free column, which makes the basis unique.  Entries are ints, save the
+    non-integral rationals, which are ``Fraction``s.
     """
     piv_rows = sparse_int_echelon(rows, ncols, p)
     pivot_cols = {c for c, _ in piv_rows}
-    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
     basis = []
     for f in range(ncols):
         if f in pivot_cols:
             continue
-        x = _back_substitute(piv_rows, {f: one}, p)
-        basis.append([x.get(j, zero) for j in range(ncols)])
+        x = _back_substitute(piv_rows, {f: 1}, p)
+        basis.append([x.get(j, 0) for j in range(ncols)])
     return basis
 
 

@@ -208,24 +208,27 @@ def jordan_type_at(m: KroneckerRep, alpha: Sequence) -> JordanType:
     return JordanType(m.dim.a + m.dim.b - 2 * d, d)
 
 
-def _draw(field: Field, r: int, rng: random.Random) -> list[int]:
-    """Integer representatives of a nonzero vector from the sampling box."""
-    p = field.modulus
-    while True:
-        if p is None:
-            vals = [rng.randint(-ALPHA_BOX, ALPHA_BOX) for _ in range(r)]
-        else:
-            vals = [rng.randint(0, p - 1) for _ in range(r)]
-        if any(vals):
-            return vals
-
-
 def _probe_points(field: Field, r: int, samples: int, seed: int) -> list[list[int]]:
-    """The points of ``probe_alphas`` as integer representatives."""
-    rng = random.Random(seed)
+    """The points of ``probe_alphas`` as integer representatives.
+
+    After the basis vectors, each point is r draws from the sampling box
+    (over GF(p), from 0..p-1), redrawn while all are zero.  A draw is
+    ``Random.randint`` unrolled: ``getrandbits(k)`` for the box's width ``n``
+    of k bits, repeated until it is below ``n``.
+    """
+    p = field.modulus
+    low, n = (-ALPHA_BOX, 2 * ALPHA_BOX + 1) if p is None else (0, p)
+    k = n.bit_length()
+    bits = random.Random(seed).getrandbits
     out = [[int(j == i) for j in range(r)] for i in range(min(r, samples))]
     while len(out) < samples:
-        out.append(_draw(field, r, rng))
+        vals = []
+        while len(vals) < r:
+            x = bits(k)
+            if x < n:
+                vals.append(low + x)
+        if any(vals):
+            out.append(vals)
     return out
 
 

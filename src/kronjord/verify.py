@@ -17,10 +17,9 @@ through the sparse integer engine of ``exactmat``, given the modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cover import TreeRep
-from .exactmat import ExactMatrix, QQ, integer_rows, sparse_int_echelon, sparse_int_kernel
+from .exactmat import ExactMatrix, QQ, Scalar, integer_rows, sparse_int_echelon, sparse_int_kernel
 from .kronecker import KroneckerRep, _sampled_ranks, generic_rank, tits_form
 
 
@@ -114,7 +113,7 @@ def is_brick(m: KroneckerRep | TreeRep) -> bool:
     return nvars - len(sparse_int_echelon(integer_rows(rows), nvars, m.field.modulus)) == 1
 
 
-def _block_diagonal_rows(f1: ExactMatrix, f2: ExactMatrix) -> list[list[tuple[int, Fraction]]]:
+def _block_diagonal_rows(f1: ExactMatrix, f2: ExactMatrix) -> list[list[tuple[int, Scalar]]]:
     """Sparse rows of diag(f1, f2), each a list of (column, entry) pairs."""
     a = f1.rows
     rows = [[(j, x) for j, x in enumerate(f1.row_list(i)) if x] for i in range(a)]
@@ -122,7 +121,7 @@ def _block_diagonal_rows(f1: ExactMatrix, f2: ExactMatrix) -> list[list[tuple[in
     return rows
 
 
-def _compose(x_rows: list, y_rows: list) -> dict[int, Fraction]:
+def _compose(x_rows: list, y_rows: list) -> dict[int, Scalar]:
     """Non-zero entries of the product x y of block-diagonal sparse matrices.
 
     Entry (g, h) is keyed g*n + h, n the matrix size; on block-diagonal
@@ -130,7 +129,7 @@ def _compose(x_rows: list, y_rows: list) -> dict[int, Fraction]:
     f2 row-major).
     """
     n = len(x_rows)
-    out: dict[int, Fraction] = {}
+    out: dict[int, Scalar] = {}
     for g, row in enumerate(x_rows):
         base = g * n
         for k, v in row:
@@ -139,7 +138,7 @@ def _compose(x_rows: list, y_rows: list) -> dict[int, Fraction]:
     return {key: v for key, v in out.items() if v}
 
 
-def _coordinates(prod: dict[int, Fraction], free: list[int], basis: list[dict]) -> list:
+def _coordinates(prod: dict[int, Scalar], free: list[int], basis: list[dict]) -> list:
     """Coordinates of ``prod`` in a basis reduced at its free columns, checked exactly."""
     coords = [prod.get(f, 0) for f in free]
     rest = dict(prod)

@@ -19,8 +19,13 @@ per vertex), ``reference_source_regular_growth`` rescans every sink at
 every growth step, and ``reference_build_indecomposable_tree_rep``
 recurses once per peeled source.  The package builds each in one pass;
 the tests assert identical trees, quivers and construction traces.
+
+``reference_probe_points`` draws the sampled probe plan through
+``random.randint``; the package unrolls the same draws into its
+``getrandbits`` rejection loop, and the tests assert identical plans.
 """
 
+import random
 from fractions import Fraction
 
 from kronjord.bgp import reflect_functor_source
@@ -34,7 +39,7 @@ from kronjord.exactmat import (
     left_kernel_matrix,
     vstack,
 )
-from kronjord.kronecker import DimVector, KroneckerRep
+from kronjord.kronecker import ALPHA_BOX, DimVector, KroneckerRep
 from kronjord.verify import hom_space
 
 
@@ -259,3 +264,24 @@ def _reference_tree(vertices, alpha, r, fld, trace):
         dims[w] = 1
         maps[(x, w)] = ExactMatrix.identity(fld, 1)
     return dims, maps
+
+
+def _reference_draw(field, r, rng):
+    """Integer representatives of a nonzero vector from the sampling box."""
+    p = field.modulus
+    while True:
+        if p is None:
+            vals = [rng.randint(-ALPHA_BOX, ALPHA_BOX) for _ in range(r)]
+        else:
+            vals = [rng.randint(0, p - 1) for _ in range(r)]
+        if any(vals):
+            return vals
+
+
+def reference_probe_points(field, r, samples, seed):
+    """The probe plan's integer points: the basis vectors, then seeded randint draws."""
+    rng = random.Random(seed)
+    out = [[int(j == i) for j in range(r)] for i in range(min(r, samples))]
+    while len(out) < samples:
+        out.append(_reference_draw(field, r, rng))
+    return out

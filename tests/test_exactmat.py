@@ -25,7 +25,7 @@ from kronjord.exactmat import (
     left_kernel_matrix,
     sparse_int_echelon,
 )
-from kronjord.kronecker import direct_sum, pencil, probe_alphas
+from kronjord.kronecker import DimVector, KroneckerRep, direct_sum, pencil, probe_alphas
 from kronjord.verify import _intertwining_rows, ext_dim, hom_space
 
 
@@ -159,9 +159,16 @@ class TestArithmetic:
 class TestSerialization:
     def test_rational_strings(self):
         assert QQ.to_str(Fraction(3, 1)) == "3"
+        assert QQ.to_str(3) == "3"
         assert QQ.to_str(Fraction(-7, 2)) == "-7/2"
         assert QQ.parse("-7/2") == Fraction(-7, 2)
         assert QQ.parse("5") == Fraction(5)
+
+    def test_integral_rationals_are_ints(self):
+        assert [QQ.element(x) for x in (Fraction(6, 3), True, -4)] == [2, 1, -4]
+        assert [type(QQ.element(x)) for x in (Fraction(6, 3), True, Fraction(1, 2))] \
+            == [int, int, Fraction]
+        assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.parse("5")) is int
 
     def test_matrix_roundtrip(self):
         m = qq([[Fraction(1, 2), -3], [0, 4]])
@@ -213,6 +220,82 @@ def test_solve_consistency(m):
     sol = m.solve(b)
     assert sol is not None
     assert m.apply(sol) == b
+
+
+# --- Q scalars: ints when integral, Fractions only when not ------------------
+
+def canonical_q(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def parse_outcome(parse, s):
+    """The parsed value, or the class of the exception that parsing raised."""
+    try:
+        return parse(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def assert_parses_like_fraction(s):
+    got, want = parse_outcome(QQ.parse, s), parse_outcome(Fraction, s)
+    assert got == want, (s, got, want)
+    if not isinstance(want, type):
+        assert canonical_q(got), (s, got)
+
+
+# int() accepts "1_000" and "0_0" on Python 3.10 where Fraction() does not
+@pytest.mark.parametrize("s", ["1_000", "0_0", " 3 ", "-6/3", "1e3"])
+def test_parse_explicit_cases(s):
+    assert_parses_like_fraction(s)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789+-/._eE \t\n\u00a0\u2003\u0661", max_size=8))
+def test_parse_accepts_exactly_what_fraction_accepts(s):
+    assert_parses_like_fraction(s)
+
+
+q_entries = st.one_of(small_entries, st.fractions(min_value=-9, max_value=9, max_denominator=4))
+
+
+@st.composite
+def q_systems(draw):
+    """A small rational matrix and a right-hand side, integral or not."""
+    rows = draw(st.integers(min_value=1, max_value=4))
+    cols = draw(st.integers(min_value=1, max_value=4))
+    m = ExactMatrix(QQ, [[draw(q_entries) for _ in range(cols)] for _ in range(rows)])
+    return m, [draw(q_entries) for _ in range(rows)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(q_systems())
+def test_q_results_hold_no_float_and_no_integral_fraction(system):
+    m, b = system
+    sol = m.solve(b)
+    vectors = [m.apply(b[:1] * m.cols), *m.kernel_basis(), *([sol] if sol is not None else [])]
+    mats = [m @ m.transpose(), left_kernel_matrix(m)]
+    assert all(canonical_q(x) for v in vectors for x in v)
+    assert all(canonical_q(x) for mat in mats for x in mat.entries)
+
+
+def test_solve_with_a_non_integral_solution():
+    sol = qq([[2, 0], [0, 3]]).solve([1, 6])
+    assert sol == [Fraction(1, 2), 2] and [type(x) for x in sol] == [Fraction, int]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hom_space_bases_hold_no_float_and_no_integral_fraction(data):
+    a, b = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+
+    def rep():
+        return KroneckerRep(2, DimVector(a, b), tuple(
+            ExactMatrix(QQ, [[data.draw(q_entries) for _ in range(a)] for _ in range(b)], b, a)
+            for _ in range(2)))
+
+    m, n = rep(), rep()
+    for f1, f2 in hom_space(m, n).basis + hom_space(m, m).basis:
+        assert all(canonical_q(x) for x in f1.entries + f2.entries)
 
 
 # --- the column-indexed sparse echelon against the full-scan reference -------

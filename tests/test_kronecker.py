@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_impls import explicit_p2
+from reference_impls import explicit_p2, reference_probe_points
 
 from kronjord import kronecker
 from kronjord.exactmat import GF, QQ, ExactMatrix
@@ -307,6 +307,15 @@ class TestProbePlanPrefix:
         long_plan = probe_alphas(field, r, 30, 7)
         for n in (1, 2, r - 1, r, r + 1, 29):
             assert probe_alphas(field, r, n, 7) == long_plan[:n]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101), GF(1000003)], ids=repr)
+def test_probe_plan_matches_randint_reference(field):
+    """The unrolled draws give the plan that random.randint gives, point for point."""
+    for seed in range(50):
+        for r in range(2, 6):
+            assert (kronecker._probe_points(field, r, 200, seed)
+                    == reference_probe_points(field, r, 200, seed))
 
 
 class TestConstantJordanType:
