@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 
 from .kronecker import (
@@ -74,6 +75,9 @@ def _cmd_realize(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.file) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object (a witness or a representation) in "
+                         f"{args.file}, got {reprlib.repr(data)}")
     rep = KroneckerRep.from_json(data["rep"] if "rep" in data else data)
     wanted = [s.strip() for s in args.checks.split(",") if s.strip()]
     known = {"ekp", "eip", "cjt", "indec", "restriction"}

@@ -14,6 +14,12 @@ cleared integers, re-normalized by their gcd after every combination,
 which keeps coefficient growth in check; over GF(p) every entry is
 reduced mod p.  This makes the large, very sparse intertwining systems
 cheap in either characteristic.
+
+A caller that needs only a rank calls ``sparse_int_rank``: it peels the
+singleton pivots first, each of which adds 1 to the rank over any field,
+and only the core that is left goes to the engine.  ``peel_order`` lists
+a pattern's columns with its peeled pivots first; on columns relabelled
+that way the engine fills in little on any system of that pattern.
 """
 
 from __future__ import annotations
@@ -208,6 +214,11 @@ def _normalize_int_row(row: dict) -> dict:
     return row
 
 
+def _primitive_int_row(row: dict) -> dict:
+    """An input row over Q without its zero entries, divided by their gcd."""
+    return _normalize_int_row({c: v for c, v in row.items() if v})
+
+
 def _normalize_mod_row(row: dict, p: int) -> dict:
     return {c: w for c, v in row.items() if (w := v % p)}
 
@@ -246,11 +257,12 @@ def sparse_int_echelon(rows: Iterable[dict], ncols: int,
     step touches only those; each reduced row is listed again under its
     new leading column.  The pivot is the row with the smallest
     (coefficient bit length, row length, input position), small entries
-    and short rows first (Markowitz-lite).  The input rows are not
-    mutated.
+    and short rows first (Markowitz-lite).  Zero entries of the input
+    (mod ``p``: multiples of ``p``) are dropped on entry, so none is ever
+    a pivot.  The input rows are not mutated.
     """
     normalize = _normalize_int_row if p is None else partial(_normalize_mod_row, p=p)
-    live = [row for row in map(normalize, rows) if row]
+    live = [row for row in map(_primitive_int_row if p is None else normalize, rows) if row]
     by_lead: defaultdict[int, list[int]] = defaultdict(list)
     for i, row in enumerate(live):
         by_lead[min(row)].append(i)
@@ -277,6 +289,101 @@ def sparse_int_echelon(rows: Iterable[dict], ncols: int,
                     by_lead[min(row)].append(i)
         piv_rows.append((col, piv))
     return piv_rows
+
+
+# ---------------------------------------------------------------------------
+# singleton peeling (rank only)
+# ---------------------------------------------------------------------------
+#
+# A caller that needs only a rank peels the system first.  Each peeled
+# pivot adds exactly 1 to the rank over any field, so no entry is read,
+# and the core that is left goes to the engine.  The witnesses are push-
+# downs of tree modules, whose pencils and End systems have almost a
+# forest as their pattern; a forest peels to an empty core.
+
+def _peel(rows: Sequence[dict]) -> tuple[list[int], list[dict]]:
+    """Singleton pivots of a sparse system, and the core that is left.
+
+    As long as either exists, one of two pivots is taken on the live
+    submatrix: a column with a single non-zero entry, whose row is
+    dropped; or a row with a single non-zero entry left, which is dropped
+    with its column.  Either adds exactly 1 to the rank, over any field
+    and whatever the entry, so the rank of ``rows`` is the number of
+    pivots plus the rank of the core: the live rows that still meet a
+    live column, restricted to the live columns.  Only the positions of
+    the entries are read, so every entry must be non-zero.  Returns the
+    pivot columns in the order taken, and the core; O(nnz) with degree
+    counters.
+    """
+    col_rows: defaultdict[int, list[int]] = defaultdict(list)
+    for i, row in enumerate(rows):
+        for c in row:
+            col_rows[c].append(i)
+    # a column is live while its degree (live rows holding it) is positive
+    col_deg = {c: len(ix) for c, ix in col_rows.items()}
+    row_deg = [len(row) for row in rows]
+    row_live = [True] * len(rows)
+    col_stack = [c for c, k in col_deg.items() if k == 1]
+    row_stack = [i for i, k in enumerate(row_deg) if k == 1]
+    pivots: list[int] = []
+    while col_stack or row_stack:
+        if col_stack:
+            c = col_stack.pop()
+            if col_deg[c] != 1:
+                continue
+            i = next(i for i in col_rows[c] if row_live[i])
+            row_live[i] = False
+            for d in rows[i]:
+                k = col_deg[d]
+                if k:
+                    col_deg[d] = k - 1
+                    if k == 2:
+                        col_stack.append(d)
+        else:
+            i = row_stack.pop()
+            if not row_live[i] or row_deg[i] != 1:
+                continue
+            c = next(c for c in rows[i] if col_deg[c])
+            row_live[i] = False
+            col_deg[c] = 0
+            for j in col_rows[c]:
+                if row_live[j]:
+                    k = row_deg[j] = row_deg[j] - 1
+                    if k == 1:
+                        row_stack.append(j)
+        pivots.append(c)
+    core = [{c: v for c, v in rows[i].items() if col_deg[c]}
+            for i, live in enumerate(row_live) if live and row_deg[i]]
+    return pivots, core
+
+
+def sparse_int_rank(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -> int:
+    """Rank of a system of integer rows, over Q or modulo a prime ``p``.
+
+    Zero entries (mod ``p``: multiples of ``p``) are dropped, the
+    singleton pivots are peeled, and only the core that is left is
+    eliminated by ``sparse_int_echelon``; an empty core never reaches it.
+    """
+    if p is None:
+        rows = [{c: v for c, v in row.items() if v} for row in rows]
+    else:
+        rows = [_normalize_mod_row(row, p) for row in rows]
+    pivots, core = _peel(rows)
+    return len(pivots) + (len(sparse_int_echelon(core, ncols, p)) if core else 0)
+
+
+def peel_order(rows: Sequence[dict]) -> list[int]:
+    """The columns of a sparse pattern, the peeled pivots first.
+
+    Lists the pivot columns of ``_peel`` in the order taken, then every
+    other column that occurs in ``rows``, in increasing order.  The
+    engine eliminates columns left to right, so on columns relabelled in
+    this order it meets the peeled pivots first and, on a system of this
+    pattern, fills in little or nothing.  Every entry must be non-zero.
+    """
+    pivots, _ = _peel(rows)
+    taken = set(pivots)
+    return pivots + sorted({c for row in rows for c in row} - taken)
 
 
 def _back_substitute(piv_rows: list[tuple[int, dict]], seed: dict[int, Scalar],
@@ -525,8 +632,7 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Dimension of the column space, by exact elimination."""
-        return len(sparse_int_echelon(integer_rows(self._sparse_rows()), self.cols,
-                                      self.field.modulus))
+        return sparse_int_rank(integer_rows(self._sparse_rows()), self.cols, self.field.modulus)
 
     def kernel_basis(self) -> list[list[Scalar]]:
         """Basis of the right null space; empty iff full column rank."""

@@ -10,10 +10,12 @@ every CLI command.
 
 The sampled checks rank pencils at a seeded plan of probe points.  The
 arrow matrices are cleared to integers once (over GF(p) they are ints
-already), each pencil is formed as sparse integer rows and ranked by
-``exactmat.sparse_int_echelon`` with the field's modulus, and the ranks
-are kept on the representation per seed, so checks that share a seed
-rank each point once, over Q and GF(p) alike.
+already), and their columns are relabelled once, in the ``peel_order`` of
+the union of their patterns.  Every pencil's pattern lies in that union,
+so each pencil, formed as sparse integer rows and ranked by
+``exactmat.sparse_int_echelon`` with the field's modulus, is eliminated
+with little fill.  The ranks are kept on the representation per seed,
+so checks that share a seed rank each point once, over Q and GF(p) alike.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .exactmat import (
     field_from_json,
     integer_rows,
     is_count_pair,
+    peel_order,
     require_fields,
     sparse_int_echelon,
 )
@@ -248,10 +251,13 @@ def _integer_arrows(m: KroneckerRep) -> tuple[list[list[list[tuple[int, int]]]],
     """The arrow matrices times one common denominator, as sparse integer rows.
 
     Each arrow is given by the rows of whichever of it and its transpose
-    has fewer rows, each row a list of (column, entry) pairs.  Returns the
-    rows of every arrow and their length.  Neither the common scale nor
-    the transpose changes any pencil's rank; fewer, longer rows are the
-    faster to eliminate.
+    has fewer rows, each row a list of (column, entry) pairs, and the
+    columns are relabelled by ``peel_order`` of the union of the arrows'
+    patterns, which every pencil's pattern lies in.  Returns the rows of
+    every arrow and their length.  Neither the common scale, the
+    transpose nor the relabelling changes any pencil's rank; fewer,
+    longer rows are the faster to eliminate, and the engine fills in
+    little on columns taken in peel order.
     """
     a, b = m.dim
     rows = integer_rows([{j: x for j, x in enumerate(mat.row_list(i)) if x}
@@ -266,7 +272,12 @@ def _integer_arrows(m: KroneckerRep) -> tuple[list[list[list[tuple[int, int]]]],
                     cols[j].append((i, v))
             arrow = cols
         out.append(arrow)
-    return out, max(a, b)
+    union: list[dict] = [{} for _ in range(min(a, b))]
+    for arrow in out:
+        for pattern, row in zip(union, arrow):
+            pattern.update(row)
+    label = {c: k for k, c in enumerate(peel_order(union))}
+    return [[[(label[j], v) for j, v in row] for row in arrow] for arrow in out], max(a, b)
 
 
 def _integer_pencil_rank(arrows: list, alpha: Sequence[int], ncols: int,
@@ -279,10 +290,8 @@ def _integer_pencil_rank(arrows: list, alpha: Sequence[int], ncols: int,
             if c:
                 for j, v in arrow[i]:
                     acc[j] = acc.get(j, 0) + c * v
-        row = {j: v for j, v in acc.items() if v}
-        if row:
-            rows.append(row)
-    return len(sparse_int_echelon(rows, ncols, p)) if rows else 0
+        rows.append(acc)
+    return len(sparse_int_echelon(rows, ncols, p))
 
 
 def _sampled_ranks(m: KroneckerRep, samples: int, seed: int) -> Iterator[int]:

@@ -279,8 +279,9 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
     push down to the equal-kernels side, which must have dimension vector
     xi(c, d).  Fresh sampled constant-Jordan-type and, in eip mode, image
     checks run as independent cross-checks.  A Jordan type that is not
-    realizable, or a certificate kind or indecomposability evidence other
-    than the route's, is rejected with a ``reason``.
+    realizable, a certificate kind or indecomposability evidence other
+    than the route's, or a tree on an echelon witness, is rejected with a
+    ``reason``.
     """
     w = CertifiedWitness.from_json(data)
     c, d = w.jordan
@@ -302,6 +303,10 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
         results["indecomposable"] = False
         reasons.append(f"indec_evidence {w.indec_evidence!r}: "
                        f"route {cls.route} requires {evidence!r}")
+    if cls.route == "echelon" and w.tree is not None:
+        # an echelon witness is certified on itself; a tree it carries would go unchecked
+        results["tree"] = False
+        reasons.append("tree: route echelon carries no tree")
     if w.mode == "eip":
         results["eip_samples"] = eip_sample_check(w.rep, EKP_SAMPLES, seed)
     constant, jtype, _ = is_constant_jordan_type(w.rep, CJT_SAMPLES, seed)

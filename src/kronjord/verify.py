@@ -11,7 +11,9 @@ for bare representations, is decided over the rationals: the radical is
 the kernel of the trace form of the left regular representation, built
 from structure constants read off a Hom basis reduced at its free columns,
 each product checked exactly.  Every elimination, over Q or GF(p), goes
-through the sparse integer engine of ``exactmat``, given the modulus.
+through the sparse integer engine of ``exactmat``, given the modulus; the
+brick test and Ext need only a rank, so ``sparse_int_rank`` peels their
+systems first and the engine sees only the core (none, on a tree).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cover import TreeRep
-from .exactmat import ExactMatrix, QQ, Scalar, integer_rows, sparse_int_echelon, sparse_int_kernel
+from .exactmat import ExactMatrix, QQ, Scalar, integer_rows, sparse_int_kernel, sparse_int_rank
 from .kronecker import KroneckerRep, _sampled_ranks, generic_rank, tits_form
 
 
@@ -102,7 +104,7 @@ def ext_dim(m: KroneckerRep, n: KroneckerRep) -> int:
     the bilinear form.
     """
     rows, nvars = _intertwining_rows(m, n)
-    rk = len(sparse_int_echelon(integer_rows(rows), nvars, m.field.modulus))
+    rk = sparse_int_rank(integer_rows(rows), nvars, m.field.modulus)
     return m.r * m.dim.a * n.dim.b - rk
 
 
@@ -110,7 +112,7 @@ def is_brick(m: KroneckerRep | TreeRep) -> bool:
     """True iff End(m) is one-dimensional; m is a Kronecker or a tree
     representation over any field, and its End system is only ranked."""
     rows, nvars = _intertwining_rows(m, m)
-    return nvars - len(sparse_int_echelon(integer_rows(rows), nvars, m.field.modulus)) == 1
+    return nvars - sparse_int_rank(integer_rows(rows), nvars, m.field.modulus) == 1
 
 
 def _block_diagonal_rows(f1: ExactMatrix, f2: ExactMatrix) -> list[list[tuple[int, Scalar]]]:

@@ -23,6 +23,9 @@ the tests assert identical trees, quivers and construction traces.
 ``reference_probe_points`` draws the sampled probe plan through
 ``random.randint``; the package unrolls the same draws into its
 ``getrandbits`` rejection loop, and the tests assert identical plans.
+``reference_integer_arrows`` keeps the arrows' columns as they are; the
+package relabels them in peel order, and the tests assert that every
+sampled pencil keeps its rank.
 """
 
 import random
@@ -36,6 +39,7 @@ from kronjord.exactmat import (
     Field,
     _combine_int,
     _normalize_int_row,
+    integer_rows,
     left_kernel_matrix,
     vstack,
 )
@@ -285,3 +289,21 @@ def reference_probe_points(field, r, samples, seed):
     while len(out) < samples:
         out.append(_reference_draw(field, r, rng))
     return out
+
+
+def reference_integer_arrows(m):
+    """The sampled checks' integer arrow rows along the shorter side, columns unrelabelled."""
+    a, b = m.dim
+    rows = integer_rows([{j: x for j, x in enumerate(mat.row_list(i)) if x}
+                         for mat in m.mats for i in range(b)])
+    out = []
+    for t in range(m.r):
+        arrow = [list(row.items()) for row in rows[t * b:(t + 1) * b]]
+        if a < b:
+            cols = [[] for _ in range(a)]
+            for i, row in enumerate(arrow):
+                for j, v in row:
+                    cols[j].append((i, v))
+            arrow = cols
+        out.append(arrow)
+    return out, max(a, b)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from kronjord.cli import main
 from kronjord.cover import thin_path_rep
 from kronjord.kronecker import KroneckerRep
@@ -109,6 +111,16 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 1
         assert "error: representation field 'mats' must be a list of r = 3 matrices, got 5" in err
+
+    @pytest.mark.parametrize("payload", ["5", '"rep"', "null", "true"])
+    def test_top_level_scalar_rejected(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        code = main(["verify", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: expected a JSON object (a witness or a representation)" in err
+
 
 class TestRootsCoxeterPushdown:
     def test_roots_table(self, capsys):

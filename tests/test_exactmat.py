@@ -1,6 +1,7 @@
 """Exact matrix kernels: frozen examples plus rank-nullity style properties."""
 
 import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_impls import reference_sparse_int_echelon
 
-from kronjord import kronecker
+from kronjord import exactmat, kronecker, verify
 from kronjord.cover import (
     build_indecomposable_tree_rep,
     build_root_vector,
@@ -23,9 +24,13 @@ from kronjord.exactmat import (
     _dense_rref,
     block_matrix,
     left_kernel_matrix,
+    peel_order,
     sparse_int_echelon,
+    sparse_int_kernel,
+    sparse_int_rank,
 )
 from kronjord.kronecker import DimVector, KroneckerRep, direct_sum, pencil, probe_alphas
+from kronjord.pipeline import realize
 from kronjord.verify import _intertwining_rows, ext_dim, hom_space
 
 
@@ -344,6 +349,115 @@ def int_row_systems(draw):
 def test_indexed_echelon_matches_full_scan(system):
     rows, ncols = system
     assert_same_echelon(rows, ncols)
+
+
+def test_explicit_zero_entries_are_never_pivots():
+    # a zero entry has bit length 0, so a pivot rule that saw it would pick it
+    rows = [{0: -1, 1: 0, 3: -1}, {0: 0, 1: -1, 2: -1, 3: 2}, {1: -1, 2: 1}, {0: 2, 2: 1}]
+    nonzero = [{c: v for c, v in row.items() if v} for row in rows]
+    assert sparse_int_echelon(rows, 4) == sparse_int_echelon(nonzero, 4)
+    assert len(sparse_int_echelon(rows, 4)) == 4
+    assert sparse_int_echelon([{0: 0}, {1: 0, 2: 0}], 3) == []
+    assert ExactMatrix(QQ, [[-1, 0, 0, -1], [0, -1, -1, 2], [0, -1, 1, 0], [2, 0, 1, 0]]).rank() == 4
+    assert sparse_int_kernel(rows, 4) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_row_systems(), st.data())
+def test_engine_ignores_explicit_zeros(system, data):
+    rows, ncols = system
+    padded = [dict(row) for row in rows]
+    for row in padded:
+        for c in data.draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+            row.setdefault(c, 0)
+    assert sparse_int_echelon(padded, ncols) == sparse_int_echelon(rows, ncols)
+
+
+# --- rank by singleton peeling ------------------------------------------------
+
+@st.composite
+def rank_systems(draw):
+    """Integer rows with explicit zeros, entries that vanish mod p, empty and
+    duplicate rows, and patterns from forest-like to dense."""
+    ncols = draw(st.integers(min_value=0, max_value=8))
+    cols = st.integers(0, ncols - 1) if ncols else st.nothing()
+    entry = st.sampled_from([0, 1, -1, 2, 3, -4, 6, 101, -202, 303, 7])
+    rows = draw(st.lists(st.dictionaries(cols, entry, max_size=min(ncols, 3)), max_size=9))
+    for i in draw(st.lists(st.integers(0, 15), max_size=3)):
+        if rows:
+            rows.append(dict(rows[i % len(rows)]))
+    rows.append({})
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols
+
+
+@settings(max_examples=400, deadline=None)
+@given(rank_systems())
+def test_peeled_rank_matches_references(system):
+    rows, ncols = system
+    snapshot = copy.deepcopy(rows)
+    nonzero = [{c: v for c, v in row.items() if v} for row in rows]
+    want = len(reference_sparse_int_echelon(nonzero, ncols))
+    assert sparse_int_rank(rows, ncols) == len(sparse_int_echelon(rows, ncols)) == want
+    for p in (2, 3, 101):
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        assert sparse_int_rank(rows, ncols, p) == len(_dense_rref(dense, ncols, p)[1]), p
+    assert rows == snapshot, "input rows were mutated"
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_systems())
+def test_peel_order_lists_each_column_once(system):
+    rows, _ = system
+    rows = [{c: v for c, v in row.items() if v} for row in rows]
+    order = peel_order(rows)
+    assert sorted(order) == sorted({c for row in rows for c in row})
+
+
+def random_forest_rows(rng, nrows, ncols):
+    """Rows whose bipartite row-column graph is a forest, with non-zero entries."""
+    rows = [{} for _ in range(nrows)]
+    seen_rows, seen_cols = [], []
+    for v in rng.sample([("r", i) for i in range(nrows)] + [("c", j) for j in range(ncols)],
+                        nrows + ncols):
+        kind, k = v
+        others = seen_cols if kind == "r" else seen_rows
+        if others and rng.random() < 0.85:
+            u = rng.choice(others)
+            i, j = (k, u) if kind == "r" else (u, k)
+            rows[i][j] = rng.choice([1, -1, 2, -3, 5])
+        (seen_rows if kind == "r" else seen_cols).append(k)
+    return rows
+
+
+def count_echelon_calls(monkeypatch):
+    calls = []
+    engine = exactmat.sparse_int_echelon
+    monkeypatch.setattr(exactmat, "sparse_int_echelon",
+                        lambda *args: calls.append(args) or engine(*args))
+    return calls
+
+
+def test_forest_pattern_never_reaches_the_engine(monkeypatch):
+    rng = random.Random(5)
+    cases = [(random_forest_rows(rng, n, k), k) for n, k in
+             [(1, 1), (3, 7), (8, 5), (20, 20), (40, 90), (90, 40)] for _ in range(5)]
+    want = [len(reference_sparse_int_echelon(rows, ncols)) for rows, ncols in cases]
+    calls = count_echelon_calls(monkeypatch)
+    for (rows, ncols), rank in zip(cases, want):
+        assert sparse_int_rank(rows, ncols) == rank
+        assert sparse_int_rank(rows, ncols, 3) == len(
+            _dense_rref([[row.get(j, 0) for j in range(ncols)] for row in rows], ncols, 3)[1])
+    assert calls == []
+
+
+@pytest.mark.parametrize("r, c, d", [(3, 3, 2), (3, 17, 13), (4, 13, 5), (3, 8, 5), (2, 1, 3)])
+def test_tree_end_systems_peel_to_nothing(monkeypatch, r, c, d):
+    # cover, shift and preprojective trees: their End systems have forest patterns
+    tree = realize(r, c, d).tree
+    calls = count_echelon_calls(monkeypatch)
+    assert verify.is_brick(tree)
+    assert calls == []
 
 
 # --- GF(p): the modular sparse engine against the dense reference ------------

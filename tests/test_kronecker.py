@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_impls import explicit_p2, reference_probe_points
+from reference_impls import explicit_p2, reference_integer_arrows, reference_probe_points
 
 from kronjord import kronecker
 from kronjord.exactmat import GF, QQ, ExactMatrix
@@ -35,6 +35,7 @@ from kronjord.kronecker import (
     xi,
     xi_inverse,
 )
+from kronjord.pipeline import classify, realize
 
 RS = [2, 3, 4, 5, 6]
 
@@ -289,6 +290,28 @@ class TestIntegerPencilRank:
         assert got == {k: True for k in range(8)}
         assert len(shared._probe_ranks[6]) == 110
         assert [shared._probe_ranks[6][k] for k in range(110)] == want[:110]
+
+
+def small_witnesses():
+    """(r, c, d) of every realizable type with r = 2..4 and a + b <= 20."""
+    return [(r, c, d) for r in (2, 3, 4) for d in range(11) for c in range(21 - 2 * d)
+            if classify(r, c, d).accepted]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_relabelled_arrows_keep_every_sampled_rank(seed):
+    # the sampled checks rank pencils on columns relabelled in peel order;
+    # a column permutation keeps the rank, so every point must agree with
+    # the arrows as they are, on both sides of the transpose
+    witnesses = small_witnesses()
+    assert len(witnesses) == 86
+    for r, c, d in witnesses:
+        rep = realize(r, c, d).rep
+        for m in (rep, dual(rep)):
+            arrows, ncols = reference_integer_arrows(m)
+            want = [kronecker._integer_pencil_rank(arrows, pt, ncols)
+                    for pt in kronecker._probe_points(QQ, r, 200, seed)]
+            assert list(kronecker._sampled_ranks(m, 200, seed)) == want, (r, c, d, m.dim)
 
 
 class TestProbePlanPrefix:

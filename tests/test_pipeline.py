@@ -270,6 +270,17 @@ class TestValidationDemands:
         ok, results = validate_witness(data)
         assert not ok and results["indecomposable"] is False and results["certificate"]
 
+    def test_echelon_witness_with_a_tree_is_rejected(self):
+        # the echelon route certifies the witness itself and never reads a
+        # tree, so one in the file is refused rather than left unchecked
+        data = witness_json(3, 2, 2)
+        assert classify(3, 2, 2).route == "echelon" and "tree" not in data
+        data["tree"] = witness_json(3, 3, 2)["tree"]
+        ok, results = validate_witness(data)
+        assert not ok and results["tree"] is False
+        assert results["reason"] == "tree: route echelon carries no tree"
+        assert results["certificate"] and results["indecomposable"] and results["jordan"]
+
     def test_no_tree_reaches_hom_space(self, monkeypatch):
         seen = []
         hom = verify.hom_space
