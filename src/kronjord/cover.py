@@ -298,12 +298,28 @@ class TreeRep:
                 check_field(_is_word(e[end], r), "tree edge", end, f"a list of colors 1..{r}",
                             e[end])
         fld = field_from_json(d["field"]) if "field" in d else QQ
-        dims = {tuple(v["addr"]): v["dim"] for v in verts}
+        dims = {}
+        for v in verts:
+            addr = tuple(v["addr"])
+            if addr in dims:
+                raise ValueError(f"tree vertex 'addr' {list(addr)} appears twice")
+            dims[addr] = v["dim"]
         maps = {}
         for e in edges:
             t, h = tuple(e["src"]), tuple(e["dst"])
+            what = f"tree edge {list(t)} -> {list(h)}"
+            if (t, h) in maps:
+                raise ValueError(f"{what} appears twice")
+            try:
+                color = edge_color(t, h)
+            except ValueError:
+                raise ValueError(f"tree edge field 'dst' must be adjacent to 'src' {list(t)}, "
+                                 f"got {list(h)}") from None
+            if "color" in e:
+                check_field(type(e["color"]) is int and e["color"] == color, "tree edge", "color",
+                            f"{color}, the color of {list(t)} -> {list(h)}", e["color"])
             maps[(t, h)] = ExactMatrix.from_str_lists(fld, e["mat"], dims.get(h, 0), dims.get(t, 0),
-                                                      f"tree edge {list(t)} -> {list(h)} 'mat'")
+                                                      f"{what} 'mat'")
         return TreeRep(r, dims, maps, fld)
 
 

@@ -17,9 +17,11 @@ cheap in either characteristic.
 
 A caller that needs only a rank calls ``sparse_int_rank``: it peels the
 singleton pivots first, each of which adds 1 to the rank over any field,
-and only the core that is left goes to the engine.  ``peel_order`` lists
-a pattern's columns with its peeled pivots first; on columns relabelled
-that way the engine fills in little on any system of that pattern.
+and only the core that is left goes to the engine.  The peel reads only
+positions, so a pattern peeled once serves every system whose pattern
+lies inside it and whose entries at the pivots are non-zero: the sampled
+pencil checks peel the union of the arrows' patterns once per
+representation.
 """
 
 from __future__ import annotations
@@ -299,9 +301,12 @@ def sparse_int_echelon(rows: Iterable[dict], ncols: int,
 # pivot adds exactly 1 to the rank over any field, so no entry is read,
 # and the core that is left goes to the engine.  The witnesses are push-
 # downs of tree modules, whose pencils and End systems have almost a
-# forest as their pattern; a forest peels to an empty core.
+# forest as their pattern; a forest peels to an empty core.  A pivot of a
+# pattern is still a singleton of any system inside that pattern that is
+# non-zero there, so one peel of the union of the arrows' patterns ranks
+# every pencil whose pivot entries do not vanish.
 
-def _peel(rows: Sequence[dict]) -> tuple[list[int], list[dict]]:
+def _peel(rows: Sequence[dict]) -> tuple[list[tuple[int, int]], list[dict]]:
     """Singleton pivots of a sparse system, and the core that is left.
 
     As long as either exists, one of two pivots is taken on the live
@@ -312,8 +317,8 @@ def _peel(rows: Sequence[dict]) -> tuple[list[int], list[dict]]:
     pivots plus the rank of the core: the live rows that still meet a
     live column, restricted to the live columns.  Only the positions of
     the entries are read, so every entry must be non-zero.  Returns the
-    pivot columns in the order taken, and the core; O(nnz) with degree
-    counters.
+    pivots as (row, column) pairs in the order taken, and the core;
+    O(nnz) with degree counters.
     """
     col_rows: defaultdict[int, list[int]] = defaultdict(list)
     for i, row in enumerate(rows):
@@ -325,7 +330,7 @@ def _peel(rows: Sequence[dict]) -> tuple[list[int], list[dict]]:
     row_live = [True] * len(rows)
     col_stack = [c for c, k in col_deg.items() if k == 1]
     row_stack = [i for i, k in enumerate(row_deg) if k == 1]
-    pivots: list[int] = []
+    pivots: list[tuple[int, int]] = []
     while col_stack or row_stack:
         if col_stack:
             c = col_stack.pop()
@@ -351,7 +356,7 @@ def _peel(rows: Sequence[dict]) -> tuple[list[int], list[dict]]:
                     k = row_deg[j] = row_deg[j] - 1
                     if k == 1:
                         row_stack.append(j)
-        pivots.append(c)
+        pivots.append((i, c))
     core = [{c: v for c, v in rows[i].items() if col_deg[c]}
             for i, live in enumerate(row_live) if live and row_deg[i]]
     return pivots, core
@@ -370,20 +375,6 @@ def sparse_int_rank(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -
         rows = [_normalize_mod_row(row, p) for row in rows]
     pivots, core = _peel(rows)
     return len(pivots) + (len(sparse_int_echelon(core, ncols, p)) if core else 0)
-
-
-def peel_order(rows: Sequence[dict]) -> list[int]:
-    """The columns of a sparse pattern, the peeled pivots first.
-
-    Lists the pivot columns of ``_peel`` in the order taken, then every
-    other column that occurs in ``rows``, in increasing order.  The
-    engine eliminates columns left to right, so on columns relabelled in
-    this order it meets the peeled pivots first and, on a system of this
-    pattern, fills in little or nothing.  Every entry must be non-zero.
-    """
-    pivots, _ = _peel(rows)
-    taken = set(pivots)
-    return pivots + sorted({c for row in rows for c in row} - taken)
 
 
 def _back_substitute(piv_rows: list[tuple[int, dict]], seed: dict[int, Scalar],

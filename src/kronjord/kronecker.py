@@ -10,12 +10,16 @@ every CLI command.
 
 The sampled checks rank pencils at a seeded plan of probe points.  The
 arrow matrices are cleared to integers once (over GF(p) they are ints
-already), and their columns are relabelled once, in the ``peel_order`` of
-the union of their patterns.  Every pencil's pattern lies in that union,
-so each pencil, formed as sparse integer rows and ranked by
-``exactmat.sparse_int_echelon`` with the field's modulus, is eliminated
-with little fill.  The ranks are kept on the representation per seed,
-so checks that share a seed rank each point once, over Q and GF(p) alike.
+already), and the union of their patterns is peeled once into a pencil
+plan: its singleton pivots, each holding the (arrow, entry) terms at its
+position, and the core left over.  Every pencil's pattern lies in that
+union, so at a point where no pivot's value vanishes the pencil's rank is
+the pivot count plus the rank of the core there, which is empty for the
+push-downs of tree modules; otherwise the whole pencil goes to
+``exactmat.sparse_int_rank``.  The probe plans are drawn once per
+(field, r, samples, seed), and the ranks are kept on the representation
+per seed, so checks that share a seed rank each point once, over Q and
+GF(p) alike.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exactmat import (
@@ -30,13 +35,13 @@ from .exactmat import (
     ExactMatrix,
     Field,
     Scalar,
+    _peel,
     check_field,
     field_from_json,
     integer_rows,
     is_count_pair,
-    peel_order,
     require_fields,
-    sparse_int_echelon,
+    sparse_int_rank,
 )
 
 # alpha samples are drawn from this symmetric integer box; a random
@@ -214,16 +219,26 @@ def jordan_type_at(m: KroneckerRep, alpha: Sequence) -> JordanType:
 def _probe_points(field: Field, r: int, samples: int, seed: int) -> list[list[int]]:
     """The points of ``probe_alphas`` as integer representatives.
 
+    Each plan is drawn once and kept, immutable, in a small cache; every
+    caller gets fresh lists.
+    """
+    return [list(pt) for pt in _draw_probe_points(field.modulus, r, samples, seed)]
+
+
+@lru_cache(maxsize=8)
+def _draw_probe_points(p: Optional[int], r: int, samples: int, seed: int
+                       ) -> tuple[tuple[int, ...], ...]:
+    """The probe plan over Q (``p`` None) or GF(p).
+
     After the basis vectors, each point is r draws from the sampling box
     (over GF(p), from 0..p-1), redrawn while all are zero.  A draw is
     ``Random.randint`` unrolled: ``getrandbits(k)`` for the box's width ``n``
     of k bits, repeated until it is below ``n``.
     """
-    p = field.modulus
     low, n = (-ALPHA_BOX, 2 * ALPHA_BOX + 1) if p is None else (0, p)
     k = n.bit_length()
     bits = random.Random(seed).getrandbits
-    out = [[int(j == i) for j in range(r)] for i in range(min(r, samples))]
+    out = [tuple(int(j == i) for j in range(r)) for i in range(min(r, samples))]
     while len(out) < samples:
         vals = []
         while len(vals) < r:
@@ -231,8 +246,8 @@ def _probe_points(field: Field, r: int, samples: int, seed: int) -> list[list[in
             if x < n:
                 vals.append(low + x)
         if any(vals):
-            out.append(vals)
-    return out
+            out.append(tuple(vals))
+    return tuple(out)
 
 
 def probe_alphas(field: Field, r: int, samples: int, seed: int) -> list[list[Scalar]]:
@@ -251,13 +266,10 @@ def _integer_arrows(m: KroneckerRep) -> tuple[list[list[list[tuple[int, int]]]],
     """The arrow matrices times one common denominator, as sparse integer rows.
 
     Each arrow is given by the rows of whichever of it and its transpose
-    has fewer rows, each row a list of (column, entry) pairs, and the
-    columns are relabelled by ``peel_order`` of the union of the arrows'
-    patterns, which every pencil's pattern lies in.  Returns the rows of
-    every arrow and their length.  Neither the common scale, the
-    transpose nor the relabelling changes any pencil's rank; fewer,
-    longer rows are the faster to eliminate, and the engine fills in
-    little on columns taken in peel order.
+    has fewer rows, each row a list of (column, entry) pairs with every
+    entry non-zero.  Returns the rows of every arrow and their length.
+    Neither the common scale nor the transpose changes any pencil's rank,
+    and fewer, longer rows make the smaller union pattern to peel.
     """
     a, b = m.dim
     rows = integer_rows([{j: x for j, x in enumerate(mat.row_list(i)) if x}
@@ -272,33 +284,72 @@ def _integer_arrows(m: KroneckerRep) -> tuple[list[list[list[tuple[int, int]]]],
                     cols[j].append((i, v))
             arrow = cols
         out.append(arrow)
-    union: list[dict] = [{} for _ in range(min(a, b))]
-    for arrow in out:
-        for pattern, row in zip(union, arrow):
-            pattern.update(row)
-    label = {c: k for k, c in enumerate(peel_order(union))}
-    return [[[(label[j], v) for j, v in row] for row in arrow] for arrow in out], max(a, b)
+    return out, max(a, b)
 
 
-def _integer_pencil_rank(arrows: list, alpha: Sequence[int], ncols: int,
-                         p: Optional[int] = None) -> int:
-    """Rank of sum(alpha_t * arrows[t]) for integer alpha, over Q or mod ``p``."""
-    rows = []
-    for i in range(len(arrows[0])):
-        acc: dict[int, int] = {}
-        for c, arrow in zip(alpha, arrows):
-            if c:
-                for j, v in arrow[i]:
-                    acc[j] = acc.get(j, 0) + c * v
-        rows.append(acc)
-    return len(sparse_int_echelon(rows, ncols, p))
+# a union pattern: per row, column -> the (arrow, entry) terms there
+_UnionRows = list[dict[int, list[tuple[int, int]]]]
+
+
+class _PencilPlan(NamedTuple):
+    """The union pattern of a representation's arrows, peeled once.
+
+    ``rows`` maps each position of the union, row by row, to its list of
+    (arrow, entry) terms.  ``npivots`` counts the singleton pivots of
+    ``_peel``, ``pivot_terms`` holds the distinct term lists at them (few:
+    most pivots have one term and the entries repeat), and ``core`` is the
+    part of ``rows`` left over.
+    """
+
+    rows: _UnionRows
+    npivots: int
+    pivot_terms: frozenset[tuple[tuple[int, int], ...]]
+    core: _UnionRows
+    ncols: int
+
+
+def _pencil_plan(m: KroneckerRep) -> _PencilPlan:
+    arrows, ncols = _integer_arrows(m)
+    rows: _UnionRows = [{} for _ in range(min(m.dim))]
+    for t, arrow in enumerate(arrows):
+        for terms, row in zip(rows, arrow):
+            for j, v in row:
+                terms.setdefault(j, []).append((t, v))
+    pivots, core = _peel(rows)
+    terms = frozenset(tuple(rows[i][c]) for i, c in pivots)
+    return _PencilPlan(rows, len(pivots), terms, core, ncols)
+
+
+def _evaluate(rows: _UnionRows, alpha: Sequence[int]) -> list[dict]:
+    """Each position's sum of alpha_t * entry over its terms, as integer rows."""
+    return [{j: sum(alpha[t] * v for t, v in terms) for j, terms in row.items()} for row in rows]
+
+
+def _pencil_rank(plan: _PencilPlan, alpha: Sequence[int], p: Optional[int] = None) -> int:
+    """Rank of sum(alpha_t * arrow_t) for integer alpha, over Q or mod ``p``.
+
+    The pencil's pattern lies in the union, so a pivot of the union whose
+    value at alpha is non-zero is a singleton of the pencil's live pattern
+    too and adds exactly 1 to its rank.  When every pivot's value is
+    non-zero, the rank is the pivot count plus the core's rank at alpha;
+    when one vanishes (at a basis point, a point with a zero coordinate,
+    or where terms cancel), the whole pencil is ranked instead.
+    """
+    for terms in plan.pivot_terms:
+        s = sum(alpha[t] * v for t, v in terms)
+        if not (s if p is None else s % p):
+            return sparse_int_rank(_evaluate(plan.rows, alpha), plan.ncols, p)
+    if not plan.core:
+        return plan.npivots
+    return plan.npivots + sparse_int_rank(_evaluate(plan.core, alpha), plan.ncols, p)
 
 
 def _sampled_ranks(m: KroneckerRep, samples: int, seed: int) -> Iterator[int]:
     """Pencil ranks at ``probe_alphas(m.field, m.r, samples, seed)``, lazily, in order.
 
-    The pencils are ranked from integer rows along their shorter side, at
-    the integer points of the plan (over GF(p), modulo p), and the ranks
+    Each point is ranked by ``_pencil_rank`` from the pencil plan of ``m``,
+    built once per call that has a point left to rank, at the integer
+    points of the plan (over GF(p), modulo p); the ranks, not the plan,
     are kept on ``m`` per seed.  The points for ``n`` samples are a prefix
     of those for any larger count, so every check that samples ``m`` with
     one seed ranks each point once, and a caller that stops early leaves
@@ -306,13 +357,13 @@ def _sampled_ranks(m: KroneckerRep, samples: int, seed: int) -> Iterator[int]:
     """
     ranks = m._probe_ranks.setdefault(seed, {})
     if len(ranks) < samples:
-        arrows, ncols = _integer_arrows(m)
+        plan = _pencil_plan(m)
         points = _probe_points(m.field, m.r, samples, seed)
         p = m.field.modulus
     for k in range(samples):
         rk = ranks.get(k)
         if rk is None:
-            rk = ranks[k] = _integer_pencil_rank(arrows, points[k], ncols, p)
+            rk = ranks[k] = _pencil_rank(plan, points[k], p)
         yield rk
 
 

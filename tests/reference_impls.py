@@ -23,9 +23,10 @@ the tests assert identical trees, quivers and construction traces.
 ``reference_probe_points`` draws the sampled probe plan through
 ``random.randint``; the package unrolls the same draws into its
 ``getrandbits`` rejection loop, and the tests assert identical plans.
-``reference_integer_arrows`` keeps the arrows' columns as they are; the
-package relabels them in peel order, and the tests assert that every
-sampled pencil keeps its rank.
+``reference_pencil_rank`` ranks a pencil of the sampled checks' integer
+arrow rows whole, with the elimination engine; the package ranks every
+probe point from one peel of the arrows' union, and the tests assert
+identical ranks.
 """
 
 import random
@@ -41,6 +42,7 @@ from kronjord.exactmat import (
     _normalize_int_row,
     integer_rows,
     left_kernel_matrix,
+    sparse_int_echelon,
     vstack,
 )
 from kronjord.kronecker import ALPHA_BOX, DimVector, KroneckerRep
@@ -291,19 +293,14 @@ def reference_probe_points(field, r, samples, seed):
     return out
 
 
-def reference_integer_arrows(m):
-    """The sampled checks' integer arrow rows along the shorter side, columns unrelabelled."""
-    a, b = m.dim
-    rows = integer_rows([{j: x for j, x in enumerate(mat.row_list(i)) if x}
-                         for mat in m.mats for i in range(b)])
-    out = []
-    for t in range(m.r):
-        arrow = [list(row.items()) for row in rows[t * b:(t + 1) * b]]
-        if a < b:
-            cols = [[] for _ in range(a)]
-            for i, row in enumerate(arrow):
-                for j, v in row:
-                    cols[j].append((i, v))
-            arrow = cols
-        out.append(arrow)
-    return out, max(a, b)
+def reference_pencil_rank(arrows, alpha, ncols, p=None):
+    """Rank of sum(alpha_t * arrows[t]) for integer alpha, eliminated whole, over Q or mod ``p``."""
+    rows = []
+    for i in range(len(arrows[0])):
+        acc = {}
+        for c, arrow in zip(alpha, arrows):
+            if c:
+                for j, v in arrow[i]:
+                    acc[j] = acc.get(j, 0) + c * v
+        rows.append(acc)
+    return len(sparse_int_echelon(rows, ncols, p))

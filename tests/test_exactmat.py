@@ -23,8 +23,8 @@ from kronjord.exactmat import (
     ExactMatrix,
     _dense_rref,
     block_matrix,
+    _peel,
     left_kernel_matrix,
-    peel_order,
     sparse_int_echelon,
     sparse_int_kernel,
     sparse_int_rank,
@@ -407,11 +407,19 @@ def test_peeled_rank_matches_references(system):
 
 @settings(max_examples=200, deadline=None)
 @given(rank_systems())
-def test_peel_order_lists_each_column_once(system):
-    rows, _ = system
+def test_peel_pivots_are_distinct_entries(system):
+    rows, ncols = system
     rows = [{c: v for c, v in row.items() if v} for row in rows]
-    order = peel_order(rows)
-    assert sorted(order) == sorted({c for row in rows for c in row})
+    pivots, core = _peel(rows)
+    pivot_rows = [i for i, _ in pivots]
+    pivot_cols = [c for _, c in pivots]
+    assert len(set(pivot_rows)) == len(pivot_rows)
+    assert len(set(pivot_cols)) == len(pivot_cols)
+    assert all(c in rows[i] for i, c in pivots)
+    # no pivot column is left in the core
+    assert not {c for row in core for c in row} & set(pivot_cols)
+    assert len(pivots) + len(reference_sparse_int_echelon(core, ncols)) == len(
+        reference_sparse_int_echelon(rows, ncols))
 
 
 def random_forest_rows(rng, nrows, ncols):

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_impls import explicit_p2, reference_integer_arrows, reference_probe_points
+from reference_impls import explicit_p2, reference_pencil_rank, reference_probe_points
 
 from kronjord import kronecker
-from kronjord.exactmat import GF, QQ, ExactMatrix
+from kronjord.exactmat import GF, QQ, ExactMatrix, _dense_rref
 from kronjord.kronecker import (
     DimVector,
     JordanType,
@@ -202,20 +202,66 @@ def qq_reps(draw):
     return direct_sum(m, m) if draw(st.booleans()) else m
 
 
-def integer_rank(m, alpha):
-    arrows, ncols = kronecker._integer_arrows(m)
-    return kronecker._integer_pencil_rank(arrows, alpha, ncols)
+def integer_rank(m, alpha, p=None):
+    return kronecker._pencil_rank(kronecker._pencil_plan(m), alpha, p)
 
 
 class TestIntegerPencilRank:
-    """The integer-row pencil ranks of the sampled checks equal the ExactMatrix ranks."""
+    """The pencil-plan ranks of the sampled checks equal the whole-pencil ranks."""
 
     @settings(max_examples=80, deadline=None)
     @given(qq_reps(), st.data())
     def test_rank_at_any_integer_point(self, m, data):
+        # small coordinates, zeros among them, so pivots vanish and terms cancel
         alpha = data.draw(st.lists(st.integers(min_value=-5, max_value=5),
                                    min_size=m.r, max_size=m.r).filter(any))
         assert integer_rank(m, alpha) == pencil(m, alpha).rank()
+
+    @settings(max_examples=80, deadline=None)
+    @given(qq_reps(), st.data())
+    def test_rank_mod_p_at_any_integer_point(self, m, data):
+        # the integer arrows hold entries that vanish mod 2 or 3, so a pivot
+        # of the union can vanish mod p at a point with no zero coordinate
+        arrows, ncols = kronecker._integer_arrows(m)
+        alpha = data.draw(st.lists(st.integers(min_value=-6, max_value=6),
+                                   min_size=m.r, max_size=m.r))
+        for p in (2, 3, 101):
+            dense = [[0] * ncols for _ in arrows[0]]
+            for c, arrow in zip(alpha, arrows):
+                for i, row in enumerate(arrow):
+                    for j, v in row:
+                        dense[i][j] += c * v
+            assert integer_rank(m, alpha, p) == len(_dense_rref(dense, ncols, p)[1]), p
+
+    def test_cancelling_pivot_terms(self):
+        one = ExactMatrix(QQ, [[1]])
+        m = KroneckerRep(2, DimVector(1, 1), (one, one))
+        plan = kronecker._pencil_plan(m)
+        assert plan.npivots == 1 and plan.pivot_terms == {((0, 1), (1, 1))}
+        assert integer_rank(m, [1, -1]) == 0
+        assert integer_rank(m, [1, 1]) == 1
+        one = ExactMatrix(GF(2), [[1]])
+        m2 = KroneckerRep(2, DimVector(1, 1), (one, one), GF(2))
+        assert integer_rank(m2, [1, 1], 2) == 0
+        assert list(kronecker._sampled_ranks(m2, 3, 0)) == [1, 1, 0]
+
+    def test_union_with_a_core(self):
+        # the swap on the first two coordinates closes a 4-cycle with the
+        # identity, which no singleton peels; the third coordinate peels
+        swap = ExactMatrix(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        m = KroneckerRep(2, DimVector(3, 3), (ExactMatrix.identity(QQ, 3), swap))
+        plan = kronecker._pencil_plan(m)
+        assert plan.npivots == 1 and len(plan.core) == 2
+        for alpha, rank in (([1, 1], 2), ([1, -1], 2), ([1, 2], 3), ([0, 1], 2), ([1, 0], 3)):
+            assert integer_rank(m, alpha) == pencil(m, alpha).rank() == rank, alpha
+
+    def test_point_with_a_zero_coordinate(self):
+        m = realize(3, 4, 3).rep
+        alpha = kronecker._probe_points(QQ, 3, 10, 4)[7]
+        alpha[1] = 0
+        assert all(alpha[t] for t in (0, 2))
+        for rep in (m, dual(m), direct_sum(m, m)):
+            assert integer_rank(rep, alpha) == pencil(rep, alpha).rank()
 
     @settings(max_examples=40, deadline=None)
     @given(qq_reps(), st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=9))
@@ -300,16 +346,16 @@ def small_witnesses():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_relabelled_arrows_keep_every_sampled_rank(seed):
-    # the sampled checks rank pencils on columns relabelled in peel order;
-    # a column permutation keeps the rank, so every point must agree with
-    # the arrows as they are, on both sides of the transpose
+    # the sampled checks rank each point from one peel of the arrows'
+    # union; every point must agree with the pencil eliminated whole, on
+    # both sides of the transpose
     witnesses = small_witnesses()
     assert len(witnesses) == 86
     for r, c, d in witnesses:
         rep = realize(r, c, d).rep
         for m in (rep, dual(rep)):
-            arrows, ncols = reference_integer_arrows(m)
-            want = [kronecker._integer_pencil_rank(arrows, pt, ncols)
+            arrows, ncols = kronecker._integer_arrows(m)
+            want = [reference_pencil_rank(arrows, pt, ncols)
                     for pt in kronecker._probe_points(QQ, r, 200, seed)]
             assert list(kronecker._sampled_ranks(m, 200, seed)) == want, (r, c, d, m.dim)
 
@@ -330,6 +376,18 @@ class TestProbePlanPrefix:
         long_plan = probe_alphas(field, r, 30, 7)
         for n in (1, 2, r - 1, r, r + 1, 29):
             assert probe_alphas(field, r, n, 7) == long_plan[:n]
+
+
+def test_probe_plan_is_drawn_once_and_never_shared():
+    kronecker._draw_probe_points.cache_clear()
+    want = reference_probe_points(GF(7), 3, 40, 9)
+    plan = kronecker._probe_points(GF(7), 3, 40, 9)
+    plan[5][0] = 12345
+    plan.append([1, 1, 1])
+    assert kronecker._probe_points(GF(7), 3, 40, 9) == want
+    assert probe_alphas(GF(7), 3, 40, 9) == want
+    info = kronecker._draw_probe_points.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101), GF(1000003)], ids=repr)

@@ -374,6 +374,48 @@ class TestValidationDemands:
         with pytest.raises(ValueError, match=re.escape(message)):
             CertifiedWitness.from_json(data)
 
+    # realize(3, 4, 3) is a cover witness: vertex 0 is the root [] of
+    # dimension 1, and edge 0 runs from [] to [1] with color 1
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda t: t["vertices"].append(dict(t["vertices"][0])),
+         "tree vertex 'addr' [] appears twice"),
+        (lambda t: t["vertices"].append({"addr": [], "dim": 2}),
+         "tree vertex 'addr' [] appears twice"),
+        (lambda t: t["edges"].append(dict(t["edges"][0])), "tree edge [] -> [1] appears twice"),
+    ], ids=["vertex", "root-with-dim-2", "edge"])
+    def test_duplicate_tree_entry_is_rejected(self, mutate, message):
+        data = witness_json(3, 4, 3)
+        assert data["tree"]["vertices"][0] == {"addr": [], "dim": 1}
+        assert data["tree"]["edges"][0]["dst"] == [1]
+        mutate(data["tree"])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_witness(data)
+
+    @pytest.mark.parametrize("color, message", [
+        (2, "tree edge field 'color' must be 1, the color of [] -> [1], got 2"),
+        (True, "tree edge field 'color' must be 1, the color of [] -> [1], got True"),
+        ("1", "tree edge field 'color' must be 1, the color of [] -> [1], got '1'"),
+    ])
+    def test_edge_color_is_checked(self, color, message):
+        data = witness_json(3, 4, 3)
+        data["tree"]["edges"][0]["color"] = color
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_witness(data)
+
+    def test_edge_color_may_be_omitted(self):
+        data = witness_json(3, 4, 3)
+        for e in data["tree"]["edges"]:
+            del e["color"]
+        ok, results = validate_witness(data)
+        assert ok, results
+
+    def test_edge_to_a_non_neighbour_names_dst(self):
+        data = witness_json(3, 4, 3)
+        data["tree"]["edges"][0]["dst"] = [1, 2, 1, 2, 1]
+        with pytest.raises(ValueError, match=re.escape(
+                "tree edge field 'dst' must be adjacent to 'src' [], got [1, 2, 1, 2, 1]")):
+            validate_witness(data)
+
 
 class TestEipMode:
     def test_dual_witness(self):

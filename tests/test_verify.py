@@ -337,11 +337,11 @@ class TestSampledChecks:
 
     @pytest.fixture
     def ranked(self, monkeypatch):
-        """One entry per pencil the sampled checks send to the elimination engine."""
+        """One entry per point the sampled checks rank."""
         calls = []
-        engine = kronecker.sparse_int_echelon
-        monkeypatch.setattr(kronecker, "sparse_int_echelon",
-                            lambda *args: calls.append(1) or engine(*args))
+        rank = kronecker._pencil_rank
+        monkeypatch.setattr(kronecker, "_pencil_rank",
+                            lambda *args: calls.append(1) or rank(*args))
         return calls
 
     def test_ekp_stops_at_the_first_failing_point(self, ranked):
