@@ -15,9 +15,13 @@ which keeps coefficient growth in check; over GF(p) every entry is
 reduced mod p.  This makes the large, very sparse intertwining systems
 cheap in either characteristic.
 
-A caller that needs only a rank calls ``sparse_int_rank``: it peels the
-singleton pivots first, each of which adds 1 to the rank over any field,
-and only the core that is left goes to the engine.  The peel reads only
+A caller that needs only a rank calls ``sparse_int_rank``.  A difference
+system, whose rows are all x*u or x*(u - v), is ranked by union-find
+with no elimination, and that rank is the same over every field: so an
+echelon witness's brick test is decided for every characteristic at
+once.  Any other system has its singleton pivots peeled first, each of
+which adds 1 to the rank over any field, and only the core that is left
+goes to the engine.  The peel reads only
 positions, so a pattern peeled once serves every system whose pattern
 lies inside it and whose entries at the pivots are non-zero: the sampled
 pencil checks peel the union of the arrows' patterns once per
@@ -294,6 +298,69 @@ def sparse_int_echelon(rows: Iterable[dict], ncols: int,
 
 
 # ---------------------------------------------------------------------------
+# difference systems (rank only)
+# ---------------------------------------------------------------------------
+#
+# The End system of a shifted-identity echelon witness has only rows
+# x*u and x*(u - v): a difference system.  Its rank is that of a graph
+# on the columns, with an edge u - v for each two-entry row and a ground
+# for each one-entry row: the columns touched minus the components, plus
+# the components that hold a ground.  That is the same over every field,
+# so a union-find decides the brick test of an echelon witness for every
+# characteristic at once, in near-linear time.
+
+def _difference_rank(rows: Sequence[dict], p: Optional[int]) -> Optional[int]:
+    """Rank of a difference system over Q or GF(``p``), or None if it is not one.
+
+    Zero entries (mod ``p``: multiples of ``p``) are skipped.  Each row
+    left with two entries x, y at columns u, v and x + y = 0 (mod ``p``)
+    joins u and v; each row left with one entry grounds its column.  The
+    rank is the number of joins that merge two components plus the
+    number of components with a ground.  Returns None at the first row
+    with three or more non-zero entries, or with two that do not cancel.
+    The input rows are not mutated.
+    """
+    parent: dict[int, int] = {}
+
+    def find(u: int) -> int:
+        # the root of u's component, halving the path on the way
+        while (w := parent.get(u)) is not None:
+            g = parent.get(w)
+            if g is None:
+                return w
+            parent[u] = u = g
+        return u
+
+    grounded: list[int] = []
+    joins = 0
+    for row in rows:
+        if len(row) > 2:
+            row = {c: v for c, v in row.items() if (v % p if p else v)}
+            if len(row) > 2:
+                return None
+        if len(row) == 2:
+            (u, x), (v, y) = row.items()
+            if p:
+                x %= p
+                y %= p
+            if not (x and y):
+                if x or y:
+                    grounded.append(u if x else v)
+                continue
+            if (x + y) % p if p else x + y:
+                return None
+            u, v = find(u), find(v)
+            if u != v:
+                parent[u] = v
+                joins += 1
+        elif row:
+            ((u, x),) = row.items()
+            if x % p if p else x:
+                grounded.append(u)
+    return joins + len({find(u) for u in grounded})
+
+
+# ---------------------------------------------------------------------------
 # singleton peeling (rank only)
 # ---------------------------------------------------------------------------
 #
@@ -365,14 +432,22 @@ def _peel(rows: Sequence[dict]) -> tuple[list[tuple[int, int]], list[dict]]:
 def sparse_int_rank(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -> int:
     """Rank of a system of integer rows, over Q or modulo a prime ``p``.
 
-    Zero entries (mod ``p``: multiples of ``p``) are dropped, the
-    singleton pivots are peeled, and only the core that is left is
-    eliminated by ``sparse_int_echelon``; an empty core never reaches it.
+    Zero entries (mod ``p``: multiples of ``p``) are dropped.  A
+    difference system is ranked by ``_difference_rank``, with no
+    elimination.  Any other system has its singleton pivots peeled, and
+    only the core that is left is eliminated by ``sparse_int_echelon``;
+    an empty core never reaches it.  The input rows are not mutated.
     """
+    rows = rows if isinstance(rows, list) else list(rows)
+    rank = _difference_rank(rows, p)
+    if rank is not None:
+        return rank
     if p is None:
-        rows = [{c: v for c, v in row.items() if v} for row in rows]
+        rows = [row if all(row.values()) else {c: v for c, v in row.items() if v}
+                for row in rows]
     else:
-        rows = [_normalize_mod_row(row, p) for row in rows]
+        rows = [row if all(v % p for v in row.values()) else _normalize_mod_row(row, p)
+                for row in rows]
     pivots, core = _peel(rows)
     return len(pivots) + (len(sparse_int_echelon(core, ncols, p)) if core else 0)
 

@@ -280,8 +280,9 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
     xi(c, d).  Fresh sampled constant-Jordan-type and, in eip mode, image
     checks run as independent cross-checks.  A Jordan type that is not
     realizable, a certificate kind or indecomposability evidence other
-    than the route's, or a tree on an echelon witness, is rejected with a
-    ``reason``.
+    than the route's, a tree on an echelon witness, or a missing tree, a
+    tree over another field or one that does not push down to the
+    equal-kernels side on any other route, is rejected with a ``reason``.
     """
     w = CertifiedWitness.from_json(data)
     c, d = w.jordan
@@ -291,8 +292,6 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
                        "reason": f"jordan {[c, d]} is not realizable: fails clause {cls.reason!r}"}
     ekp_side = w.rep if w.mode == "ekp" else dual(w.rep)
     results = {"dim": ekp_side.dim == cls.dim, **_certify(cls.route, ekp_side, w.tree)}
-    if cls.route != "echelon" and results["certificate"]:
-        results["certificate"] = push_down(w.tree) == ekp_side
     kind, evidence = ROUTE_CERTIFICATE[cls.route]
     found = w.ekp_certificate.get("kind")
     reasons = []
@@ -303,10 +302,20 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
         results["indecomposable"] = False
         reasons.append(f"indec_evidence {w.indec_evidence!r}: "
                        f"route {cls.route} requires {evidence!r}")
-    if cls.route == "echelon" and w.tree is not None:
-        # an echelon witness is certified on itself; a tree it carries would go unchecked
-        results["tree"] = False
-        reasons.append("tree: route echelon carries no tree")
+    if cls.route == "echelon":
+        if w.tree is not None:
+            # an echelon witness is certified on itself; a tree it carries would go unchecked
+            results["tree"] = False
+            reasons.append("tree: route echelon carries no tree")
+    elif w.tree is None:
+        reasons.append(f"tree: route {cls.route} needs a tree")
+    elif w.tree.field != ekp_side.field:
+        results["certificate"] = False
+        reasons.append(f"tree: field {w.tree.field.name} differs from the "
+                       f"representation's {ekp_side.field.name}")
+    elif push_down(w.tree) != ekp_side:
+        results["certificate"] = False
+        reasons.append("tree: does not push down to the equal-kernels side")
     if w.mode == "eip":
         results["eip_samples"] = eip_sample_check(w.rep, EKP_SAMPLES, seed)
     constant, jtype, _ = is_constant_jordan_type(w.rep, CJT_SAMPLES, seed)

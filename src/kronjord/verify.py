@@ -12,8 +12,10 @@ the kernel of the trace form of the left regular representation, built
 from structure constants read off a Hom basis reduced at its free columns,
 each product checked exactly.  Every elimination, over Q or GF(p), goes
 through the sparse integer engine of ``exactmat``, given the modulus; the
-brick test and Ext need only a rank, so ``sparse_int_rank`` peels their
-systems first and the engine sees only the core (none, on a tree).
+brick test and Ext need only a rank, so ``sparse_int_rank`` ranks their
+systems without it where it can.  The End system of an echelon witness
+is a difference system, ranked by union-find, which decides its brick
+test for every characteristic at once; a tree's is peeled to nothing.
 """
 
 from __future__ import annotations
@@ -110,7 +112,12 @@ def ext_dim(m: KroneckerRep, n: KroneckerRep) -> int:
 
 def is_brick(m: KroneckerRep | TreeRep) -> bool:
     """True iff End(m) is one-dimensional; m is a Kronecker or a tree
-    representation over any field, and its End system is only ranked."""
+    representation over any field, and its End system is only ranked.
+
+    An echelon witness's End system is a difference system, ranked by
+    union-find with the same answer in every characteristic; a tree's
+    peels to an empty core.  Neither reaches the elimination engine.
+    """
     rows, nvars = _intertwining_rows(m, m)
     return nvars - sparse_int_rank(integer_rows(rows), nvars, m.field.modulus) == 1
 

@@ -22,6 +22,7 @@ from kronjord.exactmat import (
     QQ,
     ExactMatrix,
     _dense_rref,
+    _difference_rank,
     block_matrix,
     _peel,
     left_kernel_matrix,
@@ -29,7 +30,14 @@ from kronjord.exactmat import (
     sparse_int_kernel,
     sparse_int_rank,
 )
-from kronjord.kronecker import DimVector, KroneckerRep, direct_sum, pencil, probe_alphas
+from kronjord.kronecker import (
+    DimVector,
+    KroneckerRep,
+    direct_sum,
+    pencil,
+    probe_alphas,
+    tits_form,
+)
 from kronjord.pipeline import realize
 from kronjord.verify import _intertwining_rows, ext_dim, hom_space
 
@@ -438,11 +446,11 @@ def random_forest_rows(rng, nrows, ncols):
     return rows
 
 
-def count_echelon_calls(monkeypatch):
+def count_calls(monkeypatch, name="sparse_int_echelon"):
+    """The argument tuples of every call to ``exactmat.<name>`` from here on."""
     calls = []
-    engine = exactmat.sparse_int_echelon
-    monkeypatch.setattr(exactmat, "sparse_int_echelon",
-                        lambda *args: calls.append(args) or engine(*args))
+    fn = getattr(exactmat, name)
+    monkeypatch.setattr(exactmat, name, lambda *args: calls.append(args) or fn(*args))
     return calls
 
 
@@ -451,7 +459,7 @@ def test_forest_pattern_never_reaches_the_engine(monkeypatch):
     cases = [(random_forest_rows(rng, n, k), k) for n, k in
              [(1, 1), (3, 7), (8, 5), (20, 20), (40, 90), (90, 40)] for _ in range(5)]
     want = [len(reference_sparse_int_echelon(rows, ncols)) for rows, ncols in cases]
-    calls = count_echelon_calls(monkeypatch)
+    calls = count_calls(monkeypatch)
     for (rows, ncols), rank in zip(cases, want):
         assert sparse_int_rank(rows, ncols) == rank
         assert sparse_int_rank(rows, ncols, 3) == len(
@@ -463,9 +471,91 @@ def test_forest_pattern_never_reaches_the_engine(monkeypatch):
 def test_tree_end_systems_peel_to_nothing(monkeypatch, r, c, d):
     # cover, shift and preprojective trees: their End systems have forest patterns
     tree = realize(r, c, d).tree
-    calls = count_echelon_calls(monkeypatch)
+    calls = count_calls(monkeypatch)
     assert verify.is_brick(tree)
     assert calls == []
+
+
+# --- difference systems by union-find -----------------------------------------
+
+@st.composite
+def difference_systems(draw):
+    """Rows x*(u - v) and x*u on a random graph with cycles, with grounded and
+    ungrounded components, explicit zeros, entries that vanish mod p and
+    duplicate rows."""
+    ncols = draw(st.integers(min_value=1, max_value=10))
+    col = st.integers(0, ncols - 1)
+    scale = st.sampled_from([1, -1, 2, -3, 6, 7, 101, -202, 303])
+    rows = [{u: x, v: -x} for u, v, x in draw(st.lists(st.tuples(col, col, scale), max_size=14))
+            if u != v]
+    rows += [{u: x} for u, x in draw(st.lists(st.tuples(col, scale), max_size=3))]
+    # a zero partner grounds the other column; a zero third entry changes nothing
+    rows += [{u: x, v: 0} for u, v, x in draw(st.lists(st.tuples(col, col, scale), max_size=2))
+             if u != v]
+    for i, w in draw(st.lists(st.tuples(st.integers(0, 30), col), max_size=3)):
+        if rows and w not in rows[i % len(rows)]:
+            rows.append({**rows[i % len(rows)], w: 0})
+    for i in draw(st.lists(st.integers(0, 30), max_size=3)):
+        if rows:
+            rows.append(dict(rows[i % len(rows)]))
+    rows += [{draw(col): 0}, {}]
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(difference_systems())
+def test_difference_rank_matches_references(system):
+    rows, ncols = system
+    snapshot = copy.deepcopy(rows)
+    nonzero = [{c: v for c, v in row.items() if v} for row in rows]
+    want = len(reference_sparse_int_echelon(nonzero, ncols))
+    assert _difference_rank(rows, None) == sparse_int_rank(rows, ncols) == want
+    for p in (2, 3, 101):
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        want = len(_dense_rref(dense, ncols, p)[1])
+        assert _difference_rank(rows, p) == sparse_int_rank(rows, ncols, p) == want, p
+    assert rows == snapshot, "input rows were mutated"
+
+
+def test_triangle_of_sums(monkeypatch):
+    # u + v is a difference row only in characteristic 2
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
+    assert _difference_rank(rows, None) is None and _difference_rank(rows, 3) is None
+    assert _difference_rank(rows, 2) == 2
+    calls = count_calls(monkeypatch)
+    assert sparse_int_rank(rows, 3) == 3
+    assert len(calls) == 1
+    assert sparse_int_rank(rows, 3, 2) == 2
+    assert len(calls) == 1
+
+
+def test_row_of_three_entries_falls_back(monkeypatch):
+    rows = [{0: 1, 1: -1}, {1: 2, 2: -2}, {0: 1, 1: 1, 2: 1}]
+    snapshot = copy.deepcopy(rows)
+    assert _difference_rank(rows, None) is None and _difference_rank(rows, 3) is None
+    calls = count_calls(monkeypatch)
+    assert sparse_int_rank(rows, 3) == 3 == len(reference_sparse_int_echelon(rows, 3))
+    # the determinant is 6
+    assert sparse_int_rank(rows, 3, 3) == 2 == len(
+        _dense_rref([[row.get(j, 0) for j in range(3)] for row in rows], 3, 3)[1])
+    assert len(calls) == 2
+    assert rows == snapshot, "input rows were mutated"
+    # entries that vanish leave two, and the row is a difference again
+    rows = [{0: 1, 1: -1, 2: 0}, {0: 4, 1: 7, 2: -4}]
+    assert _difference_rank(rows, 7) == 2
+    assert _difference_rank(rows, None) is None
+
+
+@pytest.mark.parametrize("r, a, b, field", [(3, 20, 40, QQ), (4, 14, 42, QQ), (3, 6, 10, GF(101))])
+def test_echelon_end_systems_skip_the_peel_and_the_engine(monkeypatch, r, a, b, field):
+    # the two echelon bricks of the benchmark's brick-mid deck, and one over GF(101)
+    m = build_echelon_rep(select_phi(r, a, b), field)
+    peels, engine = count_calls(monkeypatch, "_peel"), count_calls(monkeypatch)
+    assert verify.is_brick(m)
+    # a brick: Ext^1(m, m) is 1 - q(a, b) by the Euler identity
+    assert ext_dim(m, m) == 1 - tits_form(m.r, m.dim)
+    assert peels == [] and engine == []
 
 
 # --- GF(p): the modular sparse engine against the dense reference ------------

@@ -207,6 +207,11 @@ def witness_json(r, c, d, mode="ekp"):
     return json.loads(realize(r, c, d, mode=mode).to_json_str())
 
 
+def double_an_edge_entry(data):
+    mat = data["tree"]["edges"][0]["mat"]
+    mat[0][0] = str(2 * int(mat[0][0]))
+
+
 class TestValidationDemands:
     """validate_witness decides the certificate from (r, c, d), not from the file."""
 
@@ -280,6 +285,21 @@ class TestValidationDemands:
         assert not ok and results["tree"] is False
         assert results["reason"] == "tree: route echelon carries no tree"
         assert results["certificate"] and results["indecomposable"] and results["jordan"]
+
+    @pytest.mark.parametrize("spoil, reason", [
+        (lambda d: d.pop("tree"), "tree: route cover needs a tree"),
+        (lambda d: d["tree"].update(field={"type": "GF", "p": 3}),
+         "tree: field GF(3) differs from the representation's Q"),
+        (double_an_edge_entry, "tree: does not push down to the equal-kernels side"),
+    ], ids=["missing", "other-field", "changed-edge"])
+    @pytest.mark.parametrize("mode", ["ekp", "eip"])
+    def test_a_bad_tree_is_named(self, spoil, reason, mode):
+        data = witness_json(3, 3, 2, mode)     # cover
+        spoil(data)
+        ok, results = validate_witness(data)
+        assert not ok and results["certificate"] is False and results["jordan"]
+        assert results["reason"] == reason
+        assert set(results) - {"reason"} == set(validate_witness(witness_json(3, 3, 2, mode))[1])
 
     def test_no_tree_reaches_hom_space(self, monkeypatch):
         seen = []
