@@ -73,19 +73,21 @@ def reflect_functor_source(m: TreeRep, *xs: Address) -> TreeRep:
     for x in reflected:
         dx = m.dims.get(x, 0)
         nbrs = sorted(y for y in neighbors(x, m.r) if y in m.dims)
-        stacked = []
+        stacked, owner = [], []   # owner[k]: the neighbor and its row of stacked row k
         for y in nbrs:
             mat = m.maps.get((x, y))
-            stacked += mat.to_lists() if mat is not None else [[m.field.zero] * dx] * m.dims[y]
-        proj = left_kernel_matrix(ExactMatrix(m.field, stacked, len(stacked), dx)).to_lists()
+            stacked += mat.sparse_rows() if mat is not None else [{}] * m.dims[y]
+            owner += [(y, i) for i in range(m.dims[y])]
+        proj = left_kernel_matrix(ExactMatrix.from_rows(m.field, stacked, dx)).sparse_rows()
         if proj:
             dims[x] = len(proj)
-            off = 0
+            blocks = {y: [{} for _ in proj] for y in nbrs}
+            for k, row in enumerate(proj):
+                for c, v in row.items():
+                    y, i = owner[c]
+                    blocks[y][k][i] = v
             for y in nbrs:
-                dy = m.dims[y]
-                maps[(y, x)] = ExactMatrix(m.field, [row[off:off + dy] for row in proj],
-                                           len(proj), dy)
-                off += dy
+                maps[(y, x)] = ExactMatrix.from_rows(m.field, blocks[y], m.dims[y])
     return TreeRep(m.r, dims, maps, m.field)
 
 

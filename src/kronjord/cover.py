@@ -330,10 +330,7 @@ def _is_word(x, r: int) -> bool:
 
 def _column(fld: Field, m: int, j: Optional[int]) -> ExactMatrix:
     """Standard basis column e_j of height m, or the all-ones column if j is None."""
-    one, zero = fld.one, fld.zero
-    if j is None:
-        return ExactMatrix(fld, [[one]] * m, m, 1)
-    return ExactMatrix(fld, [[one if i == j else zero] for i in range(m)], m, 1)
+    return ExactMatrix.from_rows(fld, [{0: fld.one} if j in (None, i) else {} for i in range(m)], 1)
 
 
 def _validate_alpha(q: TreeQuiver, alpha: dict[Address, int]) -> None:
@@ -486,16 +483,13 @@ def push_down(m: TreeRep) -> KroneckerRep:
     for y in snks:
         row_off[y] = b
         b += m.dims[y]
-    rows_by_color = [[[m.field.zero] * a for _ in range(b)] for _ in range(m.r)]
+    rows_by_color = [[{} for _ in range(b)] for _ in range(m.r)]
     for (x, y), mat in m.maps.items():
-        c = edge_color(x, y)
-        grid = rows_by_color[c - 1]
+        grid = rows_by_color[edge_color(x, y) - 1]
         ro, co = row_off[y], col_off[x]
-        for i in range(mat.rows):
-            src_row = mat.row_list(i)
-            for j in range(mat.cols):
-                grid[ro + i][co + j] = src_row[j]
-    mats = tuple(ExactMatrix(m.field, g, b, a) for g in rows_by_color)
+        for i, row in enumerate(mat.sparse_rows()):
+            grid[ro + i].update((co + j, v) for j, v in row.items())
+    mats = tuple(ExactMatrix.from_rows(m.field, g, a) for g in rows_by_color)
     return KroneckerRep(m.r, DimVector(a, b), mats, m.field)
 
 

@@ -40,10 +40,10 @@ def shifted_identity(b: int, a: int, l: int, field: Field = QQ) -> ExactMatrix:
     """The b x a matrix with an identity block starting at row l (1-based)."""
     if not 1 <= l <= b - a + 1:
         raise ValueError(f"offset {l} outside 1..{b - a + 1}")
-    rows = [[field.zero] * a for _ in range(b)]
+    rows: list[dict] = [{}] * b
     for j in range(a):
-        rows[l - 1 + j][j] = field.one
-    return ExactMatrix(field, rows, b, a)
+        rows[l - 1 + j] = {j: field.one}
+    return ExactMatrix.from_rows(field, rows, a)
 
 
 def _extend_injection(seeds: dict[int, int], r: int, codomain_max: int) -> tuple[int, ...]:
@@ -103,16 +103,9 @@ def build_echelon_rep(spec: EchelonSpec, field: Field = QQ) -> KroneckerRep:
 def _match_shifted_identity(m: ExactMatrix) -> int | None:
     """The offset l with m == I(l), or None if m is not a shifted identity."""
     b, a = m.rows, m.cols
-    if a == 0 or b < a:
+    l = next((i + 1 for i, row in enumerate(m.sparse_rows()) if row), None)
+    if a == 0 or l is None or l + a - 1 > b:
         return None
-    first = None
-    for i in range(b):
-        if any(m[i, j] for j in range(a)):
-            first = i
-            break
-    if first is None or first + a > b:
-        return None
-    l = first + 1
     return l if m == shifted_identity(b, a, l, m.field) else None
 
 

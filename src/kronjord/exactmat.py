@@ -1,18 +1,19 @@
-"""Exact scalar arithmetic and dense matrix kernels.
+"""Exact scalar arithmetic and sparse matrix kernels.
 
 Scalars are either rationals or elements of a prime field GF(p).  A
 rational is a plain int when it is integral and a ``fractions.Fraction``
 only when it is not; GF(p) elements are plain ints in ``[0, p)``.
-Matrices are dense, immutable after construction, and every operation
-(rank, kernel, solve, block assembly) is carried out by exact Gaussian
-elimination -- no floating point ever enters the computation.
+Matrices hold sparse rows, dicts from column to non-zero scalar, and are
+immutable after construction; the dense layout is only a view.  Every
+operation (rank, kernel, solve, block assembly) is carried out by exact
+Gaussian elimination -- no floating point ever enters the computation.
 
 There is one elimination engine for both kinds of field: rows are sparse
-dicts of ints, and ``sparse_int_echelon`` takes the field's modulus
-(``None`` over Q, ``p`` over GF(p)).  Over Q the rows are denominator-
-cleared integers, re-normalized by their gcd after every combination,
-which keeps coefficient growth in check; over GF(p) every entry is
-reduced mod p.  This makes the large, very sparse intertwining systems
+dicts of ints, as a matrix holds them, and ``sparse_int_echelon`` takes
+the field's modulus (``None`` over Q, ``p`` over GF(p)).  Over Q the rows
+are denominator-cleared integers, re-normalized by their gcd after every
+combination, which keeps coefficient growth in check; over GF(p) every
+entry is reduced mod p.  The large, very sparse intertwining systems are
 cheap in either characteristic.
 
 A caller that needs only a rank calls ``sparse_int_rank``.  A difference
@@ -185,6 +186,9 @@ def field_from_json(d: dict) -> Field:
         p = d.get("p")
         if type(p) is not int:
             raise ValueError(f"field descriptor 'p' must be an integer, got {p!r}")
+        # trial division is O(sqrt p): the bound keeps a file from stalling the reader
+        if not (p < 2**31 and _is_prime(p)):
+            raise ValueError(f"field descriptor 'p' must be a prime below 2**31, got {p}")
         return GF(p)
     raise ValueError(f"unknown field descriptor {d!r}")
 
@@ -478,22 +482,18 @@ def _back_substitute(piv_rows: list[tuple[int, dict]], seed: dict[int, Scalar],
     return x
 
 
-def sparse_int_kernel(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -> list[list[Scalar]]:
+def sparse_int_kernel(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -> list[dict]:
     """Basis of the right kernel of an integer row system, over Q or modulo ``p``.
 
-    Each basis vector is 1 at its own free column and 0 at every other
-    free column, which makes the basis unique.  Entries are ints, save the
-    non-integral rationals, which are ``Fraction``s.
+    Each basis vector is a dict column -> non-zero entry, 1 at its own
+    free column and 0 at every other free column, which makes the basis
+    unique.  Entries are ints, save the non-integral rationals, which are
+    ``Fraction``s.
     """
     piv_rows = sparse_int_echelon(rows, ncols, p)
     pivot_cols = {c for c, _ in piv_rows}
-    basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        x = _back_substitute(piv_rows, {f: 1}, p)
-        basis.append([x.get(j, 0) for j in range(ncols)])
-    return basis
+    return [{j: v for j, v in _back_substitute(piv_rows, {f: 1}, p).items() if v}
+            for f in range(ncols) if f not in pivot_cols]
 
 
 # ---------------------------------------------------------------------------
@@ -536,98 +536,126 @@ def _dense_rref(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[in
 # ---------------------------------------------------------------------------
 
 class ExactMatrix:
-    """Dense matrix over Q or GF(p); immutable by convention.
+    """Matrix over Q or GF(p) held as sparse rows; immutable by convention.
 
-    Over GF(p) the constructor reduces every entry into ``[0, p)``, so
-    sums and products built through it stay reduced.
+    Each row is a dict from column to non-zero scalar, and the rows are
+    kept in a list.  Every constructor reduces each entry into the field
+    (over GF(p), into ``[0, p)``) and drops the zeros, so equal matrices
+    have equal rows.  The dense layout is only a view, computed on demand.
     """
 
-    __slots__ = ("field", "rows", "cols", "_data")
+    __slots__ = ("field", "rows", "cols", "_rows")
 
     def __init__(self, field: Field, data: Sequence[Sequence], rows: Optional[int] = None,
                  cols: Optional[int] = None):
-        self.field = field
         if rows is None:
             rows = len(data)
         if cols is None:
             cols = len(data[0]) if rows else 0
-        self.rows = rows
-        self.cols = cols
-        self._data = [[field.element(x) for x in r] for r in data]
-        for r in self._data:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-        if len(self._data) != rows:
+        if len(data) != rows:
             raise ValueError("row count mismatch")
+        if any(len(r) != cols for r in data):
+            raise ValueError("ragged rows")
+        element = field.element
+        self.field, self.rows, self.cols = field, rows, cols
+        self._rows = [{j: y for j, x in enumerate(r) if (y := element(x))} for r in data]
 
-    # -- constructors ------------------------------------------------------
+    @staticmethod
+    def from_rows(field: Field, rows: Sequence[dict], cols: int) -> "ExactMatrix":
+        """The matrix whose row i holds ``rows[i]``, a dict column -> scalar; zeros allowed."""
+        if any(r and (min(r) < 0 or max(r) >= cols) for r in rows):
+            raise ValueError(f"column index outside 0..{cols - 1}")
+        element = field.element
+        m = ExactMatrix.__new__(ExactMatrix)
+        m.field, m.rows, m.cols = field, len(rows), cols
+        m._rows = [{j: y for j, x in r.items() if (y := element(x))} for r in rows]
+        return m
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "ExactMatrix":
-        z = field.zero
-        return ExactMatrix(field, [[z] * cols for _ in range(rows)], rows, cols)
+        return ExactMatrix.from_rows(field, [{}] * rows, cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "ExactMatrix":
-        z, o = field.zero, field.one
-        return ExactMatrix(field, [[o if i == j else z for j in range(n)] for i in range(n)], n, n)
+        return ExactMatrix.from_rows(field, [{i: field.one} for i in range(n)], n)
 
     # -- basic access ------------------------------------------------------
 
+    def sparse_rows(self) -> list[dict]:
+        """The rows, each a dict column -> non-zero scalar; read-only."""
+        return self._rows
+
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         i, j = ij
-        return self._data[i][j]
+        if not -self.cols <= j < self.cols:
+            raise IndexError("column index out of range")
+        return self._rows[i].get(j % self.cols, self.field.zero)
 
     @property
     def entries(self) -> tuple:
         """Row-major flat view."""
-        return tuple(x for row in self._data for x in row)
+        return tuple(x for i in range(self.rows) for x in self.row_list(i))
 
     def row_list(self, i: int) -> list:
-        return list(self._data[i])
+        out = [self.field.zero] * self.cols
+        for j, x in self._rows[i].items():
+            out[j] = x
+        return out
 
     def to_lists(self) -> list[list[Scalar]]:
-        return [list(r) for r in self._data]
+        return [self.row_list(i) for i in range(self.rows)]
 
     def to_str_lists(self) -> list[list[str]]:
-        f = self.field
-        return [[f.to_str(x) for x in r] for r in self._data]
+        to_str = self.field.to_str
+        out = [[to_str(self.field.zero)] * self.cols for _ in self._rows]
+        for strs, row in zip(out, self._rows):
+            for j, x in row.items():
+                strs[j] = to_str(x)
+        return out
 
     @staticmethod
     def from_str_lists(field: Field, data: Sequence[Sequence[str]], rows: int, cols: int,
                        what: str = "matrix") -> "ExactMatrix":
-        """Parse rows of scalar strings; a ValueError names ``what`` on a bad shape or entry."""
+        """Parse rows of scalar strings; a ValueError names ``what`` on a bad shape or entry.
+
+        Only the entries other than ``"0"`` are parsed, and only the
+        non-zeros among them are kept.
+        """
         if not (isinstance(data, list) and len(data) == rows
                 and all(isinstance(r, list) and len(r) == cols for r in data)):
             raise ValueError(f"{what} must be a {rows} x {cols} list of rows, "
                              f"got {reprlib.repr(data)}")
-        strings = all(type(x) is str for r in data for x in r)
+        parse = field.parse
+        parsed = [{j: x for j, x in enumerate(r) if x != "0"} for r in data]
         try:
-            parsed = [[field.parse(x) for x in r] for r in data] if strings else None
+            if not all(type(x) is str for row in parsed for x in row.values()):
+                raise ValueError
+            parsed = [{j: y for j, x in row.items() if (y := parse(x))} for row in parsed]
         except (ValueError, ZeroDivisionError):
-            parsed = None
-        if parsed is None:
             raise ValueError(f"{what} has an entry that is not a scalar string of {field!r}: "
-                             f"{reprlib.repr(data)}")
-        return ExactMatrix(field, parsed, rows, cols)
+                             f"{reprlib.repr(data)}") from None
+        # parse returns reduced scalars, and enumerate only columns in range
+        m = ExactMatrix.__new__(ExactMatrix)
+        m.field, m.rows, m.cols, m._rows = field, rows, cols, parsed
+        return m
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return (self.field == other.field and self.rows == other.rows
-                and self.cols == other.cols and self._data == other._data)
+                and self.cols == other.cols and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(map(frozenset, map(dict.items, self._rows)))))
 
     def __repr__(self):
         if self.rows * self.cols == 0:
             return f"ExactMatrix({self.rows}x{self.cols})"
-        body = "; ".join(" ".join(self.field.to_str(x) for x in r) for r in self._data)
+        body = "; ".join(" ".join(r) for r in self.to_str_lists())
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
     def is_zero(self) -> bool:
-        return all(not x for row in self._data for x in row)
+        return not any(self._rows)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -636,14 +664,16 @@ class ExactMatrix:
             raise ValueError("shape mismatch in addition")
         if self.field != other.field:
             raise ValueError("ground fields differ")
-        return ExactMatrix(self.field,
-                           [[x + y for x, y in zip(r, s)] for r, s in zip(self._data, other._data)],
-                           self.rows, self.cols)
+        out = [dict(r) for r in self._rows]
+        for acc, row in zip(out, other._rows):
+            for j, y in row.items():
+                acc[j] = acc.get(j, 0) + y
+        return ExactMatrix.from_rows(self.field, out, self.cols)
 
     def scale(self, c) -> "ExactMatrix":
         c = self.field.element(c)
-        return ExactMatrix(self.field, [[c * x for x in r] for r in self._data],
-                           self.rows, self.cols)
+        return ExactMatrix.from_rows(self.field, [{j: c * x for j, x in r.items()}
+                                                  for r in self._rows], self.cols)
 
     def __neg__(self) -> "ExactMatrix":
         return self.scale(-1)
@@ -656,53 +686,39 @@ class ExactMatrix:
             raise ValueError("shape mismatch in product")
         if self.field != other.field:
             raise ValueError("ground fields differ")
-        z = self.field.zero
-        out = [[z] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self._data[i]
-            acc = out[i]
-            for k in range(self.cols):
-                x = row[k]
-                if not x:
-                    continue
-                orow = other._data[k]
-                for j in range(other.cols):
-                    y = orow[j]
-                    if y:
-                        acc[j] = acc[j] + x * y
-        return ExactMatrix(self.field, out, self.rows, other.cols)
+        out = []
+        for row in self._rows:
+            acc: dict = {}
+            for k, x in row.items():
+                for j, y in other._rows[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append(acc)
+        return ExactMatrix.from_rows(self.field, out, other.cols)
 
     def apply(self, vec: Sequence) -> list:
         """Matrix times column vector, returned as a list of scalars."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         v = [self.field.element(x) for x in vec]
-        out = []
-        for row in self._data:
-            s = self.field.zero
-            for x, y in zip(row, v):
-                if x and y:
-                    s = s + x * y
-            out.append(self.field.element(s))
-        return out
+        return [self.field.element(sum(x * v[j] for j, x in row.items())) for row in self._rows]
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.field,
-                           [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-                           self.cols, self.rows)
+        out: list[dict] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                out[j][i] = x
+        return ExactMatrix.from_rows(self.field, out, self.rows)
 
     # -- elimination-backed queries -----------------------------------------
 
-    def _sparse_rows(self) -> list[dict]:
-        return [{j: x for j, x in enumerate(row) if x} for row in self._data]
-
     def rank(self) -> int:
         """Dimension of the column space, by exact elimination."""
-        return sparse_int_rank(integer_rows(self._sparse_rows()), self.cols, self.field.modulus)
+        return sparse_int_rank(integer_rows(self._rows), self.cols, self.field.modulus)
 
     def kernel_basis(self) -> list[list[Scalar]]:
         """Basis of the right null space; empty iff full column rank."""
-        return sparse_int_kernel(integer_rows(self._sparse_rows()), self.cols, self.field.modulus)
+        vecs = sparse_int_kernel(integer_rows(self._rows), self.cols, self.field.modulus)
+        return [[v.get(j, 0) for j in range(self.cols)] for v in vecs]
 
     def solve(self, b: Sequence) -> Optional[list]:
         """One solution of ``self @ x = b``, or None if inconsistent."""
@@ -712,11 +728,8 @@ class ExactMatrix:
         p = self.field.modulus
         # the augmented column carries -b, so that solutions are kernel
         # vectors with last coordinate 1
-        rows = self._sparse_rows()
-        for row, rhs in zip(rows, b):
-            rhs = self.field.element(rhs)
-            if rhs:
-                row[n] = -rhs
+        rows = [{**row, n: -rhs} if (rhs := self.field.element(x)) else row
+                for row, x in zip(self._rows, b)]
         piv = sparse_int_echelon(integer_rows(rows), n + 1, p)
         if any(c == n for c, _ in piv):
             return None
@@ -734,7 +747,7 @@ def block_matrix(blocks: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
         raise ValueError("empty block grid")
     field = blocks[0][0].field
     ncols_per = [b.cols for b in blocks[0]]
-    out_rows: list[list] = []
+    out_rows: list[dict] = []
     for grid_row in blocks:
         if len(grid_row) != len(ncols_per):
             raise ValueError("ragged block grid")
@@ -747,12 +760,13 @@ def block_matrix(blocks: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
             if b.field != field:
                 raise ValueError("ground fields differ")
         for i in range(h):
-            row: list = []
+            row: dict = {}
+            off = 0
             for b in grid_row:
-                row.extend(b._data[i])
+                row.update((off + j, x) for j, x in b._rows[i].items())
+                off += b.cols
             out_rows.append(row)
-    total_cols = sum(ncols_per)
-    return ExactMatrix(field, out_rows, len(out_rows), total_cols)
+    return ExactMatrix.from_rows(field, out_rows, sum(ncols_per))
 
 
 def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -766,7 +780,6 @@ def left_kernel_matrix(m: ExactMatrix) -> ExactMatrix:
     ambient dimensions agree, which is the property cokernel projections
     need.
     """
-    vecs = m.transpose().kernel_basis()
-    if not vecs:
-        return ExactMatrix.zeros(m.field, 0, m.rows)
-    return ExactMatrix(m.field, vecs, len(vecs), m.rows)
+    rows = m.transpose().sparse_rows()
+    return ExactMatrix.from_rows(m.field, sparse_int_kernel(integer_rows(rows), m.rows,
+                                                            m.field.modulus), m.rows)

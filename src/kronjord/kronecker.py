@@ -194,20 +194,13 @@ def pencil(m: KroneckerRep, alpha: Sequence) -> ExactMatrix:
     coeffs = [m.field.element(x) for x in alpha]
     if all(not c for c in coeffs):
         raise ValueError("alpha must be nonzero")
-    a, b = m.dim
-    zero = m.field.zero
-    rows = [[zero] * a for _ in range(b)]
+    rows: list[dict] = [{} for _ in range(m.dim.b)]
     for c, mat in zip(coeffs, m.mats):
-        if not c:
-            continue
-        for i in range(b):
-            src = mat.row_list(i)
-            acc = rows[i]
-            for j in range(a):
-                x = src[j]
-                if x:
-                    acc[j] = acc[j] + c * x
-    return ExactMatrix(m.field, rows, b, a)
+        if c:
+            for acc, src in zip(rows, mat.sparse_rows()):
+                for j, x in src.items():
+                    acc[j] = acc.get(j, 0) + c * x
+    return ExactMatrix.from_rows(m.field, rows, m.dim.a)
 
 
 def jordan_type_at(m: KroneckerRep, alpha: Sequence) -> JordanType:
@@ -272,8 +265,7 @@ def _integer_arrows(m: KroneckerRep) -> tuple[list[list[list[tuple[int, int]]]],
     and fewer, longer rows make the smaller union pattern to peel.
     """
     a, b = m.dim
-    rows = integer_rows([{j: x for j, x in enumerate(mat.row_list(i)) if x}
-                         for mat in m.mats for i in range(b)])
+    rows = integer_rows([row for mat in m.mats for row in mat.sparse_rows()])
     out = []
     for t in range(m.r):
         arrow = [list(row.items()) for row in rows[t * b:(t + 1) * b]]
@@ -413,12 +405,10 @@ def direct_sum(m: KroneckerRep, n: KroneckerRep) -> KroneckerRep:
         raise ValueError("incompatible summands")
     a = m.dim.a + n.dim.a
     b = m.dim.b + n.dim.b
-    mats = []
-    for p, q in zip(m.mats, n.mats):
-        rows = [row + [m.field.zero] * n.dim.a for row in p.to_lists()]
-        rows += [[m.field.zero] * m.dim.a + row for row in q.to_lists()]
-        mats.append(ExactMatrix(m.field, rows, b, a))
-    return KroneckerRep(m.r, DimVector(a, b), tuple(mats), m.field)
+    mats = tuple(ExactMatrix.from_rows(m.field, p.sparse_rows() + [
+        {m.dim.a + j: x for j, x in row.items()} for row in q.sparse_rows()], a)
+        for p, q in zip(m.mats, n.mats))
+    return KroneckerRep(m.r, DimVector(a, b), mats, m.field)
 
 
 def simple_rep(r: int, dim: Sequence[int], field: Field = QQ) -> KroneckerRep:
@@ -475,17 +465,9 @@ def to_module_operators(m: KroneckerRep) -> list[ExactMatrix]:
     Every product X_i X_j vanishes (Loewy length at most 2) and the rank
     of sum(alpha_i X_i) equals the rank of the corresponding pencil.
     """
-    a, b = m.dim
-    n = a + b
-    ops = []
-    for mat in m.mats:
-        rows = [[m.field.zero] * n for _ in range(n)]
-        for i in range(b):
-            src = mat.row_list(i)
-            for j in range(a):
-                rows[a + i][j] = src[j]
-        ops.append(ExactMatrix(m.field, rows, n, n))
-    return ops
+    n = m.total_dim()
+    return [ExactMatrix.from_rows(m.field, [{}] * m.dim.a + mat.sparse_rows(), n)
+            for mat in m.mats]
 
 
 # ---------------------------------------------------------------------------

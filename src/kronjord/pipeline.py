@@ -24,6 +24,10 @@ records the Jordan type and the generic-rank restrictions from its exact
 certificates and samples no pencil.  Every boundary test is integer
 arithmetic; the equal-images variant is obtained by dualizing an
 equal-kernels witness.
+
+For p = 2, constant Jordan type [1]^c [2]^d does not force Loewy length
+at most 2 as it does for p > 2, but the Kronecker correspondence for the
+modules of Loewy length 2 still holds, so every route applies unchanged.
 """
 
 from __future__ import annotations
@@ -273,12 +277,13 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
     """Re-validate a serialized witness from its JSON alone.
 
     The certificates a witness needs are decided from (r, c, d) by
-    ``classify``, never taken from the file, and run by ``_certify`` on
-    the equal-kernels side: the echelon structure and the brick check, or
-    Inj and the brick check on the embedded tree, and then the tree must
-    push down to the equal-kernels side, which must have dimension vector
-    xi(c, d).  Fresh sampled constant-Jordan-type and, in eip mode, image
-    checks run as independent cross-checks.  A Jordan type that is not
+    ``classify``, never taken from the file.  First the equal-kernels side,
+    and the sources and sinks of a tree it carries, must have dimension
+    vector xi(c, d).  ``_certify`` then runs the certificates on it: the
+    echelon structure and the brick check, or Inj and the brick check on
+    the embedded tree, which must push down to the equal-kernels side.
+    Fresh sampled constant-Jordan-type and, in eip mode, image checks run
+    as independent cross-checks.  A Jordan type that is not
     realizable, a certificate kind or indecomposability evidence other
     than the route's, a tree on an echelon witness, or a missing tree, a
     tree over another field or one that does not push down to the
@@ -290,8 +295,18 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
     if not cls.accepted:
         return False, {"jordan": False,
                        "reason": f"jordan {[c, d]} is not realizable: fails clause {cls.reason!r}"}
+    # dimensions first: every certificate's cost grows with those the file declares
+    dim = list(w.rep.dim if w.mode == "ekp" else reversed(w.rep.dim))
+    if dim != list(cls.dim):
+        return False, {"dim": False, "reason": f"dim {dim}: jordan {[c, d]} needs {list(cls.dim)}"}
+    if w.tree is not None and cls.route != "echelon":
+        tree_dim = [sum(w.tree.dims[v] for v in vs)
+                    for vs in (w.tree.support_sources(), w.tree.support_sinks())]
+        if tree_dim != dim:
+            return False, {"tree": False, "reason": f"tree: source and sink dimensions sum to "
+                                                    f"{tree_dim}, not {dim}"}
     ekp_side = w.rep if w.mode == "ekp" else dual(w.rep)
-    results = {"dim": ekp_side.dim == cls.dim, **_certify(cls.route, ekp_side, w.tree)}
+    results = {"dim": True, **_certify(cls.route, ekp_side, w.tree)}
     kind, evidence = ROUTE_CERTIFICATE[cls.route]
     found = w.ekp_certificate.get("kind")
     reasons = []

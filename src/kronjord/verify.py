@@ -68,15 +68,13 @@ def _intertwining_rows(m: KroneckerRep | TreeRep, n: KroneckerRep | TreeRep):
         B = arrows_n[key][2]   # dim N_h x dim N_t
         dt, dh = dims_m.get(t, 0), dims_m.get(h, 0)
         a_cols = [[] for _ in range(dt)]   # column j of M(e): its (q, entry) pairs
-        for q in range(dh):
-            for j, x in enumerate(A.row_list(q)):
-                if x:
-                    a_cols[j].append((q, x))
-        for p in range(B.rows):
-            b_row = [(i, y) for i, y in enumerate(B.row_list(p)) if y]
+        for q, a_row in enumerate(A.sparse_rows()):
+            for j, x in a_row.items():
+                a_cols[j].append((q, x))
+        for p, b_row in enumerate(B.sparse_rows()):
             for j in range(dt):
                 row = {off[h] + p * dh + q: x for q, x in a_cols[j]}
-                for i, y in b_row:
+                for i, y in b_row.items():
                     row[off[t] + i * dt + j] = -y
                 if row:
                     rows.append(row)
@@ -88,13 +86,16 @@ def hom_space(m: KroneckerRep, n: KroneckerRep) -> HomSpace:
     (aM, bM), (aN, bN) = m.dim, n.dim
     rows, nvars = _intertwining_rows(m, n)
     fld = m.field
-    kernel = sparse_int_kernel(integer_rows(rows), nvars, fld.modulus)
+    off = aN * aM
     basis = []
-    for vec in kernel:
-        f1 = ExactMatrix(fld, [[vec[i * aM + j] for j in range(aM)] for i in range(aN)], aN, aM)
-        off = aN * aM
-        f2 = ExactMatrix(fld, [[vec[off + p * bM + q] for q in range(bM)] for p in range(bN)], bN, bM)
-        basis.append((f1, f2))
+    for vec in sparse_int_kernel(integer_rows(rows), nvars, fld.modulus):
+        f1, f2 = [{} for _ in range(aN)], [{} for _ in range(bN)]
+        for k, x in vec.items():
+            if k < off:
+                f1[k // aM][k % aM] = x
+            else:
+                f2[(k - off) // bM][(k - off) % bM] = x
+        basis.append((ExactMatrix.from_rows(fld, f1, aM), ExactMatrix.from_rows(fld, f2, bM)))
     return HomSpace(tuple(basis))
 
 
@@ -125,9 +126,8 @@ def is_brick(m: KroneckerRep | TreeRep) -> bool:
 def _block_diagonal_rows(f1: ExactMatrix, f2: ExactMatrix) -> list[list[tuple[int, Scalar]]]:
     """Sparse rows of diag(f1, f2), each a list of (column, entry) pairs."""
     a = f1.rows
-    rows = [[(j, x) for j, x in enumerate(f1.row_list(i)) if x] for i in range(a)]
-    rows += [[(a + q, x) for q, x in enumerate(f2.row_list(p)) if x] for p in range(f2.rows)]
-    return rows
+    return ([list(row.items()) for row in f1.sparse_rows()]
+            + [[(a + q, x) for q, x in row.items()] for row in f2.sparse_rows()])
 
 
 def _compose(x_rows: list, y_rows: list) -> dict[int, Scalar]:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 from reference_impls import (
@@ -316,6 +317,26 @@ class TestValidationDemands:
         ok, results = validate_witness(data)
         assert not ok and not results["dim"]
 
+    # a declared size must not be allocated before it is checked: these
+    # took seconds and hundreds of MiB when the certificates ran first
+    @pytest.mark.parametrize("spoil, reason", [
+        (lambda d: d["rep"].update(dim=[1000000, 0], mats=[[], [], []]),
+         "dim [1000000, 0]: jordan [3, 2] needs [2, 5]"),
+        (lambda d: d["tree"]["vertices"].append({"addr": [3, 2, 3, 2, 3], "dim": 1000000}),
+         "tree: source and sink dimensions sum to [2, 1000005], not [2, 5]"),
+    ], ids=["dim", "tree-sink"])
+    def test_a_dimension_mismatch_is_rejected_before_any_certificate(self, spoil, reason,
+                                                                     monkeypatch):
+        data = witness_json(3, 3, 2)     # cover
+        spoil(data)
+        for name in ("_certify", "push_down", "dual", "is_constant_jordan_type"):
+            monkeypatch.setattr(pipeline, name, lambda *a, name=name: pytest.fail(name))
+        start = time.perf_counter()
+        ok, results = validate_witness(data)
+        assert time.perf_counter() - start < 1.0
+        assert not ok and results["reason"] == reason
+        assert results[reason.split()[0].rstrip(":")] is False
+
     def test_unrealizable_jordan_is_rejected_with_reason(self):
         data = witness_json(3, 3, 2)
         data["jordan"] = [1, 1]
@@ -358,6 +379,23 @@ class TestValidationDemands:
         data["rep"]["field"] = field
         with pytest.raises(ValueError, match="'p' must be an integer"):
             CertifiedWitness.from_json(data)
+
+    # trial division takes O(sqrt p): a prime near 2**61 would stall the reader
+    @pytest.mark.parametrize("p", [2**61 - 1, 1000004, 1, -7])
+    @pytest.mark.parametrize("part", ["rep", "tree"])
+    def test_prime_must_be_a_prime_below_2_31(self, p, part):
+        data = witness_json(3, 3, 2)
+        data[part]["field"] = {"type": "GF", "p": p}
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(
+                f"field descriptor 'p' must be a prime below 2**31, got {p}")):
+            CertifiedWitness.from_json(data)
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_largest_prime_in_use_is_accepted(self):
+        data = witness_json(3, 3, 2)
+        data["rep"]["field"] = data["tree"]["field"] = {"type": "GF", "p": 1000003}
+        assert CertifiedWitness.from_json(data).rep.field.modulus == 1000003
 
     @pytest.mark.parametrize("path, bad, message", [
         (("rep", "mats"), 5, "representation field 'mats' must be a list of r = 3 matrices"),
