@@ -324,8 +324,12 @@ class TreeRep:
 
 
 def _is_word(x, r: int) -> bool:
-    """True iff the JSON value ``x`` is a list of colors in 1..r, as addresses are written."""
-    return isinstance(x, list) and all(type(c) is int and 1 <= c <= r for c in x)
+    """True iff the JSON value ``x`` is a list of colors in 1..r, as addresses are written.
+
+    Addresses can be long, so each entry is read in C only: its type (no
+    bool or float), then its value among the few distinct ones.
+    """
+    return isinstance(x, list) and set(map(type, x)) <= {int} and all(1 <= c <= r for c in set(x))
 
 
 def _column(fld: Field, m: int, j: Optional[int]) -> ExactMatrix:

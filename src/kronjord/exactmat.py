@@ -9,12 +9,13 @@ operation (rank, kernel, solve, block assembly) is carried out by exact
 Gaussian elimination -- no floating point ever enters the computation.
 
 There is one elimination engine for both kinds of field: rows are sparse
-dicts of ints, as a matrix holds them, and ``sparse_int_echelon`` takes
-the field's modulus (``None`` over Q, ``p`` over GF(p)).  Over Q the rows
-are denominator-cleared integers, re-normalized by their gcd after every
-combination, which keeps coefficient growth in check; over GF(p) every
-entry is reduced mod p.  The large, very sparse intertwining systems are
-cheap in either characteristic.
+dicts of field scalars, as a matrix holds them, and ``sparse_int_echelon``
+takes the field's modulus (``None`` over Q, ``p`` over GF(p)).  Its entry
+is the only place where scalars become elimination integers: over Q each
+row is cleared of its own denominators and divided by its gcd, and is
+re-normalized by its gcd after every combination, which keeps coefficient
+growth in check; over GF(p) every entry is reduced mod p.  The large,
+very sparse intertwining systems are cheap in either characteristic.
 
 A caller that needs only a rank calls ``sparse_int_rank``.  A difference
 system, whose rows are all x*u or x*(u - v), is ranked by union-find
@@ -193,28 +194,16 @@ def field_from_json(d: dict) -> Field:
     raise ValueError(f"unknown field descriptor {d!r}")
 
 
-def integer_rows(rows: Sequence[dict]) -> list[dict]:
-    """Sparse rows of rationals or ints times one common denominator, as ints.
-
-    Rows that hold ints only (every witness, over Q and GF(p) alike) are
-    returned as they are; otherwise zero entries are dropped.  A positive
-    scale changes no rank, kernel or echelon form: the engine divides
-    every row by the gcd of its entries.
-    """
-    if all(type(v) is int for row in rows for v in row.values()):
-        return list(rows)
-    den = lcm(*(v.denominator for row in rows for v in row.values()))
-    return [{c: v.numerator * (den // v.denominator) for c, v in row.items() if v} for row in rows]
-
-
 # ---------------------------------------------------------------------------
 # sparse integer elimination engine (Q and GF(p))
 # ---------------------------------------------------------------------------
 #
-# Rows are dicts col -> nonzero int.  Row combinations cross-multiply and
-# are then normalized: over Q divided by the gcd, so every intermediate
-# stays a primitive integer row and the reduced form is only converted
-# back to rationals during extraction; over GF(p) reduced mod p.  The
+# Rows are dicts col -> nonzero int; an input row over Q is cleared of its
+# own denominators first, which gives the primitive row that any common
+# denominator would.  Row combinations cross-multiply and are then
+# normalized: over Q divided by the gcd, so every intermediate stays a
+# primitive integer row and the reduced form is only converted back to
+# rationals during extraction; over GF(p) reduced mod p.  The
 # normalization is chosen once per call from the modulus.
 
 def _normalize_int_row(row: dict) -> dict:
@@ -225,8 +214,14 @@ def _normalize_int_row(row: dict) -> dict:
 
 
 def _primitive_int_row(row: dict) -> dict:
-    """An input row over Q without its zero entries, divided by their gcd."""
-    return _normalize_int_row({c: v for c, v in row.items() if v})
+    """An input row over Q without its zeros, times the lcm of its denominators, over its gcd."""
+    row = {c: v for c, v in row.items() if v}
+    try:
+        return _normalize_int_row(row)
+    except TypeError:   # gcd takes ints only: a Fraction is among the entries
+        den = lcm(*(v.denominator for v in row.values()))
+        return _normalize_int_row({c: v.numerator * (den // v.denominator)
+                                   for c, v in row.items()})
 
 
 def _normalize_mod_row(row: dict, p: int) -> dict:
@@ -251,12 +246,13 @@ def _combine_int(row: dict, piv: dict, col: int, normalize) -> dict:
 
 def sparse_int_echelon(rows: Iterable[dict], ncols: int,
                        p: Optional[int] = None) -> list[tuple[int, dict]]:
-    """Row echelon form of a system of integer rows, over Q or modulo a prime ``p``.
+    """Row echelon form of a system of sparse rows, over Q or modulo a prime ``p``.
 
     Returns the list of (pivot column, row) pairs in increasing column
     order.  Forward elimination only: a pivot row has its support in its
     pivot column and columns to the right, so back-substitution in
-    reverse pivot order recovers kernel vectors and solutions.  With a
+    reverse pivot order recovers kernel vectors and solutions.  Over Q
+    the input entries may be Fractions; the pivot rows are ints.  With a
     modulus, the input entries may be any ints (negative, or p and
     above); every returned entry lies in ``[1, p)``.
 
@@ -434,13 +430,14 @@ def _peel(rows: Sequence[dict]) -> tuple[list[tuple[int, int]], list[dict]]:
 
 
 def sparse_int_rank(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -> int:
-    """Rank of a system of integer rows, over Q or modulo a prime ``p``.
+    """Rank of a system of sparse rows, over Q or modulo a prime ``p``.
 
-    Zero entries (mod ``p``: multiples of ``p``) are dropped.  A
-    difference system is ranked by ``_difference_rank``, with no
-    elimination.  Any other system has its singleton pivots peeled, and
-    only the core that is left is eliminated by ``sparse_int_echelon``;
-    an empty core never reaches it.  The input rows are not mutated.
+    Entries are as ``sparse_int_echelon`` takes them; zero entries (mod
+    ``p``: multiples of ``p``) are dropped.  A difference system is ranked
+    by ``_difference_rank``, with no elimination.  Any other system has
+    its singleton pivots peeled, and only the core that is left goes to
+    ``sparse_int_echelon``; an empty core never reaches it.  Neither step
+    needs ints.  The input rows are not mutated.
     """
     rows = rows if isinstance(rows, list) else list(rows)
     rank = _difference_rank(rows, p)
@@ -483,7 +480,7 @@ def _back_substitute(piv_rows: list[tuple[int, dict]], seed: dict[int, Scalar],
 
 
 def sparse_int_kernel(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -> list[dict]:
-    """Basis of the right kernel of an integer row system, over Q or modulo ``p``.
+    """Basis of the right kernel of a sparse row system, over Q or modulo ``p``.
 
     Each basis vector is a dict column -> non-zero entry, 1 at its own
     free column and 0 at every other free column, which makes the basis
@@ -566,9 +563,14 @@ class ExactMatrix:
         if any(r and (min(r) < 0 or max(r) >= cols) for r in rows):
             raise ValueError(f"column index outside 0..{cols - 1}")
         element = field.element
+        return ExactMatrix._wrap(field, [{j: y for j, x in r.items() if (y := element(x))}
+                                         for r in rows], cols)
+
+    @staticmethod
+    def _wrap(field: Field, rows: list[dict], cols: int) -> "ExactMatrix":
+        """The matrix holding ``rows`` as they are: reduced, non-zero entries in 0..cols-1."""
         m = ExactMatrix.__new__(ExactMatrix)
-        m.field, m.rows, m.cols = field, len(rows), cols
-        m._rows = [{j: y for j, x in r.items() if (y := element(x))} for r in rows]
+        m.field, m.rows, m.cols, m._rows = field, len(rows), cols, rows
         return m
 
     @staticmethod
@@ -635,9 +637,7 @@ class ExactMatrix:
             raise ValueError(f"{what} has an entry that is not a scalar string of {field!r}: "
                              f"{reprlib.repr(data)}") from None
         # parse returns reduced scalars, and enumerate only columns in range
-        m = ExactMatrix.__new__(ExactMatrix)
-        m.field, m.rows, m.cols, m._rows = field, rows, cols, parsed
-        return m
+        return ExactMatrix._wrap(field, parsed, cols)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -707,17 +707,17 @@ class ExactMatrix:
         for i, row in enumerate(self._rows):
             for j, x in row.items():
                 out[j][i] = x
-        return ExactMatrix.from_rows(self.field, out, self.rows)
+        return ExactMatrix._wrap(self.field, out, self.rows)
 
     # -- elimination-backed queries -----------------------------------------
 
     def rank(self) -> int:
         """Dimension of the column space, by exact elimination."""
-        return sparse_int_rank(integer_rows(self._rows), self.cols, self.field.modulus)
+        return sparse_int_rank(self._rows, self.cols, self.field.modulus)
 
     def kernel_basis(self) -> list[list[Scalar]]:
         """Basis of the right null space; empty iff full column rank."""
-        vecs = sparse_int_kernel(integer_rows(self._rows), self.cols, self.field.modulus)
+        vecs = sparse_int_kernel(self._rows, self.cols, self.field.modulus)
         return [[v.get(j, 0) for j in range(self.cols)] for v in vecs]
 
     def solve(self, b: Sequence) -> Optional[list]:
@@ -730,7 +730,7 @@ class ExactMatrix:
         # vectors with last coordinate 1
         rows = [{**row, n: -rhs} if (rhs := self.field.element(x)) else row
                 for row, x in zip(self._rows, b)]
-        piv = sparse_int_echelon(integer_rows(rows), n + 1, p)
+        piv = sparse_int_echelon(rows, n + 1, p)
         if any(c == n for c, _ in piv):
             return None
         x = _back_substitute(piv, {n: self.field.one}, p)
@@ -780,6 +780,5 @@ def left_kernel_matrix(m: ExactMatrix) -> ExactMatrix:
     ambient dimensions agree, which is the property cokernel projections
     need.
     """
-    rows = m.transpose().sparse_rows()
-    return ExactMatrix.from_rows(m.field, sparse_int_kernel(integer_rows(rows), m.rows,
+    return ExactMatrix.from_rows(m.field, sparse_int_kernel(m.transpose().sparse_rows(), m.rows,
                                                             m.field.modulus), m.rows)

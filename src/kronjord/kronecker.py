@@ -9,14 +9,13 @@ nilpotent operator matrices, and the JSON interchange format shared by
 every CLI command.
 
 The sampled checks rank pencils at a seeded plan of probe points.  The
-arrow matrices are cleared to integers once (over GF(p) they are ints
-already), and the union of their patterns is peeled once into a pencil
-plan: its singleton pivots, each holding the (arrow, entry) terms at its
-position, and the core left over.  Every pencil's pattern lies in that
-union, so at a point where no pivot's value vanishes the pencil's rank is
-the pivot count plus the rank of the core there, which is empty for the
-push-downs of tree modules; otherwise the whole pencil goes to
-``exactmat.sparse_int_rank``.  The probe plans are drawn once per
+union of the arrows' patterns, each arrow read along the shorter side, is
+peeled once into a pencil plan: its singleton pivots, each holding the
+(arrow, entry) terms at its position, and the core left over.  Every
+pencil's pattern lies in that union, so at a point where no pivot's value
+vanishes the pencil's rank is the pivot count plus the rank of the core
+there, which is empty for the push-downs of tree modules; otherwise the
+whole pencil goes to ``exactmat.sparse_int_rank``.  The probe plans are drawn once per
 (field, r, samples, seed), and the ranks are kept on the representation
 per seed, so checks that share a seed rank each point once, over Q and
 GF(p) alike.
@@ -38,7 +37,6 @@ from .exactmat import (
     _peel,
     check_field,
     field_from_json,
-    integer_rows,
     is_count_pair,
     require_fields,
     sparse_int_rank,
@@ -209,21 +207,14 @@ def jordan_type_at(m: KroneckerRep, alpha: Sequence) -> JordanType:
     return JordanType(m.dim.a + m.dim.b - 2 * d, d)
 
 
-def _probe_points(field: Field, r: int, samples: int, seed: int) -> list[list[int]]:
-    """The points of ``probe_alphas`` as integer representatives.
-
-    Each plan is drawn once and kept, immutable, in a small cache; every
-    caller gets fresh lists.
-    """
-    return [list(pt) for pt in _draw_probe_points(field.modulus, r, samples, seed)]
-
-
 @lru_cache(maxsize=8)
 def _draw_probe_points(p: Optional[int], r: int, samples: int, seed: int
                        ) -> tuple[tuple[int, ...], ...]:
-    """The probe plan over Q (``p`` None) or GF(p).
+    """The probe plan over Q (``p`` None) or GF(p), as integer points.
 
-    After the basis vectors, each point is r draws from the sampling box
+    Each plan is drawn once and kept in this small cache, as tuples that
+    ``probe_alphas`` and ``_sampled_ranks`` read and never change.  After
+    the basis vectors, each point is r draws from the sampling box
     (over GF(p), from 0..p-1), redrawn while all are zero.  A draw is
     ``Random.randint`` unrolled: ``getrandbits(k)`` for the box's width ``n``
     of k bits, repeated until it is below ``n``.
@@ -252,35 +243,12 @@ def probe_alphas(field: Field, r: int, samples: int, seed: int) -> list[list[Sca
     hit exactly.  The plan for ``n`` samples is a prefix of the plan for
     any larger count.
     """
-    return [[field.element(v) for v in pt] for pt in _probe_points(field, r, samples, seed)]
-
-
-def _integer_arrows(m: KroneckerRep) -> tuple[list[list[list[tuple[int, int]]]], int]:
-    """The arrow matrices times one common denominator, as sparse integer rows.
-
-    Each arrow is given by the rows of whichever of it and its transpose
-    has fewer rows, each row a list of (column, entry) pairs with every
-    entry non-zero.  Returns the rows of every arrow and their length.
-    Neither the common scale nor the transpose changes any pencil's rank,
-    and fewer, longer rows make the smaller union pattern to peel.
-    """
-    a, b = m.dim
-    rows = integer_rows([row for mat in m.mats for row in mat.sparse_rows()])
-    out = []
-    for t in range(m.r):
-        arrow = [list(row.items()) for row in rows[t * b:(t + 1) * b]]
-        if a < b:
-            cols: list[list[tuple[int, int]]] = [[] for _ in range(a)]
-            for i, row in enumerate(arrow):
-                for j, v in row:
-                    cols[j].append((i, v))
-            arrow = cols
-        out.append(arrow)
-    return out, max(a, b)
+    return [[field.element(v) for v in pt]
+            for pt in _draw_probe_points(field.modulus, r, samples, seed)]
 
 
 # a union pattern: per row, column -> the (arrow, entry) terms there
-_UnionRows = list[dict[int, list[tuple[int, int]]]]
+_UnionRows = list[dict[int, list[tuple[int, Scalar]]]]
 
 
 class _PencilPlan(NamedTuple):
@@ -295,25 +263,27 @@ class _PencilPlan(NamedTuple):
 
     rows: _UnionRows
     npivots: int
-    pivot_terms: frozenset[tuple[tuple[int, int], ...]]
+    pivot_terms: frozenset[tuple[tuple[int, Scalar], ...]]
     core: _UnionRows
     ncols: int
 
 
 def _pencil_plan(m: KroneckerRep) -> _PencilPlan:
-    arrows, ncols = _integer_arrows(m)
-    rows: _UnionRows = [{} for _ in range(min(m.dim))]
-    for t, arrow in enumerate(arrows):
-        for terms, row in zip(rows, arrow):
-            for j, v in row:
+    # each arrow is read along the shorter side: the transpose changes no
+    # pencil's rank, and fewer, longer rows make a smaller union to peel
+    a, b = m.dim
+    rows: _UnionRows = [{} for _ in range(min(a, b))]
+    for t, mat in enumerate(m.mats):
+        for terms, row in zip(rows, (mat.transpose() if a < b else mat).sparse_rows()):
+            for j, v in row.items():
                 terms.setdefault(j, []).append((t, v))
     pivots, core = _peel(rows)
     terms = frozenset(tuple(rows[i][c]) for i, c in pivots)
-    return _PencilPlan(rows, len(pivots), terms, core, ncols)
+    return _PencilPlan(rows, len(pivots), terms, core, max(a, b))
 
 
 def _evaluate(rows: _UnionRows, alpha: Sequence[int]) -> list[dict]:
-    """Each position's sum of alpha_t * entry over its terms, as integer rows."""
+    """Each position's sum of alpha_t * entry over its terms, as sparse rows."""
     return [{j: sum(alpha[t] * v for t, v in terms) for j, terms in row.items()} for row in rows]
 
 
@@ -350,8 +320,8 @@ def _sampled_ranks(m: KroneckerRep, samples: int, seed: int) -> Iterator[int]:
     ranks = m._probe_ranks.setdefault(seed, {})
     if len(ranks) < samples:
         plan = _pencil_plan(m)
-        points = _probe_points(m.field, m.r, samples, seed)
         p = m.field.modulus
+        points = _draw_probe_points(p, m.r, samples, seed)
     for k in range(samples):
         rk = ranks.get(k)
         if rk is None:

@@ -11,11 +11,12 @@ for bare representations, is decided over the rationals: the radical is
 the kernel of the trace form of the left regular representation, built
 from structure constants read off a Hom basis reduced at its free columns,
 each product checked exactly.  Every elimination, over Q or GF(p), goes
-through the sparse integer engine of ``exactmat``, given the modulus; the
-brick test and Ext need only a rank, so ``sparse_int_rank`` ranks their
-systems without it where it can.  The End system of an echelon witness
-is a difference system, ranked by union-find, which decides its brick
-test for every characteristic at once; a tree's is peeled to nothing.
+through the sparse engine of ``exactmat``, given the modulus and the rows
+as the arrows' scalars make them; the brick test and Ext need only a
+rank, so ``sparse_int_rank`` ranks their systems without it where it
+can.  The End system of an echelon witness is a difference system,
+ranked by union-find, which decides its brick test for every
+characteristic at once; a tree's is peeled to nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cover import TreeRep
-from .exactmat import ExactMatrix, QQ, Scalar, integer_rows, sparse_int_kernel, sparse_int_rank
+from .exactmat import ExactMatrix, QQ, Scalar, sparse_int_kernel, sparse_int_rank
 from .kronecker import KroneckerRep, _sampled_ranks, generic_rank, tits_form
 
 
@@ -51,7 +52,8 @@ def _intertwining_rows(m: KroneckerRep | TreeRep, n: KroneckerRep | TreeRep):
     m and n are both Kronecker or both tree representations, with the same
     arrows.  Unknowns are the entries of each f_v (row-major), vertex by
     vertex in order: f1, then f2, on the Kronecker quiver.  One row per
-    (arrow, target row p, source column j).  Each arrow of m is read once.
+    (arrow, target row p, source column j).  Each arrow of m is read once,
+    column by column, from its transpose.
     """
     if m.field != n.field:
         raise ValueError("ground fields differ")
@@ -67,13 +69,10 @@ def _intertwining_rows(m: KroneckerRep | TreeRep, n: KroneckerRep | TreeRep):
         t, h, A = arrows_m[key]
         B = arrows_n[key][2]   # dim N_h x dim N_t
         dt, dh = dims_m.get(t, 0), dims_m.get(h, 0)
-        a_cols = [[] for _ in range(dt)]   # column j of M(e): its (q, entry) pairs
-        for q, a_row in enumerate(A.sparse_rows()):
-            for j, x in a_row.items():
-                a_cols[j].append((q, x))
+        a_cols = A.transpose().sparse_rows()   # column j of M(e): q -> entry
         for p, b_row in enumerate(B.sparse_rows()):
-            for j in range(dt):
-                row = {off[h] + p * dh + q: x for q, x in a_cols[j]}
+            for j, a_col in enumerate(a_cols):
+                row = {off[h] + p * dh + q: x for q, x in a_col.items()}
                 for i, y in b_row.items():
                     row[off[t] + i * dt + j] = -y
                 if row:
@@ -88,7 +87,7 @@ def hom_space(m: KroneckerRep, n: KroneckerRep) -> HomSpace:
     fld = m.field
     off = aN * aM
     basis = []
-    for vec in sparse_int_kernel(integer_rows(rows), nvars, fld.modulus):
+    for vec in sparse_int_kernel(rows, nvars, fld.modulus):
         f1, f2 = [{} for _ in range(aN)], [{} for _ in range(bN)]
         for k, x in vec.items():
             if k < off:
@@ -107,7 +106,7 @@ def ext_dim(m: KroneckerRep, n: KroneckerRep) -> int:
     the bilinear form.
     """
     rows, nvars = _intertwining_rows(m, n)
-    rk = sparse_int_rank(integer_rows(rows), nvars, m.field.modulus)
+    rk = sparse_int_rank(rows, nvars, m.field.modulus)
     return m.r * m.dim.a * n.dim.b - rk
 
 
@@ -120,7 +119,7 @@ def is_brick(m: KroneckerRep | TreeRep) -> bool:
     peels to an empty core.  Neither reaches the elimination engine.
     """
     rows, nvars = _intertwining_rows(m, m)
-    return nvars - sparse_int_rank(integer_rows(rows), nvars, m.field.modulus) == 1
+    return nvars - sparse_int_rank(rows, nvars, m.field.modulus) == 1
 
 
 def _block_diagonal_rows(f1: ExactMatrix, f2: ExactMatrix) -> list[list[tuple[int, Scalar]]]:

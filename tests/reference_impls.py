@@ -23,10 +23,10 @@ the tests assert identical trees, quivers and construction traces.
 ``reference_probe_points`` draws the sampled probe plan through
 ``random.randint``; the package unrolls the same draws into its
 ``getrandbits`` rejection loop, and the tests assert identical plans.
-``reference_pencil_rank`` ranks a pencil of the sampled checks' integer
-arrow rows whole, with the elimination engine; the package ranks every
-probe point from one peel of the arrows' union, and the tests assert
-identical ranks.
+``reference_pencil_rank`` ranks a pencil of a representation's arrows
+whole, with the elimination engine; the package ranks every probe point
+from one peel of the union of the arrows, read along the shorter side,
+and the tests assert identical ranks.
 """
 
 import random
@@ -40,7 +40,6 @@ from kronjord.exactmat import (
     Field,
     _combine_int,
     _normalize_int_row,
-    integer_rows,
     left_kernel_matrix,
     sparse_int_echelon,
     vstack,
@@ -293,14 +292,12 @@ def reference_probe_points(field, r, samples, seed):
     return out
 
 
-def reference_pencil_rank(arrows, alpha, ncols, p=None):
-    """Rank of sum(alpha_t * arrows[t]) for integer alpha, eliminated whole, over Q or mod ``p``."""
-    rows = []
-    for i in range(len(arrows[0])):
-        acc = {}
-        for c, arrow in zip(alpha, arrows):
-            if c:
-                for j, v in arrow[i]:
+def reference_pencil_rank(m, alpha, p=None):
+    """Rank of sum(alpha_t * m.mats[t]) for integer alpha, eliminated whole, over Q or mod ``p``."""
+    rows = [{} for _ in range(m.dim.b)]
+    for c, mat in zip(alpha, m.mats):
+        if c:
+            for acc, row in zip(rows, mat.sparse_rows()):
+                for j, v in row.items():
                     acc[j] = acc.get(j, 0) + c * v
-        rows.append(acc)
-    return len(sparse_int_echelon(rows, ncols, p))
+    return len(sparse_int_echelon(rows, m.dim.a, p))

@@ -3,6 +3,7 @@
 import copy
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -379,6 +380,41 @@ def test_engine_ignores_explicit_zeros(system, data):
         for c in data.draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
             row.setdefault(c, 0)
     assert sparse_int_echelon(padded, ncols) == sparse_int_echelon(rows, ncols)
+
+
+@st.composite
+def q_row_systems(draw):
+    """Rational rows with Fractions and explicit zeros, dependent rows among
+    them, and the same rows scaled row by row to integers: zeros dropped,
+    times the lcm of the row's denominators and one more positive factor."""
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.just(0), st.integers(-4, 4),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols),
+                         max_size=7))
+    for i, j, k in draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15),
+                                           st.fractions(-2, 2, max_denominator=3)), max_size=3)):
+        if rows:
+            x, y = rows[i % len(rows)], rows[j % len(rows)]
+            rows.append({c: x.get(c, 0) + k * y.get(c, 0) for c in sorted(set(x) | set(y))})
+    scaled = []
+    for row in rows:
+        scale = lcm(*(Fraction(v).denominator for v in row.values())) * draw(st.integers(1, 6))
+        scaled.append({c: int(v * scale) for c, v in row.items() if v})
+    return rows, scaled, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(q_row_systems())
+def test_rational_rows_give_what_their_integer_scalings_give(system):
+    # each row enters the engine as its primitive integer row, so scaling
+    # rows by positive integers changes no echelon form, rank or kernel
+    rows, scaled, ncols = system
+    snapshot = copy.deepcopy(rows)
+    assert sparse_int_echelon(rows, ncols) == sparse_int_echelon(scaled, ncols)
+    assert sparse_int_rank(rows, ncols) == sparse_int_rank(scaled, ncols)
+    assert sparse_int_kernel(rows, ncols) == sparse_int_kernel(scaled, ncols)
+    assert rows == snapshot, "input rows were mutated"
 
 
 # --- rank by singleton peeling ------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from reference_impls import explicit_p2, reference_pencil_rank, reference_probe_points
 
 from kronjord import kronecker
+from kronjord.echelon import build_echelon_rep, select_phi
 from kronjord.exactmat import GF, QQ, ExactMatrix, _dense_rref
 from kronjord.kronecker import (
     DimVector,
@@ -206,6 +208,13 @@ def integer_rank(m, alpha, p=None):
     return kronecker._pencil_rank(kronecker._pencil_plan(m), alpha, p)
 
 
+def cleared(m):
+    """m over Q with every arrow times the common denominator of all their entries."""
+    den = lcm(*(Fraction(v).denominator for mat in m.mats for row in mat.sparse_rows()
+                for v in row.values()))
+    return KroneckerRep(m.r, m.dim, tuple(mat.scale(den) for mat in m.mats))
+
+
 class TestIntegerPencilRank:
     """The pencil-plan ranks of the sampled checks equal the whole-pencil ranks."""
 
@@ -220,18 +229,22 @@ class TestIntegerPencilRank:
     @settings(max_examples=80, deadline=None)
     @given(qq_reps(), st.data())
     def test_rank_mod_p_at_any_integer_point(self, m, data):
-        # the integer arrows hold entries that vanish mod 2 or 3, so a pivot
-        # of the union can vanish mod p at a point with no zero coordinate
-        arrows, ncols = kronecker._integer_arrows(m)
+        # the denominator-cleared arrows hold entries that vanish mod 2 or 3,
+        # so a pivot of the union can vanish mod p at a point with no zero
+        # coordinate
+        m = cleared(m)
+        a, b = m.dim
+        assert all(type(v) is int for mat in m.mats for row in mat.sparse_rows()
+                   for v in row.values())
         alpha = data.draw(st.lists(st.integers(min_value=-6, max_value=6),
                                    min_size=m.r, max_size=m.r))
         for p in (2, 3, 101):
-            dense = [[0] * ncols for _ in arrows[0]]
-            for c, arrow in zip(alpha, arrows):
-                for i, row in enumerate(arrow):
-                    for j, v in row:
+            dense = [[0] * a for _ in range(b)]
+            for c, mat in zip(alpha, m.mats):
+                for i, row in enumerate(mat.sparse_rows()):
+                    for j, v in row.items():
                         dense[i][j] += c * v
-            assert integer_rank(m, alpha, p) == len(_dense_rref(dense, ncols, p)[1]), p
+            assert integer_rank(m, alpha, p) == len(_dense_rref(dense, a, p)[1]), p
 
     def test_cancelling_pivot_terms(self):
         one = ExactMatrix(QQ, [[1]])
@@ -257,7 +270,7 @@ class TestIntegerPencilRank:
 
     def test_point_with_a_zero_coordinate(self):
         m = realize(3, 4, 3).rep
-        alpha = kronecker._probe_points(QQ, 3, 10, 4)[7]
+        alpha = probe_alphas(QQ, 3, 10, 4)[7]
         alpha[1] = 0
         assert all(alpha[t] for t in (0, 2))
         for rep in (m, dual(m), direct_sum(m, m)):
@@ -287,9 +300,14 @@ class TestIntegerPencilRank:
         m = explicit_p2(3)
         for rep in (m, dual(m)):
             a, b = rep.dim
-            arrows, ncols = kronecker._integer_arrows(rep)
-            assert a != b and ncols == max(a, b)
-            assert all(len(rows) == min(a, b) for rows in arrows)
+            plan = kronecker._pencil_plan(rep)
+            assert a != b and plan.ncols == max(a, b)
+            assert len(plan.rows) == min(a, b)
+            # position (i, j) of the union is entry (j, i) of each arrow when a < b
+            terms = [(t, v, (j, i) if a < b else (i, j)) for i, row in enumerate(plan.rows)
+                     for j, ts in row.items() for t, v in ts]
+            assert all(rep.mats[t][ij] == v for t, v, ij in terms)
+            assert len(terms) == sum(len(row) for mat in rep.mats for row in mat.sparse_rows())
 
     def test_empty_sides(self):
         for dim in ((0, 3), (3, 0), (0, 0)):
@@ -354,9 +372,7 @@ def test_relabelled_arrows_keep_every_sampled_rank(seed):
     for r, c, d in witnesses:
         rep = realize(r, c, d).rep
         for m in (rep, dual(rep)):
-            arrows, ncols = kronecker._integer_arrows(m)
-            want = [reference_pencil_rank(arrows, pt, ncols)
-                    for pt in kronecker._probe_points(QQ, r, 200, seed)]
+            want = [reference_pencil_rank(m, pt) for pt in probe_alphas(QQ, r, 200, seed)]
             assert list(kronecker._sampled_ranks(m, 200, seed)) == want, (r, c, d, m.dim)
 
 
@@ -381,11 +397,13 @@ class TestProbePlanPrefix:
 def test_probe_plan_is_drawn_once_and_never_shared():
     kronecker._draw_probe_points.cache_clear()
     want = reference_probe_points(GF(7), 3, 40, 9)
-    plan = kronecker._probe_points(GF(7), 3, 40, 9)
+    plan = probe_alphas(GF(7), 3, 40, 9)
     plan[5][0] = 12345
     plan.append([1, 1, 1])
-    assert kronecker._probe_points(GF(7), 3, 40, 9) == want
     assert probe_alphas(GF(7), 3, 40, 9) == want
+    m = build_echelon_rep(select_phi(3, 2, 4), GF(7))
+    assert list(kronecker._sampled_ranks(m, 40, 9)) == [reference_pencil_rank(m, pt, 7)
+                                                        for pt in want]
     info = kronecker._draw_probe_points.cache_info()
     assert (info.misses, info.hits) == (1, 2)
 
@@ -395,8 +413,7 @@ def test_probe_plan_matches_randint_reference(field):
     """The unrolled draws give the plan that random.randint gives, point for point."""
     for seed in range(50):
         for r in range(2, 6):
-            assert (kronecker._probe_points(field, r, 200, seed)
-                    == reference_probe_points(field, r, 200, seed))
+            assert probe_alphas(field, r, 200, seed) == reference_probe_points(field, r, 200, seed)
 
 
 class TestConstantJordanType:

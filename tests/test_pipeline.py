@@ -112,13 +112,17 @@ class TestRealize:
     def test_realize_samples_nothing(self, monkeypatch):
         calls = []
         sampled = ("is_constant_jordan_type", "restriction_check", "eip_sample_check",
-                   "_probe_points")
+                   "_sampled_ranks")
+        patched = set()
         for module in (kronecker, verify, pipeline):
             for name in sampled:
                 if hasattr(module, name):
                     fn = getattr(module, name)
                     monkeypatch.setattr(module, name, lambda *a, _n=name, _f=fn, **k:
                                         calls.append(_n) or _f(*a, **k))
+                    patched.add(name)
+        # a name deleted or renamed would otherwise silently stop being watched
+        assert patched == set(sampled)
         routes = set()
         for (r, c, d) in ROUTE_WITNESSES:
             routes.add(classify(r, c, d).route)
@@ -422,6 +426,10 @@ class TestValidationDemands:
         (("checks",), "x", "witness field 'checks' must be a JSON object"),
         (("indec_evidence",), 5, "witness field 'indec_evidence' must be 'brick' or 'local-endo'"),
         (("indec_evidence",), "likely", "witness field 'indec_evidence' must be 'brick' or"),
+        (("tree", "vertices", 1, "addr"), [1, True],
+         "tree vertex field 'addr' must be a list of colors 1..3"),
+        (("tree", "vertices", 1, "addr"), [2.0],
+         "tree vertex field 'addr' must be a list of colors 1..3"),
     ])
     def test_malformed_field_is_named(self, path, bad, message):
         data = witness_json(3, 3, 2)
