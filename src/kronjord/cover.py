@@ -236,18 +236,22 @@ class TreeRep:
         # read-only views of private copies make the value immutable, hence hashable
         object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
         object.__setattr__(self, "maps", MappingProxyType(dict(self.maps)))
-        colors = frozenset(range(1, self.r + 1))
+        # the few distinct colors in use are checked, not a set of all of 1..r
+        bad = {c for c in set().union(*self.dims) if type(c) is not int or not 1 <= c <= self.r}
         for v, d in self.dims.items():
             if d <= 0:
                 raise ValueError(f"dims must list only positive dimensions, got {d} at {v}")
             if not is_reduced(v):
                 raise ValueError(f"address {v} is not reduced")
-            if not colors.issuperset(v):
+            if bad and not bad.isdisjoint(v):
                 raise ValueError(f"address {v} uses colors outside 1..{self.r}")
         for (t, h), m in self.maps.items():
             edge_color(t, h)  # validates adjacency
             if (m.rows, m.cols) != (self.dims.get(h, 0), self.dims.get(t, 0)):
                 raise ValueError(f"map at {t}->{h} has shape {(m.rows, m.cols)}")
+            if m.field != self.field:
+                raise ValueError(f"map at {t}->{h} is over {m.field!r}, not the tree's "
+                                 f"{self.field!r}")
 
     def __hash__(self):
         return hash((self.r, frozenset(self.dims.items()), frozenset(self.maps.items()),

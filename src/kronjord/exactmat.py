@@ -675,12 +675,6 @@ class ExactMatrix:
         return ExactMatrix.from_rows(self.field, [{j: c * x for j, x in r.items()}
                                                   for r in self._rows], self.cols)
 
-    def __neg__(self) -> "ExactMatrix":
-        return self.scale(-1)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + (-other)
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")

@@ -10,15 +10,15 @@ every CLI command.
 
 The sampled checks rank pencils at a seeded plan of probe points.  The
 union of the arrows' patterns, each arrow read along the shorter side, is
-peeled once into a pencil plan: its singleton pivots, each holding the
-(arrow, entry) terms at its position, and the core left over.  Every
-pencil's pattern lies in that union, so at a point where no pivot's value
-vanishes the pencil's rank is the pivot count plus the rank of the core
-there, which is empty for the push-downs of tree modules; otherwise the
-whole pencil goes to ``exactmat.sparse_int_rank``.  The probe plans are drawn once per
-(field, r, samples, seed), and the ranks are kept on the representation
-per seed, so checks that share a seed rank each point once, over Q and
-GF(p) alike.
+peeled once into a pencil plan: the pivot count and the distinct
+(arrow, entry) term lists at the pivots.  Every pencil's pattern lies in
+that union, so when the union peels to nothing, as for the push-downs of
+tree modules, a point where no pivot's value vanishes has the pivot count
+as its rank.  Every other point, and every point of a union that leaves a
+core, is ranked by ``pencil``, the one evaluator of a pencil.  The probe
+plans are drawn once per (field, r, samples, seed), and the ranks are
+kept on the representation per seed, so checks that share a seed rank
+each point once, over Q and GF(p) alike.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .exactmat import (
     field_from_json,
     is_count_pair,
     require_fields,
-    sparse_int_rank,
 )
 
 # alpha samples are drawn from this symmetric integer box; a random
@@ -189,8 +188,9 @@ def pencil(m: KroneckerRep, alpha: Sequence) -> ExactMatrix:
     """The b x a matrix sum(alpha_i * mats[i])."""
     if len(alpha) != m.r:
         raise ValueError("alpha length must equal the arrow count")
-    coeffs = [m.field.element(x) for x in alpha]
-    if all(not c for c in coeffs):
+    element = m.field.element
+    coeffs = [element(x) for x in alpha]
+    if not any(coeffs):
         raise ValueError("alpha must be nonzero")
     rows: list[dict] = [{} for _ in range(m.dim.b)]
     for c, mat in zip(coeffs, m.mats):
@@ -198,7 +198,9 @@ def pencil(m: KroneckerRep, alpha: Sequence) -> ExactMatrix:
             for acc, src in zip(rows, mat.sparse_rows()):
                 for j, x in src.items():
                     acc[j] = acc.get(j, 0) + c * x
-    return ExactMatrix.from_rows(m.field, rows, m.dim.a)
+    # the arrows' columns lie in 0..a-1, so only the sums need reducing
+    return ExactMatrix._wrap(m.field, [{j: y for j, x in row.items() if (y := element(x))}
+                                       for row in rows], m.dim.a)
 
 
 def jordan_type_at(m: KroneckerRep, alpha: Sequence) -> JordanType:
@@ -247,85 +249,75 @@ def probe_alphas(field: Field, r: int, samples: int, seed: int) -> list[list[Sca
             for pt in _draw_probe_points(field.modulus, r, samples, seed)]
 
 
-# a union pattern: per row, column -> the (arrow, entry) terms there
-_UnionRows = list[dict[int, list[tuple[int, Scalar]]]]
-
-
 class _PencilPlan(NamedTuple):
-    """The union pattern of a representation's arrows, peeled once.
+    """The pivots of a union of arrows that peels to nothing, and the field's modulus.
 
-    ``rows`` maps each position of the union, row by row, to its list of
-    (arrow, entry) terms.  ``npivots`` counts the singleton pivots of
-    ``_peel``, ``pivot_terms`` holds the distinct term lists at them (few:
-    most pivots have one term and the entries repeat), and ``core`` is the
-    part of ``rows`` left over.
+    ``pivot_terms`` holds the distinct (arrow, entry) term lists at the
+    pivots: few, as most pivots have one term and the entries repeat.
     """
 
-    rows: _UnionRows
     npivots: int
     pivot_terms: frozenset[tuple[tuple[int, Scalar], ...]]
-    core: _UnionRows
-    ncols: int
+    modulus: Optional[int]
 
 
-def _pencil_plan(m: KroneckerRep) -> _PencilPlan:
+def _pencil_plan(m: KroneckerRep) -> Optional[_PencilPlan]:
+    """The pencil plan of ``m``, or None when the union of its arrows leaves a core."""
     # each arrow is read along the shorter side: the transpose changes no
     # pencil's rank, and fewer, longer rows make a smaller union to peel
     a, b = m.dim
-    rows: _UnionRows = [{} for _ in range(min(a, b))]
+    rows: list[dict[int, list[tuple[int, Scalar]]]] = [{} for _ in range(min(a, b))]
     for t, mat in enumerate(m.mats):
         for terms, row in zip(rows, (mat.transpose() if a < b else mat).sparse_rows()):
             for j, v in row.items():
                 terms.setdefault(j, []).append((t, v))
     pivots, core = _peel(rows)
-    terms = frozenset(tuple(rows[i][c]) for i, c in pivots)
-    return _PencilPlan(rows, len(pivots), terms, core, max(a, b))
+    return None if core else _PencilPlan(
+        len(pivots), frozenset(tuple(rows[i][c]) for i, c in pivots), m.field.modulus)
 
 
-def _evaluate(rows: _UnionRows, alpha: Sequence[int]) -> list[dict]:
-    """Each position's sum of alpha_t * entry over its terms, as sparse rows."""
-    return [{j: sum(alpha[t] * v for t, v in terms) for j, terms in row.items()} for row in rows]
-
-
-def _pencil_rank(plan: _PencilPlan, alpha: Sequence[int], p: Optional[int] = None) -> int:
-    """Rank of sum(alpha_t * arrow_t) for integer alpha, over Q or mod ``p``.
+def _pencil_rank(m: KroneckerRep, plan: Optional[_PencilPlan], alpha: Sequence[int]) -> int:
+    """Rank of sum(alpha_t * arrow_t) at a non-zero integer point, over the field of ``m``.
 
     The pencil's pattern lies in the union, so a pivot of the union whose
     value at alpha is non-zero is a singleton of the pencil's live pattern
-    too and adds exactly 1 to its rank.  When every pivot's value is
-    non-zero, the rank is the pivot count plus the core's rank at alpha;
-    when one vanishes (at a basis point, a point with a zero coordinate,
-    or where terms cancel), the whole pencil is ranked instead.
+    too and adds exactly 1 to its rank.  With ``plan`` as ``_pencil_plan``
+    gives it for ``m``, not None, and no pivot vanishing at alpha, the
+    rank is the pivot count.  Any other point (on a core, at a basis
+    point, where a coordinate is zero or terms cancel) goes to ``pencil``.
     """
-    for terms in plan.pivot_terms:
-        s = sum(alpha[t] * v for t, v in terms)
-        if not (s if p is None else s % p):
-            return sparse_int_rank(_evaluate(plan.rows, alpha), plan.ncols, p)
-    if not plan.core:
-        return plan.npivots
-    return plan.npivots + sparse_int_rank(_evaluate(plan.core, alpha), plan.ncols, p)
+    if plan is not None:
+        npivots, pivot_terms, p = plan
+        for terms in pivot_terms:
+            s = sum(alpha[t] * v for t, v in terms)
+            if not (s if p is None else s % p):
+                break
+        else:
+            return npivots
+    return pencil(m, alpha).rank()
 
 
 def _sampled_ranks(m: KroneckerRep, samples: int, seed: int) -> Iterator[int]:
     """Pencil ranks at ``probe_alphas(m.field, m.r, samples, seed)``, lazily, in order.
 
-    Each point is ranked by ``_pencil_rank`` from the pencil plan of ``m``,
-    built once per call that has a point left to rank, at the integer
-    points of the plan (over GF(p), modulo p); the ranks, not the plan,
-    are kept on ``m`` per seed.  The points for ``n`` samples are a prefix
-    of those for any larger count, so every check that samples ``m`` with
-    one seed ranks each point once, and a caller that stops early leaves
-    the later points unranked.
+    ``samples`` must be at least 1.  Each point is ranked by
+    ``_pencil_rank`` from the pencil plan of ``m``, built once per call
+    that has a point left to rank; the ranks, not the plan, are kept on
+    ``m`` per seed.  The points for ``n`` samples are a prefix of those
+    for any larger count, so every check that samples ``m`` with one seed
+    ranks each point once, and a caller that stops early leaves the later
+    points unranked.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     ranks = m._probe_ranks.setdefault(seed, {})
     if len(ranks) < samples:
         plan = _pencil_plan(m)
-        p = m.field.modulus
-        points = _draw_probe_points(p, m.r, samples, seed)
+        points = _draw_probe_points(m.field.modulus, m.r, samples, seed)
     for k in range(samples):
         rk = ranks.get(k)
         if rk is None:
-            rk = ranks[k] = _pencil_rank(plan, points[k], p)
+            rk = ranks[k] = _pencil_rank(m, plan, points[k])
         yield rk
 
 
@@ -336,8 +328,6 @@ def generic_rank(m: KroneckerRep, samples: int = 100, seed: int = 0) -> tuple[in
     sampled maximum is a certified lower bound for the generic rank and
     equals it with high probability; the record lists every rank seen.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     ranks = set(_sampled_ranks(m, samples, seed))
     d = max(ranks)
     c = m.dim.a + m.dim.b - 2 * d

@@ -277,11 +277,12 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
     """Re-validate a serialized witness from its JSON alone.
 
     The certificates a witness needs are decided from (r, c, d) by
-    ``classify``, never taken from the file.  First the equal-kernels side,
-    and the sources and sinks of a tree it carries, must have dimension
-    vector xi(c, d).  ``_certify`` then runs the certificates on it: the
-    echelon structure and the brick check, or Inj and the brick check on
-    the embedded tree, which must push down to the equal-kernels side.
+    ``classify``, never taken from the file.  First a tree it carries must
+    have the representation's ``r``, and the equal-kernels side and the
+    tree's sources and sinks must have dimension vector xi(c, d).
+    ``_certify`` then runs the certificates on it: the echelon structure
+    and the brick check, or Inj and the brick check on the embedded tree,
+    which must push down to the equal-kernels side.
     Fresh sampled constant-Jordan-type and, in eip mode, image checks run
     as independent cross-checks.  A Jordan type that is not
     realizable, a certificate kind or indecomposability evidence other
@@ -300,6 +301,9 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
     if dim != list(cls.dim):
         return False, {"dim": False, "reason": f"dim {dim}: jordan {[c, d]} needs {list(cls.dim)}"}
     if w.tree is not None and cls.route != "echelon":
+        if w.tree.r != w.rep.r:
+            return False, {"tree": False, "reason": f"tree: r = {w.tree.r}, not the "
+                                                    f"representation's {w.rep.r}"}
         tree_dim = [sum(w.tree.dims[v] for v in vs)
                     for vs in (w.tree.support_sources(), w.tree.support_sinks())]
         if tree_dim != dim:

@@ -3,6 +3,7 @@
 import inspect
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,22 @@ class TestAddresses:
             TreeRep(2, {(0,): 1})
         with pytest.raises(ValueError, match="is not reduced"):
             TreeRep(3, {(1, 1): 1})
+
+    def test_tree_rep_allocates_nothing_for_its_r(self):
+        # colors are checked against each address, never against all of 1..r
+        data = {"r": 2000000, "vertices": [{"addr": [], "dim": 1}], "edges": []}
+        tracemalloc.start()
+        try:
+            tree = TreeRep.from_json(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tree.r == 2000000 and peak < 2**20
+
+    def test_tree_rep_rejects_a_map_over_another_field(self):
+        with pytest.raises(ValueError,
+                           match=r"map at \(\)->\(1,\) is over GF\(5\), not the tree's QQ"):
+            TreeRep(3, {(): 1, (1,): 1}, {((), (1,)): ExactMatrix.identity(GF(5), 1)})
 
 
 class TestSourceRegular:

@@ -13,7 +13,7 @@ from reference_impls import explicit_p2, reference_pencil_rank, reference_probe_
 
 from kronjord import kronecker
 from kronjord.echelon import build_echelon_rep, select_phi
-from kronjord.exactmat import GF, QQ, ExactMatrix, _dense_rref
+from kronjord.exactmat import GF, QQ, ExactMatrix, _dense_rref, _peel
 from kronjord.kronecker import (
     DimVector,
     JordanType,
@@ -204,8 +204,14 @@ def qq_reps(draw):
     return direct_sum(m, m) if draw(st.booleans()) else m
 
 
-def integer_rank(m, alpha, p=None):
-    return kronecker._pencil_rank(kronecker._pencil_plan(m), alpha, p)
+def integer_rank(m, alpha):
+    return kronecker._pencil_rank(m, kronecker._pencil_plan(m), alpha)
+
+
+def over_gf(m, p):
+    """The representation over GF(p) whose arrows hold the integer arrows of ``m`` mod p."""
+    return KroneckerRep(m.r, m.dim, tuple(ExactMatrix.from_rows(GF(p), mat.sparse_rows(), m.dim.a)
+                                          for mat in m.mats), GF(p))
 
 
 def cleared(m):
@@ -217,6 +223,17 @@ def cleared(m):
 
 class TestIntegerPencilRank:
     """The pencil-plan ranks of the sampled checks equal the whole-pencil ranks."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        """The arguments of every call to ``_peel`` and ``pencil`` from the pencil plan and rank."""
+        calls = {"peel": [], "pencil": []}
+        peel, whole = kronecker._peel, kronecker.pencil
+        monkeypatch.setattr(kronecker, "_peel",
+                            lambda rows: calls["peel"].append(rows) or peel(rows))
+        monkeypatch.setattr(kronecker, "pencil",
+                            lambda m, alpha: calls["pencil"].append(alpha) or whole(m, alpha))
+        return calls
 
     @settings(max_examples=80, deadline=None)
     @given(qq_reps(), st.data())
@@ -231,42 +248,50 @@ class TestIntegerPencilRank:
     def test_rank_mod_p_at_any_integer_point(self, m, data):
         # the denominator-cleared arrows hold entries that vanish mod 2 or 3,
         # so a pivot of the union can vanish mod p at a point with no zero
-        # coordinate
+        # coordinate; the point is non-zero in every field, as probe points are
         m = cleared(m)
         a, b = m.dim
         assert all(type(v) is int for mat in m.mats for row in mat.sparse_rows()
                    for v in row.values())
         alpha = data.draw(st.lists(st.integers(min_value=-6, max_value=6),
-                                   min_size=m.r, max_size=m.r))
+                                   min_size=m.r, max_size=m.r)
+                          .filter(lambda al: all(any(x % p for x in al) for p in (2, 3, 101))))
         for p in (2, 3, 101):
             dense = [[0] * a for _ in range(b)]
             for c, mat in zip(alpha, m.mats):
                 for i, row in enumerate(mat.sparse_rows()):
                     for j, v in row.items():
                         dense[i][j] += c * v
-            assert integer_rank(m, alpha, p) == len(_dense_rref(dense, a, p)[1]), p
+            assert integer_rank(over_gf(m, p), alpha) == len(_dense_rref(dense, a, p)[1]), p
 
-    def test_cancelling_pivot_terms(self):
+    def test_cancelling_pivot_terms(self, spied):
         one = ExactMatrix(QQ, [[1]])
         m = KroneckerRep(2, DimVector(1, 1), (one, one))
-        plan = kronecker._pencil_plan(m)
-        assert plan.npivots == 1 and plan.pivot_terms == {((0, 1), (1, 1))}
-        assert integer_rank(m, [1, -1]) == 0
+        assert kronecker._pencil_plan(m) == (1, {((0, 1), (1, 1))}, None)
         assert integer_rank(m, [1, 1]) == 1
+        assert spied["pencil"] == []
+        assert integer_rank(m, [1, -1]) == 0
+        assert spied["pencil"] == [[1, -1]]
         one = ExactMatrix(GF(2), [[1]])
         m2 = KroneckerRep(2, DimVector(1, 1), (one, one), GF(2))
-        assert integer_rank(m2, [1, 1], 2) == 0
+        assert integer_rank(m2, [1, 1]) == 0
+        assert spied["pencil"] == [[1, -1], [1, 1]]
         assert list(kronecker._sampled_ranks(m2, 3, 0)) == [1, 1, 0]
 
-    def test_union_with_a_core(self):
+    def test_union_with_a_core(self, spied):
         # the swap on the first two coordinates closes a 4-cycle with the
         # identity, which no singleton peels; the third coordinate peels
         swap = ExactMatrix(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
         m = KroneckerRep(2, DimVector(3, 3), (ExactMatrix.identity(QQ, 3), swap))
-        plan = kronecker._pencil_plan(m)
-        assert plan.npivots == 1 and len(plan.core) == 2
-        for alpha, rank in (([1, 1], 2), ([1, -1], 2), ([1, 2], 3), ([0, 1], 2), ([1, 0], 3)):
+        assert kronecker._pencil_plan(m) is None
+        (rows,) = spied["peel"]
+        pivots, core = _peel(rows)
+        assert len(pivots) == 1 and len(core) == 2
+        points = (([1, 1], 2), ([1, -1], 2), ([1, 2], 3), ([0, 1], 2), ([1, 0], 3))
+        for alpha, rank in points:
             assert integer_rank(m, alpha) == pencil(m, alpha).rank() == rank, alpha
+        # every point is ranked in full, none from the pivot count
+        assert spied["pencil"] == [alpha for alpha, _ in points]
 
     def test_point_with_a_zero_coordinate(self):
         m = realize(3, 4, 3).rep
@@ -294,17 +319,19 @@ class TestIntegerPencilRank:
             for alpha in probe_alphas(QQ, 3, 10, 2):
                 assert integer_rank(rep, [int(x) for x in alpha]) == pencil(rep, alpha).rank()
 
-    def test_pencils_ranked_along_the_shorter_side(self):
+    def test_pencils_ranked_along_the_shorter_side(self, spied):
         # both orientations give correct ranks; the shorter one is the
-        # faster to eliminate, so it is pinned here
+        # faster to peel, so it is pinned here
         m = explicit_p2(3)
         for rep in (m, dual(m)):
             a, b = rep.dim
-            plan = kronecker._pencil_plan(rep)
-            assert a != b and plan.ncols == max(a, b)
-            assert len(plan.rows) == min(a, b)
+            spied["peel"].clear()
+            kronecker._pencil_plan(rep)
+            (rows,) = spied["peel"]
+            assert a != b and len(rows) == min(a, b)
+            assert all(0 <= j < max(a, b) for row in rows for j in row)
             # position (i, j) of the union is entry (j, i) of each arrow when a < b
-            terms = [(t, v, (j, i) if a < b else (i, j)) for i, row in enumerate(plan.rows)
+            terms = [(t, v, (j, i) if a < b else (i, j)) for i, row in enumerate(rows)
                      for j, ts in row.items() for t, v in ts]
             assert all(rep.mats[t][ij] == v for t, v, ij in terms)
             assert len(terms) == sum(len(row) for mat in rep.mats for row in mat.sparse_rows())

@@ -224,6 +224,10 @@ class TestValidationDemands:
         (3, 17, 13, "ekp"),    # cover
         (3, 2, 3, "ekp"),      # echelon
         (3, 8, 5, "eip"),      # shift
+        (3, 42, 26, "ekp"),    # shift from a cover tree, intermediate (4, 10)
+        (3, 42, 26, "eip"),
+        (4, 112, 41, "ekp"),   # shift from a cover tree, intermediate (3, 11)
+        (4, 112, 41, "eip"),
         (2, 1, 3, "ekp"),      # preprojective
         (3, 1, 0, "eip"),      # simple
     ])
@@ -328,7 +332,8 @@ class TestValidationDemands:
          "dim [1000000, 0]: jordan [3, 2] needs [2, 5]"),
         (lambda d: d["tree"]["vertices"].append({"addr": [3, 2, 3, 2, 3], "dim": 1000000}),
          "tree: source and sink dimensions sum to [2, 1000005], not [2, 5]"),
-    ], ids=["dim", "tree-sink"])
+        (lambda d: d["tree"].update(r=3000000), "tree: r = 3000000, not the representation's 3"),
+    ], ids=["dim", "tree-sink", "tree-r"])
     def test_a_dimension_mismatch_is_rejected_before_any_certificate(self, spoil, reason,
                                                                      monkeypatch):
         data = witness_json(3, 3, 2)     # cover

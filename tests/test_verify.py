@@ -344,6 +344,12 @@ class TestSampledChecks:
                             lambda *args: calls.append(1) or rank(*args))
         return calls
 
+    @pytest.mark.parametrize("check", [ekp_sample_check, eip_sample_check, restriction_check,
+                                       kronecker.generic_rank])
+    def test_no_samples_is_refused(self, check):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            check(cover_rep(3, 2, 5), 0, 0)
+
     def test_ekp_stops_at_the_first_failing_point(self, ranked):
         # the zero column of the simple summand puts a kernel vector in every pencil
         rep = direct_sum(cover_rep(3, 2, 5), simple_rep(3, (1, 0)))
