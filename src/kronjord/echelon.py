@@ -5,12 +5,14 @@ region, the representation whose arrow matrices are shifted identity
 blocks I(l) with pairwise distinct offsets l is a brick with the
 equal-kernels property.  The offset injection follows a fixed case table
 on the division b = q*a + s; the EKP certificate is a purely structural
-check on the matrices, quantifier-free over the coefficient field.
+check on the matrices, quantifier-free over the coefficient field, and
+the same offset match gives the End dimension for every characteristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .exactmat import QQ, ExactMatrix, Field
 from .kronecker import DimVector, KroneckerRep, tits_form
@@ -102,11 +104,18 @@ def build_echelon_rep(spec: EchelonSpec, field: Field = QQ) -> KroneckerRep:
 
 def _match_shifted_identity(m: ExactMatrix) -> int | None:
     """The offset l with m == I(l), or None if m is not a shifted identity."""
-    b, a = m.rows, m.cols
-    l = next((i + 1 for i, row in enumerate(m.sparse_rows()) if row), None)
-    if a == 0 or l is None or l + a - 1 > b:
+    b, a, rows, one = m.rows, m.cols, m.sparse_rows(), m.field.one
+    top = next((i for i, row in enumerate(rows) if row), None)
+    if a == 0 or top is None or top + a > b or any(rows[top + a:]):
         return None
-    return l if m == shifted_identity(b, a, l, m.field) else None
+    return top + 1 if all(rows[top + j] == {j: one} for j in range(a)) else None
+
+
+def echelon_offsets(m: KroneckerRep) -> tuple[int, ...] | None:
+    """The offsets l_i with arrow i equal to I(l_i), or None if some arrow is not a
+    shifted identity.  The offsets need not be distinct."""
+    offsets = tuple(map(_match_shifted_identity, m.mats))
+    return None if None in offsets else offsets
 
 
 def ekp_echelon_certificate(m: KroneckerRep) -> bool:
@@ -117,10 +126,50 @@ def ekp_echelon_certificate(m: KroneckerRep) -> bool:
     lowest nonzero entry in row min{l_i : alpha_i != 0} + j - 1, strictly
     increasing in j, so the pencil has full column rank for every alpha.
     """
-    offsets = []
-    for mat in m.mats:
-        l = _match_shifted_identity(mat)
-        if l is None:
-            return False
-        offsets.append(l)
-    return len(set(offsets)) == len(offsets)
+    offsets = echelon_offsets(m)
+    return offsets is not None and len(set(offsets)) == len(offsets)
+
+
+def echelon_end_dim(a: int, b: int, offsets: Sequence[int]) -> int:
+    """dim End of the representation with b x a arrows I(l), l in ``offsets``.
+
+    With L = l - 1, arrow I(l) gives the End system exactly one relation
+    per (p, j): f2[p][j+L] = f1[p-L][j] when 0 <= p-L < a, and
+    f2[p][j+L] = 0 otherwise.  So the dimension is a^2 + b^2 minus the
+    joins that merge two components minus the components holding a
+    ground, found by a union-find over flat indices with no row built.
+    Every entry is 1 and every relation a difference or a ground, so the
+    dimension, and the brick verdict, is the same in every
+    characteristic.  Each f2[p][q] is tied to its neighbours f1[p-L][q-L]
+    (the ground when p-L is out of range) over the L with 0 <= q-L < a:
+    it joins the first one's component and merges the others' into it, so
+    the union-find runs over f1's a^2 entries and one ground node only.
+    Repeated offsets are allowed.
+    """
+    ground = a * a
+    parent = list(range(ground + 1))
+
+    def find(u: int) -> int:
+        # the root of u's component, halving the path on the way
+        while (w := parent[u]) != u:
+            parent[u] = u = parent[w]
+        return u
+
+    dim = a * a + b * b
+    for q in range(b):
+        shifts = [l - 1 for l in offsets if 0 <= q - l + 1 < a]
+        if shifts:
+            dim -= b    # each f2[p][q] joins its first neighbour's component
+        if len(shifts) < 2:
+            continue
+        # a row whose neighbours are all the ground merges nothing
+        for p in range(min(shifts), min(b, max(shifts) + a)):
+            hub = None
+            for L in shifts:
+                u = find((p - L) * a + q - L if 0 <= p - L < a else ground)
+                if hub is None:
+                    hub = u
+                elif u != hub:
+                    parent[u] = hub
+                    dim -= 1
+    return dim

@@ -19,9 +19,8 @@ very sparse intertwining systems are cheap in either characteristic.
 
 A caller that needs only a rank calls ``sparse_int_rank``.  A difference
 system, whose rows are all x*u or x*(u - v), is ranked by union-find
-with no elimination, and that rank is the same over every field: so an
-echelon witness's brick test is decided for every characteristic at
-once.  Any other system has its singleton pivots peeled first, each of
+with no elimination, and that rank is the same over every field.  Any
+other system has its singleton pivots peeled first, each of
 which adds 1 to the rank over any field, and only the core that is left
 goes to the engine.  The peel reads only
 positions, so a pattern peeled once serves every system whose pattern
@@ -301,13 +300,14 @@ def sparse_int_echelon(rows: Iterable[dict], ncols: int,
 # difference systems (rank only)
 # ---------------------------------------------------------------------------
 #
-# The End system of a shifted-identity echelon witness has only rows
-# x*u and x*(u - v): a difference system.  Its rank is that of a graph
-# on the columns, with an edge u - v for each two-entry row and a ground
-# for each one-entry row: the columns touched minus the components, plus
-# the components that hold a ground.  That is the same over every field,
-# so a union-find decides the brick test of an echelon witness for every
-# characteristic at once, in near-linear time.
+# The End system of a representation with shifted-identity arrows has
+# only rows x*u and x*(u - v): a difference system.  Its rank is that of
+# a graph on the columns, with an edge u - v for each two-entry row and a
+# ground for each one-entry row: the columns touched minus the
+# components, plus the components that hold a ground.  That is the same
+# over every field, and a union-find finds it in near-linear time.  The
+# pipeline builds no echelon witness's End rows: ``echelon_end_dim`` runs
+# the same count on the arrows' offsets.
 
 def _difference_rank(rows: Sequence[dict], p: Optional[int]) -> Optional[int]:
     """Rank of a difference system over Q or GF(``p``), or None if it is not one.

@@ -46,7 +46,7 @@ from .cover import (
     push_down,
     thin_path_rep,
 )
-from .echelon import build_echelon_rep, ekp_echelon_certificate, select_phi
+from .echelon import build_echelon_rep, echelon_end_dim, echelon_offsets, select_phi
 from .exactmat import check_field, is_count_pair, require_fields
 from .kronecker import (
     DimVector,
@@ -214,13 +214,20 @@ def _certify(route: str, rep: KroneckerRep, tree: Optional[TreeRep]) -> dict[str
     """Run the two exact certificates ``ROUTE_CERTIFICATE`` gives ``route``.
 
     ``rep`` is the equal-kernels side.  An echelon witness must have the
-    echelon structure and be a brick; any other witness needs a tree that
-    satisfies Inj and is a brick.  That the tree pushes down to ``rep`` is
-    the caller's to ensure: ``realize`` builds ``rep`` that way, and
-    ``validate_witness`` compares the two.
+    echelon structure and be a brick: both verdicts come from one match
+    of its arrows' offsets, the brick test from ``echelon_end_dim``.  If
+    some arrow is not a shifted identity, the certificate fails and the
+    brick test falls back to ``is_brick``.  Any other witness needs a
+    tree that satisfies Inj and is a brick.  That the tree pushes down to
+    ``rep`` is the caller's to ensure: ``realize`` builds ``rep`` that
+    way, and ``validate_witness`` compares the two.
     """
     if route == "echelon":
-        return {"certificate": ekp_echelon_certificate(rep), "indecomposable": is_brick(rep)}
+        offsets = echelon_offsets(rep)
+        if offsets is None:
+            return {"certificate": False, "indecomposable": is_brick(rep)}
+        return {"certificate": len(set(offsets)) == len(offsets),
+                "indecomposable": echelon_end_dim(*rep.dim, offsets) == 1}
     return {"certificate": tree is not None and is_inj(tree)[0],
             "indecomposable": tree is not None and is_brick(tree)}
 

@@ -14,9 +14,10 @@ each product checked exactly.  Every elimination, over Q or GF(p), goes
 through the sparse engine of ``exactmat``, given the modulus and the rows
 as the arrows' scalars make them; the brick test and Ext need only a
 rank, so ``sparse_int_rank`` ranks their systems without it where it
-can.  The End system of an echelon witness is a difference system,
-ranked by union-find, which decides its brick test for every
-characteristic at once; a tree's is peeled to nothing.
+can.  The End system of a representation with shifted-identity arrows
+is a difference system, ranked by union-find for every characteristic at
+once; a tree's is peeled to nothing.  The pipeline reads an echelon
+witness's End dimension off its offsets instead (``echelon_end_dim``).
 """
 
 from __future__ import annotations
@@ -114,9 +115,11 @@ def is_brick(m: KroneckerRep | TreeRep) -> bool:
     """True iff End(m) is one-dimensional; m is a Kronecker or a tree
     representation over any field, and its End system is only ranked.
 
-    An echelon witness's End system is a difference system, ranked by
-    union-find with the same answer in every characteristic; a tree's
-    peels to an empty core.  Neither reaches the elimination engine.
+    The generic test, for trees and bare representations: with shifted-
+    identity arrows End is a difference system, ranked by union-find in
+    every characteristic at once, and a tree's peels to an empty core.
+    The pipeline decides an echelon witness from its offsets
+    (``echelon_end_dim``) and comes here when an arrow is not I(l).
     """
     rows, nvars = _intertwining_rows(m, m)
     return nvars - sparse_int_rank(rows, nvars, m.field.modulus) == 1

@@ -1,18 +1,24 @@
 """Echelon witnesses: offset selection, assembly, and the structural certificate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_impls import explicit_p2
+from test_witness_digests import witness_keys
 
 from kronjord.echelon import (
     EchelonSpec,
     build_echelon_rep,
+    echelon_end_dim,
+    echelon_offsets,
     ekp_echelon_certificate,
     select_phi,
     shifted_identity,
 )
-from kronjord.exactmat import QQ, ExactMatrix
-from kronjord.kronecker import DimVector, KroneckerRep, tits_form
-from kronjord.verify import ekp_sample_check, is_brick
+from kronjord.exactmat import GF, QQ, ExactMatrix
+from kronjord.kronecker import DimVector, KroneckerRep, tits_form, xi
+from kronjord.pipeline import classify
+from kronjord.verify import ekp_sample_check, hom_space, is_brick
 
 
 class TestShiftedIdentity:
@@ -137,3 +143,56 @@ class TestBricks:
                     if tits_form(r, (a, b)) > 0:
                         continue
                     assert is_brick(build_echelon_rep(select_phi(r, a, b))), (r, a, b)
+
+
+def echelon_types():
+    """(r, a, b) of every echelon type whose witness JSON is pinned, in order."""
+    seen = []
+    for r, c, d, _ in witness_keys():
+        if classify(r, c, d).route == "echelon" and (r, *xi(c, d)) not in seen:
+            seen.append((r, *xi(c, d)))
+    return seen
+
+
+@st.composite
+def offset_reps(draw):
+    """Representations with shifted-identity arrows I(l) of shape b x a, over Q;
+    offsets may repeat, so End can have any dimension."""
+    r = draw(st.integers(min_value=2, max_value=4))
+    a = draw(st.integers(min_value=1, max_value=5))
+    b = draw(st.integers(min_value=a, max_value=a + 5))
+    offsets = draw(st.lists(st.integers(min_value=1, max_value=b - a + 1), min_size=r, max_size=r))
+    return KroneckerRep(r, DimVector(a, b), tuple(shifted_identity(b, a, l) for l in offsets))
+
+
+class TestOffsetEndDim:
+    """The brick test read off the offsets agrees with the ranked End system."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=lambda f: f.name)
+    def test_agrees_with_is_brick_on_every_pinned_echelon_type(self, field):
+        types = echelon_types()
+        assert len(types) > 50
+        for r, a, b in types:
+            spec = select_phi(r, a, b)
+            rep = build_echelon_rep(spec, field)
+            assert echelon_offsets(rep) == spec.phi, (r, a, b)
+            assert (echelon_end_dim(a, b, spec.phi) == 1) == is_brick(rep), (r, a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(offset_reps())
+    def test_equals_hom_space_dimension(self, rep):
+        offsets = echelon_offsets(rep)
+        assert offsets is not None
+        assert echelon_end_dim(*rep.dim, offsets) == hom_space(rep, rep).dim
+
+    def test_repeated_offsets_give_their_true_dimension(self):
+        # two equal arrows leave End larger than k; the certificate still fails
+        rep = KroneckerRep(3, DimVector(2, 4), (shifted_identity(4, 2, 1),) * 2
+                           + (shifted_identity(4, 2, 2),))
+        assert echelon_offsets(rep) == (1, 1, 2) and not ekp_echelon_certificate(rep)
+        assert echelon_end_dim(2, 4, (1, 1, 2)) == hom_space(rep, rep).dim > 1
+
+    def test_a_non_shifted_arrow_has_no_offsets(self):
+        mats = (shifted_identity(4, 2, 1), shifted_identity(4, 2, 2),
+                ExactMatrix(QQ, [[0, 0], [1, 0], [0, 2], [0, 0]]))
+        assert echelon_offsets(KroneckerRep(3, DimVector(2, 4), mats)) is None

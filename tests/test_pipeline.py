@@ -143,13 +143,16 @@ class TestRealize:
             ok, detail = restriction_check(w.rep, 200, s)
             assert ok and w.checks["restriction"] == {k: detail[k] for k in ("d", "c", "q")}
 
+    # the echelon route reads both verdicts off one offset match: a failed
+    # match, repeated offsets, or an End dimension other than 1 must each raise
     @pytest.mark.parametrize("name, failing, r, c, d", [
-        ("ekp_echelon_certificate", False, 3, 2, 2),
-        ("is_brick", False, 3, 2, 2),
+        ("echelon_offsets", None, 3, 2, 2),
+        ("echelon_end_dim", 2, 3, 2, 2),
         ("is_inj", (False, None), 3, 3, 2),
         ("is_inj", (False, None), 3, 8, 5),
         ("is_brick", False, 3, 3, 2),
         ("is_brick", False, 3, 2, 1),
+        ("echelon_offsets", (1, 1, 2), 3, 2, 2),
     ])
     def test_failing_certificate_is_caught(self, monkeypatch, name, failing, r, c, d):
         monkeypatch.setattr(pipeline, name, lambda *args: failing)
@@ -294,6 +297,21 @@ class TestValidationDemands:
         assert not ok and results["tree"] is False
         assert results["reason"] == "tree: route echelon carries no tree"
         assert results["certificate"] and results["indecomposable"] and results["jordan"]
+
+    @pytest.mark.parametrize("spoil", [
+        lambda mats: mats[0][0].__setitem__(1, "1"),
+        lambda mats: mats.__setitem__(1, mats[0]),
+    ], ids=["not-a-shifted-identity", "repeated-offset"])
+    @pytest.mark.parametrize("mode", ["ekp", "eip"])
+    def test_an_edited_echelon_arrow_fails_the_certificate(self, spoil, mode):
+        data = witness_json(3, 2, 2, mode)     # echelon, offsets (1, 3, 2)
+        spoil(data["rep"]["mats"])
+        ok, results = validate_witness(data)
+        assert not ok and results["certificate"] is False
+        # the brick verdict stays honest: is_brick, or the offsets' End dimension
+        rep = CertifiedWitness.from_json(data).rep
+        side = rep if mode == "ekp" else dual(rep)
+        assert results["indecomposable"] == (verify.hom_space(side, side).dim == 1)
 
     @pytest.mark.parametrize("spoil, reason", [
         (lambda d: d.pop("tree"), "tree: route cover needs a tree"),
