@@ -21,8 +21,8 @@ from .kronecker import (
     xi_inverse,
 )
 from .cover import TreeRep, push_down
-from .pipeline import JordanTypeRejected, classify, realize
-from .verify import ekp_sample_check, eip_sample_check, end_is_local, restriction_check
+from .pipeline import JordanTypeRejected, classify, realize, validate_witness
+from .verify import ekp_sample_check, eip_sample_check, end_is_local, is_brick, restriction_check
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -78,37 +78,55 @@ def _cmd_verify(args) -> int:
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object (a witness or a representation) in "
                          f"{args.file}, got {reprlib.repr(data)}")
-    rep = KroneckerRep.from_json(data["rep"] if "rep" in data else data)
-    wanted = [s.strip() for s in args.checks.split(",") if s.strip()]
-    known = {"ekp", "eip", "cjt", "indec", "restriction"}
-    for name in wanted:
-        if name not in known:
-            raise ValueError(f"unknown check {name!r}; choose from {sorted(known)}")
-    checks = []
-    for name in wanted:
-        if name == "ekp":
-            verdict = ekp_sample_check(rep, args.samples, args.seed)
-            detail = {"samples": args.samples, "seed": args.seed}
-        elif name == "eip":
-            verdict = eip_sample_check(rep, args.samples, args.seed)
-            detail = {"samples": args.samples, "seed": args.seed}
-        elif name == "cjt":
-            verdict, jtype, record = is_constant_jordan_type(rep, max(args.samples, 2), args.seed)
-            detail = {"jordan": list(jtype) if jtype else None, "record": record}
-        elif name == "indec":
-            verdict = end_is_local(rep)
-            detail = {}
-        else:
-            verdict, rdetail = restriction_check(rep, args.samples, args.seed)
-            detail = {"d": rdetail["d"], "c": rdetail["c"], "q": rdetail["q"]}
-        checks.append({"name": name, "verdict": bool(verdict), "detail": detail})
-    report = {"checks": checks, "seed": args.seed, "samples": args.samples}
+    if "rep" in data:
+        # a witness: validate_witness decides from (r, c, d) which certificates it needs
+        for flag, value in (("--checks", args.checks), ("--samples", args.samples)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to a bare representation, not to a witness")
+        ok, results = validate_witness(data, seed=args.seed)
+        report = {"checks": [{"name": name, "verdict": verdict}
+                             for name, verdict in results.items() if name != "reason"],
+                  "seed": args.seed}
+        if "reason" in results:
+            report["reason"] = results["reason"]
+    else:
+        rep = KroneckerRep.from_json(data)
+        samples = 200 if args.samples is None else args.samples
+        names = "ekp,cjt,indec,restriction" if args.checks is None else args.checks
+        wanted = [s.strip() for s in names.split(",") if s.strip()]
+        known = {"ekp", "eip", "cjt", "indec", "restriction"}
+        for name in wanted:
+            if name not in known:
+                raise ValueError(f"unknown check {name!r}; choose from {sorted(known)}")
+        checks = []
+        for name in wanted:
+            if name == "ekp":
+                verdict = ekp_sample_check(rep, samples, args.seed)
+                detail = {"samples": samples, "seed": args.seed}
+            elif name == "eip":
+                verdict = eip_sample_check(rep, samples, args.seed)
+                detail = {"samples": samples, "seed": args.seed}
+            elif name == "cjt":
+                verdict, jtype, record = is_constant_jordan_type(rep, max(samples, 2), args.seed)
+                detail = {"jordan": list(jtype) if jtype else None, "record": record}
+            elif name == "indec":
+                # a brick is indecomposable over any field; only a non-brick needs Q
+                verdict = is_brick(rep) or end_is_local(rep)
+                detail = {}
+            else:
+                verdict, rdetail = restriction_check(rep, samples, args.seed)
+                detail = {"d": rdetail["d"], "c": rdetail["c"], "q": rdetail["q"]}
+            checks.append({"name": name, "verdict": bool(verdict), "detail": detail})
+        report = {"checks": checks, "seed": args.seed, "samples": samples}
+        ok = all(chk["verdict"] for chk in checks)
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
-        for chk in checks:
+        for chk in report["checks"]:
             print(f"{chk['name']}: {'pass' if chk['verdict'] else 'FAIL'}")
-    return 0 if all(chk["verdict"] for chk in checks) else 1
+        if "reason" in report:
+            print(f"reason: {report['reason']}")
+    return 0 if ok else 1
 
 
 def _cmd_roots(args) -> int:
@@ -183,10 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_realize)
 
-    p = sub.add_parser("verify", help="run checks against a serialized representation")
+    p = sub.add_parser("verify", help="re-validate a witness, or check a bare representation")
     p.add_argument("file")
-    p.add_argument("--checks", default="ekp,cjt,indec,restriction")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--checks", default=None)
+    p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

@@ -4,15 +4,49 @@ import json
 
 import pytest
 
+from kronjord import cli
 from kronjord.cli import main
-from kronjord.cover import thin_path_rep
-from kronjord.kronecker import KroneckerRep
+from kronjord.cover import build_indecomposable_tree_rep, build_root_vector, build_source_regular
+from kronjord.cover import push_down, thin_path_rep
+from kronjord.echelon import build_echelon_rep, select_phi
+from kronjord.exactmat import GF
+from kronjord.kronecker import KroneckerRep, direct_sum
+from kronjord.pipeline import validate_witness
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def realize_to(tmp_path, capsys, r, jordan, mode="ekp"):
+    """Realize [1]^c [2]^d through the CLI; the witness file's path."""
+    target = tmp_path / f"w-{r}-{jordan}-{mode}.json".replace(",", "_")
+    code, _ = run(capsys, "realize", "--r", str(r), "--jordan", jordan,
+                  "--mode", mode, "--out", str(target))
+    assert code == 0
+    return target
+
+
+def bare_rep_of(path):
+    """A file holding only the representation of the witness at ``path``."""
+    bare = path.with_name("bare-" + path.name)
+    bare.write_text(json.dumps(json.loads(path.read_text())["rep"]))
+    return bare
+
+
+def tampered_cover_witness(tmp_path, capsys):
+    """The [1]^3 [2]^2 cover witness claiming the echelon route's certificate
+    and evidence, with its first tree edge map zeroed."""
+    target = realize_to(tmp_path, capsys, 3, "3,2")
+    data = json.loads(target.read_text())
+    data["ekp_certificate"]["kind"] = "echelon"
+    data["indec_evidence"] = "brick"
+    edge = data["tree"]["edges"][0]
+    edge["mat"] = [["0"] * len(row) for row in edge["mat"]]
+    target.write_text(json.dumps(data))
+    return target
 
 
 class TestClassify:
@@ -54,8 +88,7 @@ class TestRealize:
 
 class TestVerify:
     def test_checks_pass_on_witness(self, tmp_path, capsys):
-        target = tmp_path / "w.json"
-        run(capsys, "realize", "--r", "3", "--jordan", "3,2", "--out", str(target))
+        target = bare_rep_of(realize_to(tmp_path, capsys, 3, "3,2"))
         code, out = run(capsys, "verify", str(target),
                         "--checks", "ekp,cjt,indec,restriction", "--samples", "60", "--json")
         assert code == 0
@@ -64,9 +97,7 @@ class TestVerify:
         assert {chk["name"] for chk in report["checks"]} == {"ekp", "cjt", "indec", "restriction"}
 
     def test_failing_check_nonzero_exit(self, tmp_path, capsys):
-        target = tmp_path / "w.json"
-        run(capsys, "realize", "--r", "3", "--jordan", "3,2",
-            "--mode", "eip", "--out", str(target))
+        target = bare_rep_of(realize_to(tmp_path, capsys, 3, "3,2", mode="eip"))
         # an equal-images witness fails the equal-kernels check
         code, _ = run(capsys, "verify", str(target), "--checks", "ekp", "--samples", "20")
         assert code == 1
@@ -120,6 +151,95 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 1
         assert "error: expected a JSON object (a witness or a representation)" in err
+
+
+class TestVerifyWitness:
+    """A witness file is re-validated by validate_witness, and nothing else."""
+
+    def test_tampered_witness_is_rejected(self, tmp_path, capsys):
+        code, out = run(capsys, "verify", str(tampered_cover_witness(tmp_path, capsys)))
+        assert code == 1
+        assert "certificate: FAIL" in out and "indecomposable: FAIL" in out
+        assert "certificate kind 'echelon'" in out
+        assert "indec_evidence 'brick'" in out
+        assert "tree: does not push down" in out
+
+    @pytest.mark.parametrize("mode", ["ekp", "eip"])
+    @pytest.mark.parametrize("jordan", ["1,0", "2,1", "2,2", "3,2", "8,5"],
+                             ids=["simple", "preprojective", "echelon", "cover", "shift"])
+    def test_untampered_witnesses_pass(self, tmp_path, capsys, jordan, mode):
+        target = realize_to(tmp_path, capsys, 3, jordan, mode)
+        code, out = run(capsys, "verify", str(target), "--json")
+        assert code == 0
+        report = json.loads(out)
+        names = {"dim", "certificate", "indecomposable", "jordan"} | (
+            {"eip_samples"} if mode == "eip" else set())
+        assert {chk["name"] for chk in report["checks"]} == names
+        assert all(chk["verdict"] is True for chk in report["checks"])
+        assert "reason" not in report and report["seed"] == 0
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("tampered", [False, True])
+    def test_report_is_validate_witness(self, tmp_path, capsys, seed, tampered):
+        target = (tampered_cover_witness(tmp_path, capsys) if tampered
+                  else realize_to(tmp_path, capsys, 3, "3,2", "eip"))
+        code, out = run(capsys, "verify", str(target), "--seed", str(seed), "--json")
+        ok, results = validate_witness(json.loads(target.read_text()), seed=seed)
+        report = json.loads(out)
+        assert code == (0 if ok else 1)
+        assert {chk["name"]: chk["verdict"] for chk in report["checks"]} == {
+            name: verdict for name, verdict in results.items() if name != "reason"}
+        assert report.get("reason") == results.get("reason")
+        assert report["seed"] == seed
+
+    @pytest.mark.parametrize("flag,value", [("--checks", "ekp"), ("--samples", "60")])
+    def test_bare_rep_flags_refused(self, tmp_path, capsys, flag, value):
+        target = realize_to(tmp_path, capsys, 3, "3,2")
+        code = main(["verify", str(target), flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {flag} applies to a bare representation" in err
+
+    def test_rep_alone_is_not_a_witness(self, tmp_path, capsys):
+        target = realize_to(tmp_path, capsys, 3, "3,2")
+        rep_only = tmp_path / "rep-only.json"
+        rep_only.write_text(json.dumps({"rep": json.loads(target.read_text())["rep"]}))
+        code = main(["verify", str(rep_only)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "witness is missing field(s) 'jordan'" in err
+
+    def test_no_locality_test_on_a_witness(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "end_is_local", pytest.fail)
+        code, _ = run(capsys, "verify", str(realize_to(tmp_path, capsys, 3, "3,2")))
+        assert code == 0
+
+
+class TestVerifyBareIndec:
+    """``indec`` on a bare representation tries is_brick, then end_is_local."""
+
+    def verify_indec(self, tmp_path, capsys, monkeypatch, rep):
+        calls = []
+        real = cli.end_is_local
+        monkeypatch.setattr(cli, "end_is_local", lambda m: calls.append(m) or real(m))
+        target = tmp_path / "rep.json"
+        target.write_text(rep.to_json_str())
+        code, _ = run(capsys, "verify", str(target), "--checks", "indec")
+        return code, len(calls)
+
+    def test_prime_field_brick(self, tmp_path, capsys, monkeypatch):
+        rep = build_echelon_rep(select_phi(3, 4, 8), GF(5))
+        assert self.verify_indec(tmp_path, capsys, monkeypatch, rep) == (0, 0)
+
+    def test_local_non_brick_goes_to_end_is_local(self, tmp_path, capsys, monkeypatch):
+        # the r=3 (13, 30) cover witness: indecomposable, End of dimension 10
+        q = build_source_regular(3, 13)
+        rep = push_down(build_indecomposable_tree_rep(q, build_root_vector(q, 13, 30)))
+        assert self.verify_indec(tmp_path, capsys, monkeypatch, rep) == (0, 1)
+
+    def test_direct_sum_fails(self, tmp_path, capsys, monkeypatch):
+        m = build_echelon_rep(select_phi(3, 2, 4))
+        assert self.verify_indec(tmp_path, capsys, monkeypatch, direct_sum(m, m)) == (1, 1)
 
 
 class TestRootsCoxeterPushdown:
