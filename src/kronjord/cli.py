@@ -95,6 +95,8 @@ def _cmd_verify(args) -> int:
         names = "ekp,cjt,indec,restriction" if args.checks is None else args.checks
         wanted = [s.strip() for s in names.split(",") if s.strip()]
         known = {"ekp", "eip", "cjt", "indec", "restriction"}
+        if not wanted:
+            raise ValueError(f"--checks names no check; choose from {sorted(known)}")
         for name in wanted:
             if name not in known:
                 raise ValueError(f"unknown check {name!r}; choose from {sorted(known)}")

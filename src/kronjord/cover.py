@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import json
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -66,36 +67,37 @@ def edge_color(x: Address, y: Address) -> int:
 # finite subquivers of the cover
 # ---------------------------------------------------------------------------
 
+def _check_addresses(addrs, r: int) -> None:
+    """Raise ValueError unless every address is a reduced word over the colors 1..r.
+
+    Only the few distinct colors in use are checked, never all of 1..r.
+    """
+    bad = {c for c in set().union(*addrs) if type(c) is not int or not 1 <= c <= r}
+    for v in addrs:
+        if not is_reduced(v):
+            raise ValueError(f"address {v} is not reduced")
+        if bad and not bad.isdisjoint(v):
+            raise ValueError(f"address {v} uses colors outside 1..{r}")
+
+
 @dataclass(frozen=True)
 class TreeQuiver:
     """A finite connected subquiver of the cover, induced by its vertex set."""
 
     r: int
     vertices: frozenset[Address]
+    _degree: Mapping[Address, int] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r < 2:
             raise ValueError("r must be at least 2")
-        for v in self.vertices:
-            if not is_reduced(v):
-                raise ValueError(f"address {v} is not a reduced word")
-            if any(not 1 <= c <= self.r for c in v):
-                raise ValueError(f"address {v} uses colors outside 1..{self.r}")
-        if self.vertices and not self._connected():
+        _check_addresses(self.vertices, self.r)
+        degree = {v: len(self.neighbors_in(v)) for v in self.vertices}
+        object.__setattr__(self, "_degree", MappingProxyType(degree))
+        # the cover is a tree, so the induced subquiver is a forest: connected
+        # exactly when it has |V| - 1 edges
+        if self.vertices and sum(degree.values()) != 2 * (len(self.vertices) - 1):
             raise ValueError("vertex set is not connected in the tree")
-
-    def _connected(self) -> bool:
-        verts = set(self.vertices)
-        start = next(iter(verts))
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in neighbors(v, self.r):
-                if w in verts and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == verts
 
     def sources(self) -> list[Address]:
         return sorted(v for v in self.vertices if is_source(v))
@@ -107,7 +109,7 @@ class TreeQuiver:
         return [w for w in neighbors(v, self.r) if w in self.vertices]
 
     def degree(self, v: Address) -> int:
-        return len(self.neighbors_in(v))
+        return self._degree[v]
 
     def edges(self) -> list[tuple[Address, Address, int]]:
         """All edges as (source, sink, color), sorted."""
@@ -120,7 +122,7 @@ class TreeQuiver:
         return out
 
     def is_source_regular(self) -> bool:
-        return all(self.degree(x) == self.r for x in self.sources())
+        return all(d == self.r for v, d in self._degree.items() if is_source(v))
 
 
 def build_source_regular(r: int, n: int) -> TreeQuiver:
@@ -152,27 +154,10 @@ def build_source_regular(r: int, n: int) -> TreeQuiver:
     return TreeQuiver(r, frozenset(verts))
 
 
-def _sink_census(q: TreeQuiver) -> tuple[list[Address], Optional[Address], int]:
-    """Full-degree sinks, the intermediate sink (or None), and s with
-    q_full*(r-1) + s = a - 1."""
-    full = [y for y in q.sinks() if q.degree(y) == q.r]
-    inter = [y for y in q.sinks() if 1 < q.degree(y) < q.r]
-    if len(inter) > 1:
-        raise ValueError("quiver has more than one intermediate sink")
-    a = len(q.sources())
-    if inter:
-        s = q.degree(inter[0]) - 1
-    else:
-        s = 0
-    if len(full) * (q.r - 1) + s != a - 1:
-        raise ValueError("sink census does not match a source-regular quiver")
-    return sorted(full), inter[0] if inter else None, s
-
-
 def max_cover_b(r: int, a: int) -> int:
     """Largest b reachable on a source-regular quiver with a sources.
 
-    Equals floor((r - 1/(r-1)) a), computed from the sink census.
+    Equals floor((r - 1/(r-1)) a), the top of the window.
     """
     q, s = divmod(a - 1, r - 1)
     return (r - 1) * a + q * (r - 2) + s
@@ -182,9 +167,9 @@ def build_root_vector(q: TreeQuiver, a: int, b: int) -> dict[Address, int]:
     """Dimension vector with value 1 at sources and ordinary sinks and
     1 + budget at the distinguished sinks, summing to b over the sinks.
 
-    The excess b - (r-1)a - 1 is distributed greedily: the full-degree
-    sinks are filled first (at most r-2 each, in address order), then the
-    intermediate sink (at most s-1).
+    The excess b - (r-1)a - 1 is distributed greedily, each sink y taking
+    at most deg(y) - 2: the full-degree sinks first, in address order, then
+    the intermediate sink.  The window guarantees the budgets suffice.
     """
     r = q.r
     if len(q.sources()) != a:
@@ -193,19 +178,16 @@ def build_root_vector(q: TreeQuiver, a: int, b: int) -> dict[Address, int]:
         raise ValueError("quiver is not source-regular")
     if not ((r - 1) * a + 1 <= b and (r - 1) * b <= (r * r - r - 1) * a):
         raise ValueError(f"b={b} outside the window [(r-1)a+1, (r - 1/(r-1))a]")
-    full, inter, s = _sink_census(q)
+    sinks = q.sinks()
+    full = [y for y in sinks if q.degree(y) == r]
+    inter = [y for y in sinks if 1 < q.degree(y) < r]
+    if len(inter) > 1:
+        raise ValueError("quiver has more than one intermediate sink")
     excess = b - (r - 1) * a - 1
-    capacity = len(full) * (r - 2) + (s - 1 if s else 0)
-    if not 0 <= excess <= capacity:
-        raise AssertionError("excess outside budget capacity despite window check")
-    alpha = {v: 1 for v in q.vertices}
-    for y in full:
-        take = min(excess, r - 2)
+    alpha = dict.fromkeys(q.vertices, 1)
+    for y in full + inter:
+        take = min(excess, q.degree(y) - 2)
         alpha[y] += take
-        excess -= take
-    if inter is not None and excess:
-        take = min(excess, s - 1)
-        alpha[inter] += take
         excess -= take
     if excess:
         raise AssertionError("budget distribution failed")
@@ -236,15 +218,10 @@ class TreeRep:
         # read-only views of private copies make the value immutable, hence hashable
         object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
         object.__setattr__(self, "maps", MappingProxyType(dict(self.maps)))
-        # the few distinct colors in use are checked, not a set of all of 1..r
-        bad = {c for c in set().union(*self.dims) if type(c) is not int or not 1 <= c <= self.r}
         for v, d in self.dims.items():
             if d <= 0:
                 raise ValueError(f"dims must list only positive dimensions, got {d} at {v}")
-            if not is_reduced(v):
-                raise ValueError(f"address {v} is not reduced")
-            if bad and not bad.isdisjoint(v):
-                raise ValueError(f"address {v} uses colors outside 1..{self.r}")
+        _check_addresses(self.dims, self.r)
         for (t, h), m in self.maps.items():
             edge_color(t, h)  # validates adjacency
             if (m.rows, m.cols) != (self.dims.get(h, 0), self.dims.get(t, 0)):
@@ -381,7 +358,7 @@ def build_indecomposable_tree_rep(q: TreeQuiver, alpha: dict[Address, int],
         trace = []
     r = q.r
     vertices, alpha, sources = set(q.vertices), dict(alpha), q.sources()
-    degree = {y: q.degree(y) for y in q.sinks()}
+    degree = dict(q._degree)
     nonleaf = {x: sum(degree[y] >= 2 for y in neighbors(x, r)) for x in sources}
     ready = [x for x in sources if nonleaf[x] == 1]   # a sorted list is a heap
     peels = []    # (source, its non-leaf sink y, leaves, frame size at y or None)
@@ -470,34 +447,35 @@ def thin_path_rep(r: int, u: int, v: int, field: Field = QQ) -> TreeRep:
 # push-down and exact certificates
 # ---------------------------------------------------------------------------
 
+def _offsets(m: TreeRep, vs: list[Address]) -> tuple[dict[Address, int], int]:
+    """Where each of ``vs`` starts in the direct sum of their spaces, in order, and its dimension."""
+    off, n = {}, 0
+    for v in vs:
+        off[v], n = n, n + m.dims[v]
+    return off, n
+
+
 def push_down(m: TreeRep) -> KroneckerRep:
     """Fold a tree representation onto the Kronecker quiver.
 
     Vertex 1 carries the sum over support sources, vertex 2 the sum over
     support sinks, both in address order; arrow c is assembled from all
-    color-c edge maps as a block matrix with zero blocks elsewhere.
+    color-c edge maps as a block matrix with zero blocks elsewhere.  Only
+    the colors in use get rows: every other arrow is one shared zero matrix.
     """
     if not m.is_canonically_oriented():
         raise ValueError("push-down needs the bipartite orientation")
-    srcs = m.support_sources()
-    snks = m.support_sinks()
-    col_off = {}
-    a = 0
-    for x in srcs:
-        col_off[x] = a
-        a += m.dims[x]
-    row_off = {}
-    b = 0
-    for y in snks:
-        row_off[y] = b
-        b += m.dims[y]
-    rows_by_color = [[{} for _ in range(b)] for _ in range(m.r)]
+    col_off, a = _offsets(m, m.support_sources())
+    row_off, b = _offsets(m, m.support_sinks())
+    rows_by_color = defaultdict(lambda: [{} for _ in range(b)])
     for (x, y), mat in m.maps.items():
-        grid = rows_by_color[edge_color(x, y) - 1]
+        grid = rows_by_color[edge_color(x, y)]
         ro, co = row_off[y], col_off[x]
         for i, row in enumerate(mat.sparse_rows()):
             grid[ro + i].update((co + j, v) for j, v in row.items())
-    mats = tuple(ExactMatrix.from_rows(m.field, g, a) for g in rows_by_color)
+    zero = ExactMatrix.zeros(m.field, b, a)
+    mats = tuple(ExactMatrix.from_rows(m.field, rows_by_color[c], a) if c in rows_by_color
+                 else zero for c in range(1, m.r + 1))
     return KroneckerRep(m.r, DimVector(a, b), mats, m.field)
 
 

@@ -111,6 +111,15 @@ class TestVerify:
         code, _ = run(capsys, "verify", str(bare), "--checks", "ekp,cjt", "--samples", "20")
         assert code == 0
 
+    @pytest.mark.parametrize("checks", ["", ",", " , "])
+    def test_checks_naming_no_check_fail(self, tmp_path, capsys, checks):
+        target = bare_rep_of(realize_to(tmp_path, capsys, 3, "3,2"))
+        code = main(["verify", str(target), "--checks", checks])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert ("error: --checks names no check; choose from "
+                "['cjt', 'eip', 'ekp', 'indec', 'restriction']") in captured.err
+
 
     def test_missing_field_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

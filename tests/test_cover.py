@@ -47,6 +47,11 @@ class TestAddresses:
         with pytest.raises(ValueError):
             TreeQuiver(3, frozenset({(), (1, 2)}))
 
+    def test_two_disjoint_edges_are_not_connected(self):
+        # every vertex has a neighbour, yet the set is two components
+        with pytest.raises(ValueError, match="not connected"):
+            TreeQuiver(3, frozenset({(), (1,), (2, 3), (2, 3, 1)}))
+
     def test_tree_rep_rejects_colors_outside_range(self):
         one = ExactMatrix.identity(QQ, 1)
         with pytest.raises(ValueError, match=r"address \(7,\) uses colors outside 1\.\.3"):
@@ -92,6 +97,7 @@ class TestSourceRegular:
                 q = build_source_regular(r, n)
                 assert len(q.sinks()) == n * (r - 1) + 1
                 assert q.is_source_regular()
+                assert all(q.degree(v) == len(q.neighbors_in(v)) for v in q.vertices)
 
     def test_full_degree_census(self):
         for r in range(2, 7):
@@ -151,6 +157,14 @@ class TestRootVector:
             build_root_vector(q, 2, 4)   # below (r-1)a+1
         with pytest.raises(ValueError):
             build_root_vector(q, 2, 6)   # above floor(2.5 a)
+
+    def test_two_intermediate_sinks_rejected(self):
+        # sources (), (1, 2), (2, 1): the sinks (1,) and (2,) both have degree 2
+        verts = {(), (1,), (2,), (3,), (1, 2), (1, 2, 1), (1, 2, 3), (2, 1), (2, 1, 2), (2, 1, 3)}
+        q = TreeQuiver(3, frozenset(verts))
+        assert q.is_source_regular() and q.sources() == [(), (1, 2), (2, 1)]
+        with pytest.raises(ValueError, match="more than one intermediate sink"):
+            build_root_vector(q, 3, 7)
 
     def test_sink_sum_equals_b_grid(self):
         for (r, a) in ((3, 3), (3, 5), (4, 4)):
@@ -285,6 +299,19 @@ class TestPushDown:
             down = push_down(rep)
             assert down.dim.a == sum(rep.dims[x] for x in rep.support_sources())
             assert down.dim.b == sum(rep.dims[y] for y in rep.support_sinks())
+
+    def test_unused_colors_allocate_no_rows(self):
+        # only the colors on some edge get rows; the other arrows share one zero
+        tree = TreeRep.from_json({"r": 200000, "vertices": [{"addr": [], "dim": 1}], "edges": []})
+        tracemalloc.start()
+        try:
+            down = push_down(tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert down.dim == DimVector(1, 0) and len(down.mats) == 200000
+        assert all(m.rows == 0 and m.cols == 1 for m in down.mats)
 
 
 class TestInjCertificate:
