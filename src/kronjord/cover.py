@@ -203,10 +203,10 @@ class TreeRep:
     """A finitely supported representation of the cover.
 
     ``dims`` records the nonzero vertex dimensions; ``maps`` is keyed by
-    (tail, head) in the actual orientation of each edge and holds matrices
-    of shape dim(head) x dim(tail).  Builders produce the canonical
-    bipartite orientation (tails are sources); reflection functors flip
-    edges at the reflected vertex.
+    (tail, head) in the actual orientation of each edge, both vertices in
+    ``dims``, and holds matrices of shape dim(head) x dim(tail).  Builders
+    produce the canonical bipartite orientation (tails are sources);
+    reflection functors flip edges at the reflected vertex.
     """
 
     r: int
@@ -224,7 +224,9 @@ class TreeRep:
         _check_addresses(self.dims, self.r)
         for (t, h), m in self.maps.items():
             edge_color(t, h)  # validates adjacency
-            if (m.rows, m.cols) != (self.dims.get(h, 0), self.dims.get(t, 0)):
+            if t not in self.dims or h not in self.dims:
+                raise ValueError(f"map at {t}->{h} joins a vertex outside dims")
+            if (m.rows, m.cols) != (self.dims[h], self.dims[t]):
                 raise ValueError(f"map at {t}->{h} has shape {(m.rows, m.cols)}")
             if m.field != self.field:
                 raise ValueError(f"map at {t}->{h} is over {m.field!r}, not the tree's "
@@ -296,10 +298,12 @@ class TreeRep:
             except ValueError:
                 raise ValueError(f"tree edge field 'dst' must be adjacent to 'src' {list(t)}, "
                                  f"got {list(h)}") from None
+            for end, v in (("src", t), ("dst", h)):
+                check_field(v in dims, "tree edge", end, "a vertex listed in 'vertices'", list(v))
             if "color" in e:
                 check_field(type(e["color"]) is int and e["color"] == color, "tree edge", "color",
                             f"{color}, the color of {list(t)} -> {list(h)}", e["color"])
-            maps[(t, h)] = ExactMatrix.from_str_lists(fld, e["mat"], dims.get(h, 0), dims.get(t, 0),
+            maps[(t, h)] = ExactMatrix.from_str_lists(fld, e["mat"], dims[h], dims[t],
                                                       f"{what} 'mat'")
         return TreeRep(r, dims, maps, fld)
 
@@ -368,10 +372,7 @@ def build_indecomposable_tree_rep(q: TreeQuiver, alpha: dict[Address, int],
         x = heapq.heappop(ready)
         y = next(w for w in neighbors(x, r) if degree[w] >= 2)
         leaves = [w for w in neighbors(x, r) if w != y]
-        t = degree[y]
-        if alpha[y] > t - 1:
-            raise ValueError(f"alpha at {y} violates the sink bound")
-        frame = alpha[y] if alpha[y] == t - 1 else None
+        frame = alpha[y] if alpha[y] == degree[y] - 1 else None
         if frame is not None:
             alpha[y] = 1
         peels.append((x, y, leaves, frame))
@@ -382,10 +383,9 @@ def build_indecomposable_tree_rep(q: TreeQuiver, alpha: dict[Address, int],
             nonleaf[z] -= 1
             if nonleaf[z] == 1:
                 heapq.heappush(ready, z)
+    # a peel keeps alpha[y] <= max(1, degree[y] - 1), and each sink left in
+    # the star has degree 1: the star carries the all-ones vector
     root = next(x for x in sources if x in vertices)
-
-    if any(alpha[v] != 1 for v in vertices):
-        raise ValueError("star case requires the all-ones vector")
     one = ExactMatrix.identity(field, 1)
     dims = {v: 1 for v in vertices}
     maps = {(root, y): one for y in vertices if y != root}

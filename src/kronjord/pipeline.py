@@ -43,6 +43,7 @@ from .cover import (
     build_root_vector,
     build_source_regular,
     is_inj,
+    is_source,
     push_down,
     thin_path_rep,
 )
@@ -285,8 +286,9 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
 
     The certificates a witness needs are decided from (r, c, d) by
     ``classify``, never taken from the file.  First a tree it carries must
-    have the representation's ``r``, and the equal-kernels side and the
-    tree's sources and sinks must have dimension vector xi(c, d).
+    have the representation's ``r`` and every edge from a source to a
+    sink, and the equal-kernels side and the tree's sources and sinks
+    must have dimension vector xi(c, d).
     ``_certify`` then runs the certificates on it: the echelon structure
     and the brick check, or Inj and the brick check on the embedded tree,
     which must push down to the equal-kernels side.
@@ -311,6 +313,10 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
         if w.tree.r != w.rep.r:
             return False, {"tree": False, "reason": f"tree: r = {w.tree.r}, not the "
                                                     f"representation's {w.rep.r}"}
+        for t, h in w.tree.maps:
+            if not is_source(t):
+                return False, {"tree": False, "reason": f"tree: edge {list(t)} -> {list(h)} "
+                                                        f"runs from a sink to a source"}
         tree_dim = [sum(w.tree.dims[v] for v in vs)
                     for vs in (w.tree.support_sources(), w.tree.support_sinks())]
         if tree_dim != dim:

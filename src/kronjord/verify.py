@@ -8,15 +8,15 @@ the Euler identity remains a nontrivial cross-check.  A brick (End of
 dimension 1) is decided from the rank of the End system over any field;
 it certifies every witness, on the tree for a push-down.  Locality of End,
 for bare representations, is decided over the rationals: the radical is
-the kernel of the trace form of the left regular representation, built
-from structure constants read off a Hom basis reduced at its free columns,
-each product checked exactly.  Every elimination, over Q or GF(p), goes
-through the sparse engine of ``exactmat``, given the modulus and the rows
-as the arrows' scalars make them; the brick test and Ext need only a
-rank, so ``sparse_int_rank`` ranks their systems without it where it
-can.  The End system of a representation with shifted-identity arrows
-is a difference system, ranked by union-find for every characteristic at
-once; a tree's is peeled to nothing.  The pipeline reads an echelon
+the kernel of the trace form of End acting on the representation itself,
+each trace read off the sparse rows of a Hom basis.  Every elimination,
+over Q or GF(p), goes through the sparse engine of ``exactmat``, given
+the modulus and the rows as the arrows' scalars make them; the brick
+test and Ext need only a rank, so ``sparse_int_rank`` ranks their
+systems without it where it can.  The End system of a representation
+with shifted-identity arrows is a difference system, ranked by
+union-find for every characteristic at once; a tree's is peeled to
+nothing.  The pipeline reads an echelon
 witness's End dimension off its offsets instead (``echelon_end_dim``).
 """
 
@@ -125,85 +125,38 @@ def is_brick(m: KroneckerRep | TreeRep) -> bool:
     return nvars - sparse_int_rank(rows, nvars, m.field.modulus) == 1
 
 
-def _block_diagonal_rows(f1: ExactMatrix, f2: ExactMatrix) -> list[list[tuple[int, Scalar]]]:
-    """Sparse rows of diag(f1, f2), each a list of (column, entry) pairs."""
-    a = f1.rows
-    return ([list(row.items()) for row in f1.sparse_rows()]
-            + [[(a + q, x) for q, x in row.items()] for row in f2.sparse_rows()])
-
-
-def _compose(x_rows: list, y_rows: list) -> dict[int, Scalar]:
-    """Non-zero entries of the product x y of block-diagonal sparse matrices.
-
-    Entry (g, h) is keyed g*n + h, n the matrix size; on block-diagonal
-    supports that order is hom_space's unknown order (f1 row-major, then
-    f2 row-major).
-    """
-    n = len(x_rows)
-    out: dict[int, Scalar] = {}
-    for g, row in enumerate(x_rows):
-        base = g * n
-        for k, v in row:
-            for h, w in y_rows[k]:
-                out[base + h] = out.get(base + h, 0) + v * w
-    return {key: v for key, v in out.items() if v}
-
-
-def _coordinates(prod: dict[int, Scalar], free: list[int], basis: list[dict]) -> list:
-    """Coordinates of ``prod`` in a basis reduced at its free columns, checked exactly."""
-    coords = [prod.get(f, 0) for f in free]
-    rest = dict(prod)
-    for ck, vec in zip(coords, basis):
-        if ck:
-            for key, v in vec.items():
-                w = rest.get(key, 0) - ck * v
-                if w:
-                    rest[key] = w
-                else:
-                    del rest[key]
-    if rest:
-        raise AssertionError("endomorphism product escaped the basis span")
-    return coords
+def _trace_of_product(x: ExactMatrix, y: ExactMatrix) -> Scalar:
+    """tr(x y) = sum over p, q of x[p][q] y[q][p], read off the sparse rows."""
+    y_rows = y.sparse_rows()
+    return sum(v * y_rows[q].get(p, 0) for p, row in enumerate(x.sparse_rows())
+               for q, v in row.items())
 
 
 def end_is_local(m: KroneckerRep) -> bool:
     """Locality of End(m) over the rationals: indecomposability certificate.
 
-    The radical of the endomorphism algebra is the kernel of the trace
-    bilinear form of the left regular representation (characteristic
-    zero); the algebra is local with residue field k exactly when the
-    form has rank 1.
-
-    No linear system is solved.  Each basis vector of hom_space is 1 at
-    its own free column, 0 at every other free column, and that column is
-    its last non-zero unknown; so the coordinate of a product b_i b_j on
-    b_k is read off at b_k's free column.  Every product is compared
-    exactly with the combination of basis vectors its coordinates name.
-    Since left multiplication L is an algebra map, the trace form comes
-    from the structure constants, T_ij = sum_k C_ij^k tr(L_k) with
-    tr(L_k) = sum_l C_kl^l, in O(nb^3) scalar operations.
+    End(m) acts faithfully on m1 + m2, with trace form T_ij =
+    tr(f1_i f1_j) + tr(f2_i f2_j) on the hom_space basis; End is local
+    with residue field Q exactly when rank T = dim End/rad End is 1.
+    That rank: the radical I of (f, g) -> tr(fg) is a two-sided ideal,
+    the trace being cyclic.  Each f in I has tr(f^k) = 0 for all k >= 1,
+    so f is nilpotent by Newton's identities (characteristic zero): the
+    nil ideal I lies in rad End.  For f in rad End each fg lies in rad
+    End, nilpotent, of trace 0: rad End lies in I.  Each trace is read
+    off the sparse rows, no product of endomorphisms is formed, and T is
+    filled from one triangle.
     """
     if m.field != QQ:
         raise ValueError("locality testing is supported over the rationals only")
-    endos = hom_space(m, m)
-    nb = endos.dim
-    if nb == 0:
-        return False
-    if nb == 1:
-        return True
-    rows = [_block_diagonal_rows(f1, f2) for f1, f2 in endos.basis]
-    n = m.total_dim()
-    basis = [{g * n + h: v for g, row in enumerate(r) for h, v in row} for r in rows]
-    free = [max(vec) for vec in basis]
-    for k, vec in enumerate(basis):
-        if vec[free[k]] != 1 or sum(f in vec for f in free) != 1:
-            raise AssertionError("hom_space basis is not reduced at its free columns")
-    # structure constants: b_i b_j = sum_k const[i][j][k] b_k
-    const = [[_coordinates(_compose(x, y), free, basis) for y in rows] for x in rows]
-    tr_left = [sum(const[k][l][l] for l in range(nb)) for k in range(nb)]
-    trace_form = [[sum(c * t for c, t in zip(const[i][j], tr_left)) for j in range(nb)]
-                  for i in range(nb)]
-    return ExactMatrix(QQ, trace_form, nb, nb).rank() == 1
+    basis = hom_space(m, m).basis
+    nb = len(basis)
+    if nb <= 1:
+        return nb == 1
+    form = [[0] * nb for _ in range(nb)]
+    for i, (f1, f2) in enumerate(basis):
+        for j, (g1, g2) in enumerate(basis[i:], i):
+            form[i][j] = form[j][i] = _trace_of_product(f1, g1) + _trace_of_product(f2, g2)
+    return ExactMatrix(QQ, form, nb, nb).rank() == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@
 basis endomorphisms with a full linear solve and forms the trace form
 from explicit left-multiplication matrices.  ``reference_sparse_int_echelon``
 scans every active row for every column.  ``reference_intertwining_rows``
-reads the arrow matrices entry by entry.  The package versions read the
-coordinates off, index rows by column and read each arrow once; the tests
-assert that both give identical answers.
+reads the arrow matrices entry by entry.  The package versions take the
+trace form of End acting on the representation itself, with no product
+formed, index rows by column and read each arrow once; the tests assert
+that both give identical answers.
 
 ``kron_tau_inverse`` is the inverse translate on the Kronecker quiver
 itself, and ``explicit_p2`` the projective of dimension (1, r) written

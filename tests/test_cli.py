@@ -173,6 +173,23 @@ class TestVerifyWitness:
         assert "indec_evidence 'brick'" in out
         assert "tree: does not push down" in out
 
+    # a tree edge the wrong way round, and one from a vertex the tree does
+    # not list, are rejected with a message that names the tree
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda edges: edges[0].update(src=edges[0]["dst"], dst=edges[0]["src"]),
+         "tree: edge [1] -> [] runs from a sink to a source"),
+        (lambda edges: edges.append({"src": [2, 1], "dst": [2], "mat": [[]]}),
+         "error: tree edge field 'src' must be a vertex listed in 'vertices', got [2, 1]"),
+    ], ids=["reversed-edge", "unlisted-vertex"])
+    def test_spoiled_tree_is_named(self, tmp_path, capsys, spoil, message):
+        target = realize_to(tmp_path, capsys, 3, "3,2")
+        data = json.loads(target.read_text())
+        spoil(data["tree"]["edges"])
+        target.write_text(json.dumps(data))
+        code = main(["verify", str(target)])
+        captured = capsys.readouterr()
+        assert code == 1 and message in captured.out + captured.err
+
     @pytest.mark.parametrize("mode", ["ekp", "eip"])
     @pytest.mark.parametrize("jordan", ["1,0", "2,1", "2,2", "3,2", "8,5"],
                              ids=["simple", "preprojective", "echelon", "cover", "shift"])

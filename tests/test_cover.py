@@ -72,6 +72,14 @@ class TestAddresses:
             tracemalloc.stop()
         assert tree.r == 2000000 and peak < 2**20
 
+    @pytest.mark.parametrize("dims, mat", [
+        ({(): 1}, ExactMatrix(QQ, [], 0, 1)),
+        ({(1,): 1}, ExactMatrix(QQ, [[]], 1, 0)),
+    ], ids=["head", "tail"])
+    def test_tree_rep_rejects_a_map_at_an_unlisted_vertex(self, dims, mat):
+        with pytest.raises(ValueError, match=r"map at \(\)->\(1,\) joins a vertex outside dims"):
+            TreeRep(3, dims, {((), (1,)): mat})
+
     def test_tree_rep_rejects_a_map_over_another_field(self):
         with pytest.raises(ValueError,
                            match=r"map at \(\)->\(1,\) is over GF\(5\), not the tree's QQ"):

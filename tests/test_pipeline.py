@@ -215,6 +215,11 @@ def witness_json(r, c, d, mode="ekp"):
     return json.loads(realize(r, c, d, mode=mode).to_json_str())
 
 
+def reverse_the_first_tree_edge(data):
+    edge = data["tree"]["edges"][0]
+    edge["src"], edge["dst"] = edge["dst"], edge["src"]
+
+
 def double_an_edge_entry(data):
     mat = data["tree"]["edges"][0]["mat"]
     mat[0][0] = str(2 * int(mat[0][0]))
@@ -351,7 +356,8 @@ class TestValidationDemands:
         (lambda d: d["tree"]["vertices"].append({"addr": [3, 2, 3, 2, 3], "dim": 1000000}),
          "tree: source and sink dimensions sum to [2, 1000005], not [2, 5]"),
         (lambda d: d["tree"].update(r=3000000), "tree: r = 3000000, not the representation's 3"),
-    ], ids=["dim", "tree-sink", "tree-r"])
+        (reverse_the_first_tree_edge, "tree: edge [1] -> [] runs from a sink to a source"),
+    ], ids=["dim", "tree-sink", "tree-r", "tree-edge-reversed"])
     def test_a_dimension_mismatch_is_rejected_before_any_certificate(self, spoil, reason,
                                                                      monkeypatch):
         data = witness_json(3, 3, 2)     # cover
@@ -503,6 +509,20 @@ class TestValidationDemands:
         data["tree"]["edges"][0]["dst"] = [1, 2, 1, 2, 1]
         with pytest.raises(ValueError, match=re.escape(
                 "tree edge field 'dst' must be adjacent to 'src' [], got [1, 2, 1, 2, 1]")):
+            validate_witness(data)
+
+    # realize(3, 3, 2) lists every neighbour of its sources, so an edge to an
+    # unlisted vertex starts at one ([2, 1]) or runs from a sink ([1])
+    @pytest.mark.parametrize("edge, message", [
+        ({"src": [2, 1], "dst": [2], "mat": [[]]},
+         "tree edge field 'src' must be a vertex listed in 'vertices', got [2, 1]"),
+        ({"src": [1], "dst": [1, 3], "mat": []},
+         "tree edge field 'dst' must be a vertex listed in 'vertices', got [1, 3]"),
+    ], ids=["src", "dst"])
+    def test_edge_to_an_unlisted_vertex_is_named(self, edge, message):
+        data = witness_json(3, 3, 2)
+        data["tree"]["edges"].append(edge)
+        with pytest.raises(ValueError, match=re.escape(message)):
             validate_witness(data)
 
 
