@@ -20,6 +20,7 @@ from .cover import (
     TreeRep,
     is_source,
     neighbors,
+    require_bipartite,
     thin_path_rep,
 )
 from .exactmat import ExactMatrix, Field, QQ, left_kernel_matrix
@@ -100,8 +101,7 @@ def tau_inverse_tree(m: TreeRep) -> TreeRep:
     result carries the bipartite orientation again; a zero result means
     the input was zero or injective and is an error.
     """
-    if not m.is_canonically_oriented():
-        raise ValueError("translate defined for the bipartite orientation")
+    require_bipartite(m, "the inverse translate")
     first = {v for v in m.dims if is_source(v)}
     for y in m.dims:
         if not is_source(y):
@@ -114,7 +114,7 @@ def tau_inverse_tree(m: TreeRep) -> TreeRep:
     cur = reflect_functor_source(cur, *second)
     if not cur.dims:
         raise ValueError("translate vanished: input was zero or injective")
-    if not cur.is_canonically_oriented():
+    if cur.reversed_edge() is not None:
         raise AssertionError("sweep did not restore the bipartite orientation")
     return cur
 

@@ -242,8 +242,9 @@ class TreeRep:
     def support_sinks(self) -> list[Address]:
         return sorted(v for v in self.dims if not is_source(v))
 
-    def is_canonically_oriented(self) -> bool:
-        return all(is_source(t) for (t, h) in self.maps)
+    def reversed_edge(self) -> Optional[Edge]:
+        """The first edge in ``maps`` that runs from a sink to a source, or None."""
+        return next(((t, h) for t, h in self.maps if not is_source(t)), None)
 
     def to_json(self) -> dict:
         verts = [{"addr": list(v), "dim": d} for v, d in sorted(self.dims.items())]
@@ -455,6 +456,15 @@ def _offsets(m: TreeRep, vs: list[Address]) -> tuple[dict[Address, int], int]:
     return off, n
 
 
+def require_bipartite(m: TreeRep, what: str) -> None:
+    """Raise ValueError naming the first edge of ``m`` that runs from a sink to a source."""
+    edge = m.reversed_edge()
+    if edge is not None:
+        t, h = edge
+        raise ValueError(f"{what} needs the bipartite orientation: edge {list(t)} -> {list(h)} "
+                         f"runs from a sink to a source")
+
+
 def push_down(m: TreeRep) -> KroneckerRep:
     """Fold a tree representation onto the Kronecker quiver.
 
@@ -463,8 +473,7 @@ def push_down(m: TreeRep) -> KroneckerRep:
     color-c edge maps as a block matrix with zero blocks elsewhere.  Only
     the colors in use get rows: every other arrow is one shared zero matrix.
     """
-    if not m.is_canonically_oriented():
-        raise ValueError("push-down needs the bipartite orientation")
+    require_bipartite(m, "push-down")
     col_off, a = _offsets(m, m.support_sources())
     row_off, b = _offsets(m, m.support_sinks())
     rows_by_color = defaultdict(lambda: [{} for _ in range(b)])
@@ -487,8 +496,7 @@ def is_inj(m: TreeRep) -> tuple[bool, Optional[tuple[Address, Address, int]]]:
     zero, so any positive source dimension fails).  A failing edge is
     returned as witness.
     """
-    if not m.is_canonically_oriented():
-        raise ValueError("certificate defined for the bipartite orientation")
+    require_bipartite(m, "the Inj certificate")
     for x in m.support_sources():
         dx = m.dims[x]
         for c in range(1, m.r + 1):

@@ -10,15 +10,21 @@ every CLI command.
 
 The sampled checks rank pencils at a seeded plan of probe points.  The
 union of the arrows' patterns, each arrow read along the shorter side, is
-peeled once into a pencil plan: the pivot count and the distinct
-(arrow, entry) term lists at the pivots.  Every pencil's pattern lies in
-that union, so when the union peels to nothing, as for the push-downs of
-tree modules, a point where no pivot's value vanishes has the pivot count
-as its rank.  Every other point, and every point of a union that leaves a
-core, is ranked by ``pencil``, the one evaluator of a pencil.  The probe
-plans are drawn once per (field, r, samples, seed), and the ranks are
-kept on the representation per seed, so checks that share a seed rank
-each point once, over Q and GF(p) alike.
+peeled once into a pencil plan: the pivot count, the arrows of the pivots
+with a single (arrow, entry) term, and the distinct term lists of the
+others.  Every pencil's pattern lies in that union, so when the union
+peels to nothing, as for the push-downs of tree modules, a point where no
+pivot's value vanishes has the pivot count as its rank.  A single-term
+pivot vanishes exactly where its arrow's coordinate is zero, and the
+probe plan indexes those points per coordinate, so the whole plan is
+decided in one pass: every point off the pivot arrows' zero sets, and
+off the zeros of the multi-term sums, gets the pivot count at once.  A
+point left over with one non-zero coordinate is ranked by that arrow
+alone; every other one, and every point of a union that leaves a core,
+is ranked by ``pencil``, the one evaluator of a pencil, lazily and in
+order.  The probe plans are drawn once per (field, r, samples, seed), and
+the ranks are kept on the representation per seed, so checks that share
+a seed rank each point once, over Q and GF(p) alike.
 """
 
 from __future__ import annotations
@@ -76,9 +82,10 @@ class KroneckerRep:
     dim: DimVector
     mats: tuple[ExactMatrix, ...]
     field: Field = QQ
-    # seed -> {k: rank of the pencil at probe point k}, filled from
-    # k = 0 up; a cache that never changes a result, so it is not part of
-    # equality, hash or JSON
+    # seed -> {k: rank of the pencil at probe point k}: the points the
+    # pencil plan decides are stored together, the others as they are
+    # ranked, so keys can skip; a cache that never changes a result, so it
+    # is not part of equality, hash or JSON
     _probe_ranks: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -209,17 +216,31 @@ def jordan_type_at(m: KroneckerRep, alpha: Sequence) -> JordanType:
     return JordanType(m.dim.a + m.dim.b - 2 * d, d)
 
 
-@lru_cache(maxsize=8)
-def _draw_probe_points(p: Optional[int], r: int, samples: int, seed: int
-                       ) -> tuple[tuple[int, ...], ...]:
-    """The probe plan over Q (``p`` None) or GF(p), as integer points.
+class _ProbePlan(NamedTuple):
+    """Integer probe points, and for each coordinate t the indices of the
+    points where it is zero in the field (``zeros[t]``)."""
 
-    Each plan is drawn once and kept in this small cache, as tuples that
-    ``probe_alphas`` and ``_sampled_ranks`` read and never change.  After
-    the basis vectors, each point is r draws from the sampling box
-    (over GF(p), from 0..p-1), redrawn while all are zero.  A draw is
-    ``Random.randint`` unrolled: ``getrandbits(k)`` for the box's width ``n``
-    of k bits, repeated until it is below ``n``.
+    points: Sequence[Sequence[int]]
+    zeros: tuple[frozenset[int], ...]
+
+
+def _probe_plan(points: Sequence[Sequence[int]], r: int, p: Optional[int]) -> _ProbePlan:
+    """``points`` with their zero index over Q (``p`` None) or GF(p)."""
+    return _ProbePlan(points, tuple(
+        frozenset(k for k, pt in enumerate(points) if not (pt[t] if p is None else pt[t] % p))
+        for t in range(r)))
+
+
+@lru_cache(maxsize=8)
+def _draw_probe_points(p: Optional[int], r: int, samples: int, seed: int) -> _ProbePlan:
+    """The probe plan over Q (``p`` None) or GF(p), as integer points with their zero index.
+
+    Each plan is drawn and indexed once and kept in this small cache, as
+    tuples that ``probe_alphas`` and ``_sampled_ranks`` read and never
+    change.  After the basis vectors, each point is r draws from the
+    sampling box (over GF(p), from 0..p-1), redrawn while all are zero.
+    A draw is ``Random.randint`` unrolled: ``getrandbits(k)`` for the
+    box's width ``n`` of k bits, repeated until it is below ``n``.
     """
     low, n = (-ALPHA_BOX, 2 * ALPHA_BOX + 1) if p is None else (0, p)
     k = n.bit_length()
@@ -233,7 +254,7 @@ def _draw_probe_points(p: Optional[int], r: int, samples: int, seed: int
                 vals.append(low + x)
         if any(vals):
             out.append(tuple(vals))
-    return tuple(out)
+    return _probe_plan(tuple(out), r, p)
 
 
 def probe_alphas(field: Field, r: int, samples: int, seed: int) -> list[list[Scalar]]:
@@ -246,18 +267,22 @@ def probe_alphas(field: Field, r: int, samples: int, seed: int) -> list[list[Sca
     any larger count.
     """
     return [[field.element(v) for v in pt]
-            for pt in _draw_probe_points(field.modulus, r, samples, seed)]
+            for pt in _draw_probe_points(field.modulus, r, samples, seed).points]
 
 
 class _PencilPlan(NamedTuple):
     """The pivots of a union of arrows that peels to nothing, and the field's modulus.
 
-    ``pivot_terms`` holds the distinct (arrow, entry) term lists at the
-    pivots: few, as most pivots have one term and the entries repeat.
+    A pivot whose term list is one (arrow, entry) pair has a non-zero
+    entry, so it vanishes exactly where its arrow's coordinate does:
+    ``arrows`` holds the arrows of those pivots.  ``sums`` holds the
+    distinct term lists of the other pivots, which occur only where arrows
+    share a position.
     """
 
     npivots: int
-    pivot_terms: frozenset[tuple[tuple[int, Scalar], ...]]
+    arrows: frozenset[int]
+    sums: frozenset[tuple[tuple[int, Scalar], ...]]
     modulus: Optional[int]
 
 
@@ -272,53 +297,75 @@ def _pencil_plan(m: KroneckerRep) -> Optional[_PencilPlan]:
             for j, v in row.items():
                 terms.setdefault(j, []).append((t, v))
     pivots, core = _peel(rows)
-    return None if core else _PencilPlan(
-        len(pivots), frozenset(tuple(rows[i][c]) for i, c in pivots), m.field.modulus)
+    if core:
+        return None
+    terms = {tuple(rows[i][c]) for i, c in pivots}
+    return _PencilPlan(len(pivots), frozenset(ts[0][0] for ts in terms if len(ts) == 1),
+                       frozenset(ts for ts in terms if len(ts) > 1), m.field.modulus)
 
 
-def _pencil_rank(m: KroneckerRep, plan: Optional[_PencilPlan], alpha: Sequence[int]) -> int:
-    """Rank of sum(alpha_t * arrow_t) at a non-zero integer point, over the field of ``m``.
+def _pencil_rank(m: KroneckerRep, alpha: Sequence[int]) -> int:
+    """Rank of sum(alpha_t * arrow_t) at a non-zero integer point the pencil plan does not decide.
 
-    The pencil's pattern lies in the union, so a pivot of the union whose
-    value at alpha is non-zero is a singleton of the pencil's live pattern
-    too and adds exactly 1 to its rank.  With ``plan`` as ``_pencil_plan``
-    gives it for ``m``, not None, and no pivot vanishing at alpha, the
-    rank is the pivot count.  Any other point (on a core, at a basis
-    point, where a coordinate is zero or terms cancel) goes to ``pencil``.
+    At a point with one non-zero coordinate t the pencil is c * arrow t
+    with c non-zero, which has the rank of arrow t, so no pencil is built.
+    Every other point goes to ``pencil``.
     """
-    if plan is not None:
-        npivots, pivot_terms, p = plan
-        for terms in pivot_terms:
-            s = sum(alpha[t] * v for t, v in terms)
-            if not (s if p is None else s % p):
-                break
-        else:
-            return npivots
+    p = m.field.modulus
+    live = [t for t, x in enumerate(alpha) if (x if p is None else x % p)]
+    if len(live) == 1:
+        return m.mats[live[0]].rank()
     return pencil(m, alpha).rank()
+
+
+def _ranks_at(m: KroneckerRep, probes: _ProbePlan, ranks: dict[int, int]) -> Iterator[int]:
+    """Pencil ranks at ``probes.points``, over the field of ``m``, lazily, in order.
+
+    ``ranks`` maps a point's index to its rank; every rank found is stored
+    there, and a stored one is not found again.  On the first step, the
+    points not yet stored are decided together from the pencil plan of
+    ``m``.  The pencil's pattern lies in the union, so a pivot of the union
+    whose value at alpha is non-zero is a singleton of the pencil's live
+    pattern too and adds exactly 1 to its rank: where no pivot vanishes,
+    the rank is the pivot count.  A single-term pivot vanishes on its
+    arrow's zero set, read off ``probes.zeros``; only a multi-term pivot is
+    summed, at the points those sets leave.  Each point the plan cannot
+    decide (on a core, at a basis point, where a coordinate is zero or
+    terms cancel) is ranked by ``_pencil_rank`` when the iteration reaches
+    it, so a caller that stops early leaves the later ones unranked.
+    """
+    points = probes.points
+    pending = set(range(len(points))).difference(ranks)
+    plan = _pencil_plan(m) if pending else None
+    if plan is not None:
+        npivots, arrows, sums, p = plan
+        decided = pending.difference(*(probes.zeros[t] for t in arrows))
+        for terms in sums:
+            decided = {k for k in decided
+                       if (s := sum(points[k][t] * v for t, v in terms)) and (p is None or s % p)}
+        ranks.update(dict.fromkeys(decided, npivots))
+        pending -= decided
+    done = 0
+    for k in sorted(pending):
+        yield from map(ranks.__getitem__, range(done, k))
+        rk = ranks[k] = _pencil_rank(m, points[k])
+        yield rk
+        done = k + 1
+    yield from map(ranks.__getitem__, range(done, len(points)))
 
 
 def _sampled_ranks(m: KroneckerRep, samples: int, seed: int) -> Iterator[int]:
     """Pencil ranks at ``probe_alphas(m.field, m.r, samples, seed)``, lazily, in order.
 
-    ``samples`` must be at least 1.  Each point is ranked by
-    ``_pencil_rank`` from the pencil plan of ``m``, built once per call
-    that has a point left to rank; the ranks, not the plan, are kept on
-    ``m`` per seed.  The points for ``n`` samples are a prefix of those
-    for any larger count, so every check that samples ``m`` with one seed
-    ranks each point once, and a caller that stops early leaves the later
-    points unranked.
+    ``samples`` must be at least 1.  The ranks are found by ``_ranks_at``
+    and kept on ``m`` per seed; the plan is not.  The points for ``n``
+    samples are a prefix of those for any larger count, so every check
+    that samples ``m`` with one seed ranks each point once.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    ranks = m._probe_ranks.setdefault(seed, {})
-    if len(ranks) < samples:
-        plan = _pencil_plan(m)
-        points = _draw_probe_points(m.field.modulus, m.r, samples, seed)
-    for k in range(samples):
-        rk = ranks.get(k)
-        if rk is None:
-            rk = ranks[k] = _pencil_rank(m, plan, points[k])
-        yield rk
+    return _ranks_at(m, _draw_probe_points(m.field.modulus, m.r, samples, seed),
+                     m._probe_ranks.setdefault(seed, {}))
 
 
 def generic_rank(m: KroneckerRep, samples: int = 100, seed: int = 0) -> tuple[int, int, dict]:

@@ -43,7 +43,6 @@ from .cover import (
     build_root_vector,
     build_source_regular,
     is_inj,
-    is_source,
     push_down,
     thin_path_rep,
 )
@@ -313,10 +312,11 @@ def validate_witness(data: dict, seed: int = 1) -> tuple[bool, dict]:
         if w.tree.r != w.rep.r:
             return False, {"tree": False, "reason": f"tree: r = {w.tree.r}, not the "
                                                     f"representation's {w.rep.r}"}
-        for t, h in w.tree.maps:
-            if not is_source(t):
-                return False, {"tree": False, "reason": f"tree: edge {list(t)} -> {list(h)} "
-                                                        f"runs from a sink to a source"}
+        edge = w.tree.reversed_edge()
+        if edge is not None:
+            t, h = edge
+            return False, {"tree": False, "reason": f"tree: edge {list(t)} -> {list(h)} "
+                                                    f"runs from a sink to a source"}
         tree_dim = [sum(w.tree.dims[v] for v in vs)
                     for vs in (w.tree.support_sources(), w.tree.support_sinks())]
         if tree_dim != dim:

@@ -167,15 +167,20 @@ def ekp_sample_check(m: KroneckerRep, samples: int = 200, seed: int = 0) -> bool
     """True iff every sampled pencil has zero kernel (probabilistic check).
 
     The standard basis vectors are always probed first; exact certificates
-    come from the echelon and cover modules.  Stops at the first failing
-    point.
+    come from the echelon and cover modules.  The points the pencil plan
+    decides are ranked together before the first is read; the check stops
+    at the first failing point, and ranks no later point that needs its
+    arrow's rank or a pencil.
     """
     a = m.dim.a
     return all(rk == a for rk in _sampled_ranks(m, samples, seed))
 
 
 def eip_sample_check(m: KroneckerRep, samples: int = 200, seed: int = 0) -> bool:
-    """True iff every sampled pencil has full row rank (probabilistic check)."""
+    """True iff every sampled pencil has full row rank (probabilistic check).
+
+    Stops early as ``ekp_sample_check`` does.
+    """
     b = m.dim.b
     return all(rk == b for rk in _sampled_ranks(m, samples, seed))
 

@@ -293,6 +293,18 @@ class TestRootsCoxeterPushdown:
         rep = KroneckerRep.from_json(json.loads(dst.read_text()))
         assert tuple(rep.dim) == (2, 5)
 
+    def test_reversed_tree_edge_is_named(self, tmp_path, capsys):
+        tree = json.loads(realize_to(tmp_path, capsys, 3, "3,2").read_text())["tree"]
+        edge = tree["edges"][0]
+        edge["src"], edge["dst"] = edge["dst"], edge["src"]
+        src = tmp_path / "reversed-tree.json"
+        src.write_text(json.dumps(tree))
+        code = main(["pushdown", str(src)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "edge [1] -> [] runs from a sink to a source" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_error_exit_code(self, capsys):
         code = main(["pushdown", "/nonexistent/file.json"])
         assert code == 1

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from reference_impls import reference_build_indecomposable_tree_rep, reference_source_regular_growth
 
+from kronjord.bgp import tau_inverse_tree
 from kronjord.cover import (
     TreeQuiver,
     TreeRep,
@@ -320,6 +321,24 @@ class TestPushDown:
         assert peak < 4 * 2**20
         assert down.dim == DimVector(1, 0) and len(down.mats) == 200000
         assert all(m.rows == 0 and m.cols == 1 for m in down.mats)
+
+
+class TestOrientation:
+    """A tree edge from a sink to a source is named by every tree operation that needs
+    the bipartite orientation."""
+
+    REVERSED = TreeRep(3, {(): 1, (1,): 1, (2,): 1},
+                       {((), (2,)): ExactMatrix(QQ, [[1]]), ((1,), ()): ExactMatrix(QQ, [[1]])})
+
+    def test_first_reversed_edge(self):
+        assert self.REVERSED.reversed_edge() == ((1,), ())
+        assert thin_path_rep(3, 2, 5).reversed_edge() is None
+
+    @pytest.mark.parametrize("operation", [push_down, is_inj, tau_inverse_tree])
+    def test_operations_name_the_edge(self, operation):
+        with pytest.raises(ValueError, match=r"bipartite orientation: edge \[1\] -> \[\] runs "
+                                             r"from a sink to a source"):
+            operation(self.REVERSED)
 
 
 class TestInjCertificate:

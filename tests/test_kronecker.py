@@ -205,7 +205,9 @@ def qq_reps(draw):
 
 
 def integer_rank(m, alpha):
-    return kronecker._pencil_rank(m, kronecker._pencil_plan(m), alpha)
+    """The rank the sampled checks give ``m`` at ``alpha``, as the one point of a probe plan."""
+    probes = kronecker._probe_plan([alpha], m.r, m.field.modulus)
+    return next(kronecker._ranks_at(m, probes, {}))
 
 
 def over_gf(m, p):
@@ -267,7 +269,7 @@ class TestIntegerPencilRank:
     def test_cancelling_pivot_terms(self, spied):
         one = ExactMatrix(QQ, [[1]])
         m = KroneckerRep(2, DimVector(1, 1), (one, one))
-        assert kronecker._pencil_plan(m) == (1, {((0, 1), (1, 1))}, None)
+        assert kronecker._pencil_plan(m) == (1, set(), {((0, 1), (1, 1))}, None)
         assert integer_rank(m, [1, 1]) == 1
         assert spied["pencil"] == []
         assert integer_rank(m, [1, -1]) == 0
@@ -289,9 +291,11 @@ class TestIntegerPencilRank:
         assert len(pivots) == 1 and len(core) == 2
         points = (([1, 1], 2), ([1, -1], 2), ([1, 2], 3), ([0, 1], 2), ([1, 0], 3))
         for alpha, rank in points:
-            assert integer_rank(m, alpha) == pencil(m, alpha).rank() == rank, alpha
-        # every point is ranked in full, none from the pivot count
-        assert spied["pencil"] == [alpha for alpha, _ in points]
+            assert integer_rank(m, alpha) == rank, alpha
+        # none is ranked from the pivot count: a point with one non-zero
+        # coordinate has its arrow's rank, and every other point goes to pencil
+        assert spied["pencil"] == [alpha for alpha, _ in points[:3]]
+        assert [pencil(m, alpha).rank() for alpha, _ in points] == [rank for _, rank in points]
 
     def test_point_with_a_zero_coordinate(self):
         m = realize(3, 4, 3).rep
@@ -381,6 +385,70 @@ class TestIntegerPencilRank:
         assert got == {k: True for k in range(8)}
         assert len(shared._probe_ranks[6]) == 110
         assert [shared._probe_ranks[6][k] for k in range(110)] == want[:110]
+
+
+@st.composite
+def bulk_reps(draw):
+    """Small representations over Q, GF(2), GF(3) or GF(101) whose arrows share
+    positions: random arrows with entries in {0, 1, -1, 2}, zero arrows, and
+    multiples c * arrow s with c in {1, -1, 2} (multi-term pivots whose terms
+    cancel, and unions that leave a core); a or b may be 0."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(101)]))
+    r = draw(st.integers(min_value=2, max_value=4))
+    a = draw(st.integers(min_value=0, max_value=4))
+    b = draw(st.integers(min_value=0, max_value=4))
+    entries = st.sampled_from([0, 0, 1, -1, 2])
+    grids = []
+    for t in range(r):
+        kind = draw(st.sampled_from(["random", "zero", "multiple"] if t else ["random", "zero"]))
+        if kind == "random":
+            grids.append([[draw(entries) for _ in range(a)] for _ in range(b)])
+        elif kind == "zero":
+            grids.append([[0] * a for _ in range(b)])
+        else:
+            c, s = draw(st.sampled_from([1, -1, 2])), draw(st.integers(min_value=0, max_value=t - 1))
+            grids.append([[c * x for x in row] for row in grids[s]])
+    mats = tuple(ExactMatrix.from_rows(field, [dict(enumerate(row)) for row in grid], a)
+                 for grid in grids)
+    return KroneckerRep(r, DimVector(a, b), mats, field)
+
+
+class TestBulkRanks:
+    """The ranks decided for a whole probe plan at once equal the whole-pencil ranks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bulk_reps(), st.integers(min_value=1, max_value=30),
+           st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=9))
+    def test_every_probe_point(self, m, n, extra, seed):
+        p = m.field.modulus
+        points = reference_probe_points(m.field, m.r, n + extra, seed)
+        want = [reference_pencil_rank(m, pt, p) for pt in points]
+        assert list(kronecker._sampled_ranks(m, n + extra, seed)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(bulk_reps(), st.integers(min_value=1, max_value=30),
+           st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=9))
+    def test_prefix(self, m, n, extra, seed):
+        # n points, then n + extra on the same representation, equal n + extra
+        # at once on a fresh copy: the decided points stored for n are kept
+        fresh = KroneckerRep(m.r, m.dim, m.mats, m.field)
+        first = list(kronecker._sampled_ranks(m, n, seed))
+        longer = list(kronecker._sampled_ranks(m, n + extra, seed))
+        assert longer == list(kronecker._sampled_ranks(fresh, n + extra, seed))
+        assert first == longer[:n]
+
+    def test_mostly_zero_coordinates_over_gf2(self):
+        # arrow t is the unit at (t, t), so the pencil's rank is the number of
+        # non-zero coordinates; over GF(2) most points have a zero coordinate
+        units = tuple(ExactMatrix.from_rows(GF(2), [{t: 1} if i == t else {} for i in range(3)], 3)
+                      for t in range(3))
+        m = KroneckerRep(3, DimVector(3, 3), units, GF(2))
+        assert kronecker._pencil_plan(m) == (3, {0, 1, 2}, set(), 2)
+        points = kronecker._draw_probe_points(2, 3, 200, 3).points
+        want = [sum(map(bool, pt)) for pt in points]
+        assert want.count(3) < 50
+        assert want == [reference_pencil_rank(m, pt, 2) for pt in points]
+        assert list(kronecker._sampled_ranks(m, 200, 3)) == want
 
 
 def small_witnesses():

@@ -376,14 +376,35 @@ class TestSampledChecks:
         assert not ekp_sample_check(rep, 200, 0)
         assert len(ranked) == 1
 
+    class StoreLog(dict):
+        """A rank cache that logs the index of every rank stored into it."""
+
+        def __init__(self):
+            super().__init__()
+            self.stored, self.one_by_one = [], 0
+
+        def __setitem__(self, k, v):
+            self.stored.append(k)
+            self.one_by_one += 1
+            super().__setitem__(k, v)
+
+        def update(self, other):
+            self.stored.extend(other)
+            super().update(other)
+
     def test_each_point_is_ranked_once_per_rep(self, ranked):
+        # every rank found is stored: the plan's decided points together,
+        # each other point as _pencil_rank ranks it
         rep = cover_rep(3, 2, 5)
+        logs = rep._probe_ranks[4], rep._probe_ranks[5] = self.StoreLog(), self.StoreLog()
         is_constant_jordan_type(rep, 100, 4)
         restriction_check(rep, 200, 4)
         assert ekp_sample_check(rep, 200, 4)
-        assert len(ranked) == 200
+        assert sorted(logs[0].stored) == list(range(200))
+        assert len(ranked) == logs[0].one_by_one > 0
         assert ekp_sample_check(rep, 50, 5)
-        assert len(ranked) == 250
+        assert sorted(logs[1].stored) == list(range(50))
+        assert len(ranked) == logs[0].one_by_one + logs[1].one_by_one
 
 
 class TestRestriction:
