@@ -22,7 +22,6 @@ from .kronecker import (
     is_in_ijt,
     jordan_type_at,
     pencil,
-    preinjective_dim_vectors,
     preprojective_dim_vectors,
     tits_form,
     to_module_operators,
@@ -46,7 +45,6 @@ from .bgp import (
     coxeter_shift_plan,
     reflect_functor_source,
     tau_inverse_tree,
-    weyl_reflect,
 )
 from .echelon import EchelonSpec, build_echelon_rep, ekp_echelon_certificate, select_phi, shifted_identity
 from .verify import (
@@ -67,12 +65,12 @@ __all__ = [
     "ExactMatrix", "GF", "QQ", "block_matrix",
     "DimVector", "JordanType", "KroneckerRep", "RootClass", "classify_root", "coxeter_apply",
     "dual", "euler_form", "generic_rank", "is_constant_jordan_type", "is_in_ijt",
-    "jordan_type_at", "pencil", "preinjective_dim_vectors", "preprojective_dim_vectors",
-    "tits_form", "to_module_operators", "xi", "xi_inverse",
+    "jordan_type_at", "pencil", "preprojective_dim_vectors", "tits_form", "to_module_operators",
+    "xi", "xi_inverse",
     "TreeQuiver", "TreeRep", "build_indecomposable_tree_rep", "build_root_vector",
     "build_source_regular", "is_inj", "push_down", "source_regular_bound_check", "thin_path_rep",
     "ReflectionPlan", "build_preprojective", "coxeter_shift_plan", "reflect_functor_source",
-    "tau_inverse_tree", "weyl_reflect",
+    "tau_inverse_tree",
     "EchelonSpec", "build_echelon_rep", "ekp_echelon_certificate", "select_phi", "shifted_identity",
     "HomSpace", "ekp_sample_check", "eip_sample_check", "end_is_local", "ext_dim", "hom_space",
     "is_brick", "restriction_check",

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .cover import (
     Address,
-    TreeQuiver,
     TreeRep,
     is_source,
     neighbors,
@@ -25,24 +24,6 @@ from .cover import (
 )
 from .exactmat import ExactMatrix, Field, QQ, left_kernel_matrix
 from .kronecker import DimVector, coxeter_apply, preprojective_dim_vectors, tits_form
-
-
-# ---------------------------------------------------------------------------
-# Weyl reflections on dimension vectors
-# ---------------------------------------------------------------------------
-
-def weyl_reflect(q: TreeQuiver, v: dict[Address, int], vertex: Address) -> dict[Address, int]:
-    """Simple reflection of an integer vector at one vertex.
-
-    The reflected coordinate becomes -v[vertex] + sum of the values at the
-    in-quiver neighbors; every other coordinate is unchanged.
-    """
-    if vertex not in q.vertices:
-        raise ValueError(f"{vertex} is not a vertex of the quiver")
-    out = dict(v)
-    nb = q.neighbors_in(vertex)
-    out[vertex] = -v.get(vertex, 0) + sum(v.get(w, 0) for w in nb)
-    return out
 
 
 # ---------------------------------------------------------------------------

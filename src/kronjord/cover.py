@@ -154,15 +154,6 @@ def build_source_regular(r: int, n: int) -> TreeQuiver:
     return TreeQuiver(r, frozenset(verts))
 
 
-def max_cover_b(r: int, a: int) -> int:
-    """Largest b reachable on a source-regular quiver with a sources.
-
-    Equals floor((r - 1/(r-1)) a), the top of the window.
-    """
-    q, s = divmod(a - 1, r - 1)
-    return (r - 1) * a + q * (r - 2) + s
-
-
 def build_root_vector(q: TreeQuiver, a: int, b: int) -> dict[Address, int]:
     """Dimension vector with value 1 at sources and ordinary sinks and
     1 + budget at the distinguished sinks, summing to b over the sinks.

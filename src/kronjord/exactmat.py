@@ -17,12 +17,14 @@ re-normalized by its gcd after every combination, which keeps coefficient
 growth in check; over GF(p) every entry is reduced mod p.  The large,
 very sparse intertwining systems are cheap in either characteristic.
 
-A caller that needs only a rank calls ``sparse_int_rank``.  A difference
-system, whose rows are all x*u or x*(u - v), is ranked by union-find
-with no elimination, and that rank is the same over every field.  Any
-other system has its singleton pivots peeled first, each of
-which adds 1 to the rank over any field, and only the core that is left
-goes to the engine.  The peel reads only
+A caller that needs only a rank calls ``sparse_int_rank``, and one that
+needs a kernel ``sparse_int_kernel``.  A difference system, whose rows
+are all x*u or x*(u - v), takes neither to the engine: one union-find
+gives its rank and its kernel, the same over every field.  For a rank,
+any other system has its singleton pivots peeled first, each of which
+adds 1 to the rank over any field, and only the core that is left goes
+to the engine; for a kernel, it is eliminated whole and back-substituted
+in one pass for every free column.  The peel reads only
 positions, so a pattern peeled once serves every system whose pattern
 lies inside it and whose entries at the pivots are non-zero: the sampled
 pencil checks peel the union of the arrows' patterns once per
@@ -297,28 +299,27 @@ def sparse_int_echelon(rows: Iterable[dict], ncols: int,
 
 
 # ---------------------------------------------------------------------------
-# difference systems (rank only)
+# difference systems (rank and kernel)
 # ---------------------------------------------------------------------------
 #
 # The End system of a representation with shifted-identity arrows has
-# only rows x*u and x*(u - v): a difference system.  Its rank is that of
-# a graph on the columns, with an edge u - v for each two-entry row and a
-# ground for each one-entry row: the columns touched minus the
-# components, plus the components that hold a ground.  That is the same
-# over every field, and a union-find finds it in near-linear time.  The
-# pipeline builds no echelon witness's End rows: ``echelon_end_dim`` runs
-# the same count on the arrows' offsets.
+# only rows x*u and x*(u - v): a difference system, a graph on the
+# columns with an edge u - v for each two-entry row and a ground for each
+# one-entry row.  Its rank is the columns touched minus the components,
+# plus the grounded components; its kernel is spanned by the indicators
+# of the others.  Both are the same over every field, and one union-find
+# finds them in near-linear time.  ``echelon_end_dim`` runs the same
+# count on an echelon witness's offsets, with no End row built.
 
-def _difference_rank(rows: Sequence[dict], p: Optional[int]) -> Optional[int]:
-    """Rank of a difference system over Q or GF(``p``), or None if it is not one.
+def _difference_forest(rows: Sequence[dict], p: Optional[int]):
+    """The union-find of a difference system over Q or GF(``p``), or None if it is not one.
 
     Zero entries (mod ``p``: multiples of ``p``) are skipped.  Each row
     left with two entries x, y at columns u, v and x + y = 0 (mod ``p``)
-    joins u and v; each row left with one entry grounds its column.  The
-    rank is the number of joins that merge two components plus the
-    number of components with a ground.  Returns None at the first row
-    with three or more non-zero entries, or with two that do not cancel.
-    The input rows are not mutated.
+    joins u and v; each row left with one entry grounds its column.
+    Returns ``find``, the number of joins that merged two components and
+    the grounded roots; None at the first row with three or more non-zero
+    entries, or with two that do not cancel.  The input rows are not mutated.
     """
     parent: dict[int, int] = {}
 
@@ -357,7 +358,15 @@ def _difference_rank(rows: Sequence[dict], p: Optional[int]) -> Optional[int]:
             ((u, x),) = row.items()
             if x % p if p else x:
                 grounded.append(u)
-    return joins + len({find(u) for u in grounded})
+    return find, joins, {find(u) for u in grounded}
+
+
+def _difference_rank(rows: Sequence[dict], p: Optional[int]) -> Optional[int]:
+    """Rank of a difference system over Q or GF(``p``), or None if it is not one:
+    the joins that merge two components plus the grounded components."""
+    forest = _difference_forest(rows, p)
+    return None if forest is None else forest[1] + len(forest[2])
+
 
 
 # ---------------------------------------------------------------------------
@@ -453,44 +462,69 @@ def sparse_int_rank(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -
     return len(pivots) + (len(sparse_int_echelon(core, ncols, p)) if core else 0)
 
 
-def _back_substitute(piv_rows: list[tuple[int, dict]], seed: dict[int, Scalar],
-                     p: Optional[int] = None) -> dict[int, Scalar]:
-    """Complete a partial assignment to a kernel vector of the echelon system.
+def _back_substitute(piv_rows: list[tuple[int, dict]], seeds: Sequence[int],
+                     p: Optional[int] = None) -> list[dict[int, Scalar]]:
+    """For each seed, a free column, the kernel vector that is 1 there and 0 at the others.
 
-    ``seed`` fixes the free coordinates (elements of Q, or ints mod ``p``);
-    pivot coordinates are filled in reverse pivot order.  Over Q each is
-    one exact division, an int when it is integral and a ``Fraction``
-    otherwise.
+    The pivot rows are walked once, in reverse pivot order, each
+    coordinate held as a sparse map from seed to non-zero value.  Over Q a
+    pivot value is one exact division, an int when it is integral and a
+    ``Fraction`` otherwise; mod ``p`` a product with the pivot's inverse.
+    Each vector holds its seed, then its pivot coordinates in reverse order.
     """
-    x = dict(seed)
+    out = [{f: 1} for f in seeds]
+    coords: dict[int, dict[int, Scalar]] = {f: {k: 1} for k, f in enumerate(seeds)}
     for c, prow in reversed(piv_rows):
-        s = 0
+        sums: dict[int, Scalar] = {}
         for j, v in prow.items():
-            if j != c:
-                xj = x.get(j)
-                if xj:
-                    s += v * xj
-        if s:
+            if j != c and (xj := coords.get(j)):
+                for k, w in xj.items():
+                    sums[k] = sums.get(k, 0) + v * w
+        a = prow[c]
+        xc = coords[c] = {}
+        for k, s in sums.items():
             if p is None:
-                q, rem = divmod(-s, prow[c])
-                x[c] = Fraction(-s, prow[c]) if rem else q
+                q, rem = divmod(-s, a)
+                x = Fraction(-s, a) if rem else q
             else:
-                x[c] = -s * pow(prow[c], -1, p) % p
-    return x
+                x = -s * pow(a, -1, p) % p
+            if x:
+                xc[k] = out[k][c] = x
+    return out
 
 
 def sparse_int_kernel(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -> list[dict]:
     """Basis of the right kernel of a sparse row system, over Q or modulo ``p``.
 
     Each basis vector is a dict column -> non-zero entry, 1 at its own
-    free column and 0 at every other free column, which makes the basis
-    unique.  Entries are ints, save the non-integral rationals, which are
-    ``Fraction``s.
+    free column, its first key, and 0 at every other free column, which
+    makes the basis unique; the pivot columns follow in decreasing order.
+    Entries are ints, save the non-integral rationals, which are
+    ``Fraction``s.  A system that is not a difference system goes to
+    ``sparse_int_echelon`` and one ``_back_substitute`` pass.
+
+    A difference system gives the indicator of each component C of its
+    forest without a ground (a column no row touches is one), ordered by
+    max(C).  That is the engine's basis.  A row meets one component, so
+    the column dependencies split over them.  A ground gives C's rows rank
+    |C|.  Without one, C's rows are x*(u - v) or zero on C, of rank
+    |C| - 1, so C's one dependency is the sum of its columns, of full
+    support: left to right, every column of C but max(C) is a pivot and
+    max(C) is free, where the indicator is 1; it is 0 at every other free
+    column.
     """
+    rows = rows if isinstance(rows, list) else list(rows)
+    forest = _difference_forest(rows, p)
+    if forest is not None:
+        find, _, grounded = forest
+        components: dict[int, list[int]] = {}
+        for c in range(ncols - 1, -1, -1):
+            if (root := find(c)) not in grounded:
+                components.setdefault(root, []).append(c)
+        return [dict.fromkeys(cols, 1) for cols in reversed(components.values())]
     piv_rows = sparse_int_echelon(rows, ncols, p)
     pivot_cols = {c for c, _ in piv_rows}
-    return [{j: v for j, v in _back_substitute(piv_rows, {f: 1}, p).items() if v}
-            for f in range(ncols) if f not in pivot_cols]
+    return _back_substitute(piv_rows, [f for f in range(ncols) if f not in pivot_cols], p)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +761,7 @@ class ExactMatrix:
         piv = sparse_int_echelon(rows, n + 1, p)
         if any(c == n for c, _ in piv):
             return None
-        x = _back_substitute(piv, {n: self.field.one}, p)
+        (x,) = _back_substitute(piv, [n], p)
         return [x.get(j, self.field.zero) for j in range(n)]
 
 

@@ -478,7 +478,7 @@ def to_module_operators(m: KroneckerRep) -> list[ExactMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# preprojective / preinjective dimension vectors
+# preprojective dimension vectors
 # ---------------------------------------------------------------------------
 
 def preprojective_dim_vectors(r: int, limit: int) -> list[DimVector]:
@@ -493,8 +493,3 @@ def preprojective_dim_vectors(r: int, limit: int) -> list[DimVector]:
         out.append(prev)
         prev, cur = cur, DimVector(r * cur.a - prev.a, r * cur.b - prev.b)
     return out
-
-
-def preinjective_dim_vectors(r: int, limit: int) -> list[DimVector]:
-    """I1, I2, ... dimension vectors until a component exceeds ``limit``."""
-    return [DimVector(b, a) for a, b in preprojective_dim_vectors(r, limit)]

@@ -9,14 +9,14 @@ dimension 1) is decided from the rank of the End system over any field;
 it certifies every witness, on the tree for a push-down.  Locality of End,
 for bare representations, is decided over the rationals: the radical is
 the kernel of the trace form of End acting on the representation itself,
-each trace read off the sparse rows of a Hom basis.  Every elimination,
-over Q or GF(p), goes through the sparse engine of ``exactmat``, given
-the modulus and the rows as the arrows' scalars make them; the brick
-test and Ext need only a rank, so ``sparse_int_rank`` ranks their
-systems without it where it can.  The End system of a representation
-with shifted-identity arrows is a difference system, ranked by
-union-find for every characteristic at once; a tree's is peeled to
-nothing.  The pipeline reads an echelon
+each trace read off the sparse rows of a Hom basis.  Every rank and
+kernel, over Q or GF(p), comes from ``exactmat``, given the modulus and
+the rows as the arrows' scalars make them: the brick test and Ext need a
+rank (``sparse_int_rank``), Hom a kernel (``sparse_int_kernel``), and
+either skips the sparse engine where it can.  The End system of a
+representation with shifted-identity arrows is a difference system,
+whose rank and Hom basis one union-find gives in every characteristic;
+a tree's is peeled to nothing for a rank.  The pipeline reads an echelon
 witness's End dimension off its offsets instead (``echelon_end_dim``).
 """
 

@@ -28,6 +28,18 @@ the tests assert identical trees, quivers and construction traces.
 whole, with the elimination engine; the package ranks every probe point
 from one peel of the union of the arrows, read along the shorter side,
 and the tests assert identical ranks.
+
+``reference_sparse_int_kernel`` eliminates every system with the engine
+and back-substitutes once per free column (``reference_back_substitute``,
+also behind ``reference_solve``).  The package reads a difference
+system's kernel off its union-find and back-substitutes every free column
+in one pass; the tests assert identical bases, vector for vector and key
+for key, and identical solutions.
+
+``weyl_reflect``, ``max_cover_b`` and ``preinjective_dim_vectors`` are
+closed forms that only the tests use: a simple reflection of a dimension
+vector on a tree quiver, the top of the cover window, and the preinjective
+dimension vectors as duals of the preprojective ones.
 """
 
 import random
@@ -45,7 +57,7 @@ from kronjord.exactmat import (
     sparse_int_echelon,
     vstack,
 )
-from kronjord.kronecker import ALPHA_BOX, DimVector, KroneckerRep
+from kronjord.kronecker import ALPHA_BOX, DimVector, KroneckerRep, preprojective_dim_vectors
 from kronjord.verify import hom_space
 
 
@@ -302,3 +314,76 @@ def reference_pencil_rank(m, alpha, p=None):
                 for j, v in row.items():
                     acc[j] = acc.get(j, 0) + c * v
     return len(sparse_int_echelon(rows, m.dim.a, p))
+
+
+def reference_back_substitute(piv_rows, seed, p=None):
+    """Complete one partial assignment to a kernel vector of the echelon system.
+
+    ``seed`` fixes the free coordinates (elements of Q, or ints mod ``p``);
+    pivot coordinates are filled in reverse pivot order.  Over Q each is
+    one exact division, an int when it is integral and a ``Fraction``
+    otherwise.
+    """
+    x = dict(seed)
+    for c, prow in reversed(piv_rows):
+        s = 0
+        for j, v in prow.items():
+            if j != c:
+                xj = x.get(j)
+                if xj:
+                    s += v * xj
+        if s:
+            if p is None:
+                q, rem = divmod(-s, prow[c])
+                x[c] = Fraction(-s, prow[c]) if rem else q
+            else:
+                x[c] = -s * pow(prow[c], -1, p) % p
+    return x
+
+
+def reference_sparse_int_kernel(rows, ncols, p=None):
+    """Kernel basis from the engine's echelon form, back-substituted once per free column."""
+    piv_rows = sparse_int_echelon(rows, ncols, p)
+    pivot_cols = {c for c, _ in piv_rows}
+    return [{j: v for j, v in reference_back_substitute(piv_rows, {f: 1}, p).items() if v}
+            for f in range(ncols) if f not in pivot_cols]
+
+
+def reference_solve(m, b):
+    """One solution of ``m @ x = b``, or None, by one back-substitution of the augmented system."""
+    n, p = m.cols, m.field.modulus
+    rows = [{**row, n: -rhs} if (rhs := m.field.element(x)) else row
+            for row, x in zip(m.sparse_rows(), b)]
+    piv = sparse_int_echelon(rows, n + 1, p)
+    if any(c == n for c, _ in piv):
+        return None
+    x = reference_back_substitute(piv, {n: m.field.one}, p)
+    return [x.get(j, m.field.zero) for j in range(n)]
+
+
+def weyl_reflect(q, v, vertex):
+    """Simple reflection of an integer vector at one vertex.
+
+    The reflected coordinate becomes -v[vertex] + sum of the values at the
+    in-quiver neighbors; every other coordinate is unchanged.
+    """
+    if vertex not in q.vertices:
+        raise ValueError(f"{vertex} is not a vertex of the quiver")
+    out = dict(v)
+    nb = q.neighbors_in(vertex)
+    out[vertex] = -v.get(vertex, 0) + sum(v.get(w, 0) for w in nb)
+    return out
+
+
+def max_cover_b(r, a):
+    """Largest b reachable on a source-regular quiver with a sources.
+
+    Equals floor((r - 1/(r-1)) a), the top of the window.
+    """
+    q, s = divmod(a - 1, r - 1)
+    return (r - 1) * a + q * (r - 2) + s
+
+
+def preinjective_dim_vectors(r, limit):
+    """I1, I2, ... dimension vectors until a component exceeds ``limit``."""
+    return [DimVector(b, a) for a, b in preprojective_dim_vectors(r, limit)]

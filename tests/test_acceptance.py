@@ -8,10 +8,10 @@ the per-criterion lines.
 from fractions import Fraction
 
 from gf2_oracle import gf2_indecomposable, gf2_reps, has_constant_type
-from reference_impls import explicit_p2
+from reference_impls import explicit_p2, max_cover_b
 
 from kronjord.bgp import tau_inverse_tree
-from kronjord.cover import build_source_regular, is_inj, max_cover_b, push_down, source_regular_bound_check
+from kronjord.cover import build_source_regular, is_inj, push_down, source_regular_bound_check
 from kronjord.echelon import ekp_echelon_certificate
 from kronjord.exactmat import ExactMatrix, QQ
 from kronjord.kronecker import (

@@ -1,7 +1,7 @@
 """Reflection functors, the inverse translate, shift planning, preprojectives."""
 
 import pytest
-from reference_impls import explicit_p2, kron_tau_inverse, reference_tau_inverse_tree
+from reference_impls import explicit_p2, kron_tau_inverse, reference_tau_inverse_tree, weyl_reflect
 
 from kronjord import bgp
 from kronjord.bgp import (
@@ -9,7 +9,6 @@ from kronjord.bgp import (
     coxeter_shift_plan,
     reflect_functor_source,
     tau_inverse_tree,
-    weyl_reflect,
 )
 from kronjord.cover import (
     TreeRep,

@@ -7,7 +7,11 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from reference_impls import reference_build_indecomposable_tree_rep, reference_source_regular_growth
+from reference_impls import (
+    max_cover_b,
+    reference_build_indecomposable_tree_rep,
+    reference_source_regular_growth,
+)
 
 from kronjord.bgp import tau_inverse_tree
 from kronjord.cover import (
@@ -17,7 +21,6 @@ from kronjord.cover import (
     build_root_vector,
     build_source_regular,
     is_inj,
-    max_cover_b,
     neighbor_via,
     push_down,
     source_regular_bound_check,

@@ -8,7 +8,11 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_impls import reference_sparse_int_echelon
+from reference_impls import (
+    reference_solve,
+    reference_sparse_int_echelon,
+    reference_sparse_int_kernel,
+)
 
 from kronjord import exactmat, kronecker, verify
 from kronjord.cover import (
@@ -39,7 +43,7 @@ from kronjord.kronecker import (
     probe_alphas,
     tits_form,
 )
-from kronjord.pipeline import realize
+from kronjord.pipeline import classify, realize
 from kronjord.verify import _intertwining_rows, ext_dim, hom_space
 
 
@@ -691,3 +695,120 @@ def test_prime_field_certificates_match_dense_reference(shape):
     want = [len(_dense_rref(pencil(m, alpha).to_lists(), m.dim.a, p)[1])
             for alpha in probe_alphas(m.field, m.r, 30, 7)]
     assert list(kronecker._sampled_ranks(m, 30, 7)) == want
+
+
+# --- kernels: union-find and one back-substitution pass against the reference --
+
+@st.composite
+def kernel_systems(draw):
+    """A modulus (None over Q, else 2, 3 or 5), sparse rows, their column count
+    and a right-hand side.  Half the systems are difference systems: rows
+    x*(u - v) with grounds, untouched columns, explicit zeros, entries that
+    vanish mod p, partners that cancel only mod p (u + v at p = 2) and
+    Fraction scales over Q.  The rest are arbitrary rows; there may be no
+    rows or no columns."""
+    p = draw(st.sampled_from([None, 2, 3, 5]))
+    ncols = draw(st.integers(min_value=0, max_value=9))
+    col = st.integers(0, ncols - 1) if ncols else st.nothing()
+    cap = 1 if ncols else 0   # no column: no entry to draw
+    if p is None:
+        scale = st.one_of(st.sampled_from([1, -1, 2, -3, 6]),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+    else:
+        scale = st.integers(-2 * p, 2 * p)
+    rows = []
+    if draw(st.booleans()):
+        for u, v, x in draw(st.lists(st.tuples(col, col, scale), max_size=10 * cap)):
+            if u != v:
+                # mod p the partner may be -x shifted by a multiple of p
+                y = -x + (p * draw(st.integers(-1, 1)) if p else 0)
+                rows.append({u: x, v: y})
+        rows += [{u: x} for u, x in draw(st.lists(st.tuples(col, scale), max_size=3 * cap))]
+        rows += [{u: x, v: 0} for u, v, x in draw(st.lists(st.tuples(col, col, scale),
+                                                            max_size=2 * cap)) if u != v]
+        if p:
+            # a third entry that vanishes mod p
+            for i, w in draw(st.lists(st.tuples(st.integers(0, 30), col), max_size=2 * cap)):
+                if rows and w not in rows[i % len(rows)]:
+                    rows.append({**rows[i % len(rows)], w: p})
+    else:
+        rows = draw(st.lists(st.dictionaries(col, scale, max_size=min(ncols, 4)), max_size=8))
+    rows.append({})
+    order = draw(st.permutations(range(len(rows))))
+    rows = [rows[i] for i in order]
+    return p, rows, ncols, [draw(scale) for _ in rows]
+
+
+def keyed(vectors):
+    """Each vector as its (key, value, type) triples, in key order."""
+    return [[(j, x, type(x)) for j, x in v.items()] for v in vectors]
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_systems())
+def test_kernel_and_solve_match_the_per_column_reference(system):
+    p, rows, ncols, rhs = system
+    snapshot = copy.deepcopy(rows)
+    got = sparse_int_kernel(rows, ncols, p)
+    assert keyed(got) == keyed(reference_sparse_int_kernel(rows, ncols, p))
+    assert rows == snapshot, "input rows were mutated"
+    m = ExactMatrix.from_rows(QQ if p is None else GF(p), rows, ncols)
+    sol = m.solve(rhs)
+    want = reference_solve(m, rhs)
+    assert sol == want
+    assert sol is None or [type(x) for x in sol] == [type(x) for x in want]
+
+
+def test_difference_kernels_are_read_off_the_forest(monkeypatch):
+    # components {0, 2, 5} and {3, 4}, grounded {1, 6}, column 7 untouched
+    rows = [{5: 7, 0: -7}, {2: 1, 0: -1}, {4: 1, 3: -1}, {1: 5, 6: -5}, {6: 5}, {7: 0}]
+    calls = count_calls(monkeypatch)
+    want = [[(4, 1), (3, 1)], [(5, 1), (2, 1), (0, 1)], [(7, 1)]]
+    for p in (None, 2, 3, 101):
+        assert [list(v.items()) for v in sparse_int_kernel(rows, 8, p)] == want
+    assert calls == []
+    # u + v joins only at p = 2; elsewhere the triangle has full rank
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}, {3: 1, 4: 1}]
+    assert [list(v.items()) for v in sparse_int_kernel(rows, 5, 2)] == [[(2, 1), (1, 1), (0, 1)],
+                                                                        [(4, 1), (3, 1)]]
+    assert calls == []
+    assert [list(v.items()) for v in sparse_int_kernel(rows, 5, 3)] == [[(4, 1), (3, 2)]]
+    assert len(calls) == 1
+
+
+def reference_hom_basis(m):
+    """The Hom(m, m) basis that hom_space builds, from the per-column reference kernel."""
+    (a, b), fld = m.dim, m.field
+    rows, nvars = _intertwining_rows(m, m)
+    basis = []
+    for vec in reference_sparse_int_kernel(rows, nvars, fld.modulus):
+        f1, f2 = [{} for _ in range(a)], [{} for _ in range(b)]
+        for k, x in vec.items():
+            if k < a * a:
+                f1[k // a][k % a] = x
+            else:
+                f2[(k - a * a) // b][(k - a * a) % b] = x
+        basis.append((ExactMatrix.from_rows(fld, f1, a), ExactMatrix.from_rows(fld, f2, b)))
+    return basis
+
+
+@pytest.mark.parametrize("shape", MODP_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_hom_space_matches_the_reference_on_the_prime_field_shapes(monkeypatch, shape):
+    m = modp_rep(*shape)
+    rows, _ = _intertwining_rows(m, m)
+    difference = _difference_rank(rows, shape[4]) is not None
+    want = reference_hom_basis(m)
+    calls = count_calls(monkeypatch)
+    assert list(hom_space(m, m).basis) == want
+    # every shape but the r=3 cover (5, 12) has a difference End system
+    assert difference == (shape[1:4] != (3, 5, 12))
+    assert len(calls) == (0 if difference else 1)
+
+
+@pytest.mark.parametrize("c, d", [(17, 13), (46, 34)])
+def test_hom_space_matches_the_reference_on_cover_witnesses(c, d):
+    assert classify(3, c, d).route == "cover"
+    m = realize(3, c, d).rep
+    assert m.dim == DimVector(d, c + d)
+    assert list(hom_space(m, m).basis) == reference_hom_basis(m)
+    assert verify.end_is_local(m)

@@ -9,7 +9,12 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_impls import explicit_p2, reference_pencil_rank, reference_probe_points
+from reference_impls import (
+    explicit_p2,
+    preinjective_dim_vectors,
+    reference_pencil_rank,
+    reference_probe_points,
+)
 
 from kronjord import kronecker
 from kronjord.echelon import build_echelon_rep, select_phi
@@ -28,7 +33,6 @@ from kronjord.kronecker import (
     is_in_ijt,
     jordan_type_at,
     pencil,
-    preinjective_dim_vectors,
     preprojective_dim_vectors,
     probe_alphas,
     simple_rep,
