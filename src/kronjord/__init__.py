@@ -7,7 +7,7 @@ them (equal-kernels property, indecomposability, constant Jordan type) with
 exact rational arithmetic.
 """
 
-from .exactmat import ExactMatrix, GF, QQ, block_matrix
+from .exactmat import ExactMatrix, GF, QQ
 from .kronecker import (
     DimVector,
     JordanType,
@@ -62,7 +62,7 @@ from .pipeline import CertifiedWitness, classify, realize
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactMatrix", "GF", "QQ", "block_matrix",
+    "ExactMatrix", "GF", "QQ",
     "DimVector", "JordanType", "KroneckerRep", "RootClass", "classify_root", "coxeter_apply",
     "dual", "euler_form", "generic_rank", "is_constant_jordan_type", "is_in_ijt",
     "jordan_type_at", "pencil", "preprojective_dim_vectors", "tits_form", "to_module_operators",

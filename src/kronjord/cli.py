@@ -92,6 +92,8 @@ def _cmd_verify(args) -> int:
     else:
         rep = KroneckerRep.from_json(data)
         samples = 200 if args.samples is None else args.samples
+        if samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {samples}")
         names = "ekp,cjt,indec,restriction" if args.checks is None else args.checks
         wanted = [s.strip() for s in names.split(",") if s.strip()]
         known = {"ekp", "eip", "cjt", "indec", "restriction"}

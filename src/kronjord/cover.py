@@ -111,16 +111,6 @@ class TreeQuiver:
     def degree(self, v: Address) -> int:
         return self._degree[v]
 
-    def edges(self) -> list[tuple[Address, Address, int]]:
-        """All edges as (source, sink, color), sorted."""
-        out = []
-        for x in self.sources():
-            for c in range(1, self.r + 1):
-                y = neighbor_via(x, c)
-                if y in self.vertices:
-                    out.append((x, y, c))
-        return out
-
     def is_source_regular(self) -> bool:
         return all(d == self.r for v, d in self._degree.items() if is_source(v))
 

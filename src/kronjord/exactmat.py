@@ -4,9 +4,9 @@ Scalars are either rationals or elements of a prime field GF(p).  A
 rational is a plain int when it is integral and a ``fractions.Fraction``
 only when it is not; GF(p) elements are plain ints in ``[0, p)``.
 Matrices hold sparse rows, dicts from column to non-zero scalar, and are
-immutable after construction; the dense layout is only a view.  Every
-operation (rank, kernel, solve, block assembly) is carried out by exact
-Gaussian elimination -- no floating point ever enters the computation.
+immutable after construction; only their JSON strings are dense.  Every
+operation (rank, kernel, solve) is carried out by exact Gaussian
+elimination -- no floating point ever enters the computation.
 
 There is one elimination engine for both kinds of field: rows are sparse
 dicts of field scalars, as a matrix holds them, and ``sparse_int_echelon``
@@ -572,7 +572,7 @@ class ExactMatrix:
     Each row is a dict from column to non-zero scalar, and the rows are
     kept in a list.  Every constructor reduces each entry into the field
     (over GF(p), into ``[0, p)``) and drops the zeros, so equal matrices
-    have equal rows.  The dense layout is only a view, computed on demand.
+    have equal rows.  Only the JSON strings are written out densely.
     """
 
     __slots__ = ("field", "rows", "cols", "_rows")
@@ -626,20 +626,6 @@ class ExactMatrix:
         if not -self.cols <= j < self.cols:
             raise IndexError("column index out of range")
         return self._rows[i].get(j % self.cols, self.field.zero)
-
-    @property
-    def entries(self) -> tuple:
-        """Row-major flat view."""
-        return tuple(x for i in range(self.rows) for x in self.row_list(i))
-
-    def row_list(self, i: int) -> list:
-        out = [self.field.zero] * self.cols
-        for j, x in self._rows[i].items():
-            out[j] = x
-        return out
-
-    def to_lists(self) -> list[list[Scalar]]:
-        return [self.row_list(i) for i in range(self.rows)]
 
     def to_str_lists(self) -> list[list[str]]:
         to_str = self.field.to_str
@@ -723,13 +709,6 @@ class ExactMatrix:
             out.append(acc)
         return ExactMatrix.from_rows(self.field, out, other.cols)
 
-    def apply(self, vec: Sequence) -> list:
-        """Matrix times column vector, returned as a list of scalars."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        v = [self.field.element(x) for x in vec]
-        return [self.field.element(sum(x * v[j] for j, x in row.items())) for row in self._rows]
-
     def transpose(self) -> "ExactMatrix":
         out: list[dict] = [{} for _ in range(self.cols)]
         for i, row in enumerate(self._rows):
@@ -742,11 +721,6 @@ class ExactMatrix:
     def rank(self) -> int:
         """Dimension of the column space, by exact elimination."""
         return sparse_int_rank(self._rows, self.cols, self.field.modulus)
-
-    def kernel_basis(self) -> list[list[Scalar]]:
-        """Basis of the right null space; empty iff full column rank."""
-        vecs = sparse_int_kernel(self._rows, self.cols, self.field.modulus)
-        return [[v.get(j, 0) for j in range(self.cols)] for v in vecs]
 
     def solve(self, b: Sequence) -> Optional[list]:
         """One solution of ``self @ x = b``, or None if inconsistent."""
@@ -763,42 +737,6 @@ class ExactMatrix:
             return None
         (x,) = _back_substitute(piv, [n], p)
         return [x.get(j, self.field.zero) for j in range(n)]
-
-
-def block_matrix(blocks: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
-    """Assemble a matrix from a grid of blocks.
-
-    Blocks in one grid row must share their row count and blocks in one
-    grid column their column count; the result has the summed dimensions.
-    """
-    if not blocks or not blocks[0]:
-        raise ValueError("empty block grid")
-    field = blocks[0][0].field
-    ncols_per = [b.cols for b in blocks[0]]
-    out_rows: list[dict] = []
-    for grid_row in blocks:
-        if len(grid_row) != len(ncols_per):
-            raise ValueError("ragged block grid")
-        h = grid_row[0].rows
-        for b, w in zip(grid_row, ncols_per):
-            if b.rows != h:
-                raise ValueError("row count mismatch inside a block row")
-            if b.cols != w:
-                raise ValueError("column count mismatch inside a block column")
-            if b.field != field:
-                raise ValueError("ground fields differ")
-        for i in range(h):
-            row: dict = {}
-            off = 0
-            for b in grid_row:
-                row.update((off + j, x) for j, x in b._rows[i].items())
-                off += b.cols
-            out_rows.append(row)
-    return ExactMatrix.from_rows(field, out_rows, sum(ncols_per))
-
-
-def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    return block_matrix([[m] for m in mats])
 
 
 def left_kernel_matrix(m: ExactMatrix) -> ExactMatrix:

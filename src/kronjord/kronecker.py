@@ -10,21 +10,21 @@ every CLI command.
 
 The sampled checks rank pencils at a seeded plan of probe points.  The
 union of the arrows' patterns, each arrow read along the shorter side, is
-peeled once into a pencil plan: the pivot count, the arrows of the pivots
-with a single (arrow, entry) term, and the distinct term lists of the
-others.  Every pencil's pattern lies in that union, so when the union
-peels to nothing, as for the push-downs of tree modules, a point where no
-pivot's value vanishes has the pivot count as its rank.  A single-term
-pivot vanishes exactly where its arrow's coordinate is zero, and the
-probe plan indexes those points per coordinate, so the whole plan is
-decided in one pass: every point off the pivot arrows' zero sets, and
-off the zeros of the multi-term sums, gets the pivot count at once.  A
-point left over with one non-zero coordinate is ranked by that arrow
-alone; every other one, and every point of a union that leaves a core,
-is ranked by ``pencil``, the one evaluator of a pencil, lazily and in
-order.  The probe plans are drawn once per (field, r, samples, seed), and
-the ranks are kept on the representation per seed, so checks that share
-a seed rank each point once, over Q and GF(p) alike.
+peeled once into a pencil plan: the pivot count and the pivots' arrows.
+Every pencil's pattern lies in that union, so when the union peels to
+nothing, as for the push-downs of tree modules, a point where no pivot's
+value vanishes has the pivot count as its rank.  A plan is made only
+when each pivot holds the entry of one arrow, which then vanishes
+exactly where that arrow's coordinate is zero; the probe plan indexes
+those points per coordinate, so the whole plan is decided in one pass:
+every point off the pivot arrows' zero sets gets the pivot count at
+once.  A point left over with one non-zero coordinate is ranked by that
+arrow alone; every other one, and every point of a representation with
+no plan (a core left, or arrows sharing a pivot's position), is ranked
+by ``pencil``, the one evaluator of a pencil, lazily and in order.  The
+probe plans are drawn once per (field, r, samples, seed), and the ranks
+are kept on the representation per seed, so checks that share a seed
+rank each point once, over Q and GF(p) alike.
 """
 
 from __future__ import annotations
@@ -271,23 +271,19 @@ def probe_alphas(field: Field, r: int, samples: int, seed: int) -> list[list[Sca
 
 
 class _PencilPlan(NamedTuple):
-    """The pivots of a union of arrows that peels to nothing, and the field's modulus.
+    """The pivots of a union of arrows that peels to nothing, each one arrow's entry.
 
-    A pivot whose term list is one (arrow, entry) pair has a non-zero
-    entry, so it vanishes exactly where its arrow's coordinate does:
-    ``arrows`` holds the arrows of those pivots.  ``sums`` holds the
-    distinct term lists of the other pivots, which occur only where arrows
-    share a position.
+    A pivot holds one non-zero entry of one arrow, so it vanishes exactly
+    where that arrow's coordinate does: ``arrows`` holds those arrows.
     """
 
     npivots: int
     arrows: frozenset[int]
-    sums: frozenset[tuple[tuple[int, Scalar], ...]]
-    modulus: Optional[int]
 
 
 def _pencil_plan(m: KroneckerRep) -> Optional[_PencilPlan]:
-    """The pencil plan of ``m``, or None when the union of its arrows leaves a core."""
+    """The pencil plan of ``m``, or None when the union of its arrows leaves
+    a core or two arrows share a pivot's position."""
     # each arrow is read along the shorter side: the transpose changes no
     # pencil's rank, and fewer, longer rows make a smaller union to peel
     a, b = m.dim
@@ -297,11 +293,10 @@ def _pencil_plan(m: KroneckerRep) -> Optional[_PencilPlan]:
             for j, v in row.items():
                 terms.setdefault(j, []).append((t, v))
     pivots, core = _peel(rows)
-    if core:
+    terms = [rows[i][c] for i, c in pivots]
+    if core or any(len(ts) > 1 for ts in terms):
         return None
-    terms = {tuple(rows[i][c]) for i, c in pivots}
-    return _PencilPlan(len(pivots), frozenset(ts[0][0] for ts in terms if len(ts) == 1),
-                       frozenset(ts for ts in terms if len(ts) > 1), m.field.modulus)
+    return _PencilPlan(len(pivots), frozenset(ts[0][0] for ts in terms))
 
 
 def _pencil_rank(m: KroneckerRep, alpha: Sequence[int]) -> int:
@@ -327,23 +322,18 @@ def _ranks_at(m: KroneckerRep, probes: _ProbePlan, ranks: dict[int, int]) -> Ite
     ``m``.  The pencil's pattern lies in the union, so a pivot of the union
     whose value at alpha is non-zero is a singleton of the pencil's live
     pattern too and adds exactly 1 to its rank: where no pivot vanishes,
-    the rank is the pivot count.  A single-term pivot vanishes on its
-    arrow's zero set, read off ``probes.zeros``; only a multi-term pivot is
-    summed, at the points those sets leave.  Each point the plan cannot
-    decide (on a core, at a basis point, where a coordinate is zero or
-    terms cancel) is ranked by ``_pencil_rank`` when the iteration reaches
-    it, so a caller that stops early leaves the later ones unranked.
+    the rank is the pivot count.  A pivot vanishes on its arrow's zero set,
+    read off ``probes.zeros``.  Each point the plan cannot decide (with no
+    plan, at a basis point, where a pivot's coordinate is zero) is ranked
+    by ``_pencil_rank`` when the iteration reaches it, so a caller that
+    stops early leaves the later ones unranked.
     """
     points = probes.points
     pending = set(range(len(points))).difference(ranks)
     plan = _pencil_plan(m) if pending else None
     if plan is not None:
-        npivots, arrows, sums, p = plan
-        decided = pending.difference(*(probes.zeros[t] for t in arrows))
-        for terms in sums:
-            decided = {k for k in decided
-                       if (s := sum(points[k][t] * v for t, v in terms)) and (p is None or s % p)}
-        ranks.update(dict.fromkeys(decided, npivots))
+        decided = pending.difference(*(probes.zeros[t] for t in plan.arrows))
+        ranks.update(dict.fromkeys(decided, plan.npivots))
         pending -= decided
     done = 0
     for k in sorted(pending):

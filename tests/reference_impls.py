@@ -55,7 +55,6 @@ from kronjord.exactmat import (
     _normalize_int_row,
     left_kernel_matrix,
     sparse_int_echelon,
-    vstack,
 )
 from kronjord.kronecker import ALPHA_BOX, DimVector, KroneckerRep, preprojective_dim_vectors
 from kronjord.verify import hom_space
@@ -140,7 +139,6 @@ def reference_intertwining_rows(m, n):
         A = m.mats[t]   # bM x aM
         B = n.mats[t]   # bN x aN
         for p in range(bN):
-            brow = B.row_list(p)
             for j in range(aM):
                 row = {}
                 for q in range(bM):
@@ -148,7 +146,7 @@ def reference_intertwining_rows(m, n):
                     if x:
                         row[f2_off + p * bM + q] = x
                 for i in range(aN):
-                    y = brow[i]
+                    y = B[p, i]
                     if y:
                         row[i * aM + j] = row.get(i * aM + j, zero) - y
                 if row:
@@ -164,7 +162,8 @@ def kron_tau_inverse(m):
     dimension vector is the inverse Coxeter matrix applied to the input.
     """
     a, b = m.dim
-    stacked = vstack(list(m.mats)) if b else ExactMatrix.zeros(m.field, 0, a)
+    stacked = ExactMatrix.from_rows(m.field, [row for mat in m.mats
+                                              for row in mat.sparse_rows()], a)
     proj1 = left_kernel_matrix(stacked)          # (r*b - rank) x (r*b)
     n1 = proj1.rows
     blocks1 = []
@@ -172,7 +171,8 @@ def kron_tau_inverse(m):
         blocks1.append(ExactMatrix(m.field,
                                    [[proj1[i, j * b + k] for k in range(b)] for i in range(n1)],
                                    n1, b))
-    stacked2 = vstack(blocks1) if n1 else ExactMatrix.zeros(m.field, 0, b)
+    stacked2 = ExactMatrix.from_rows(m.field, [row for blk in blocks1
+                                               for row in blk.sparse_rows()], b)
     proj2 = left_kernel_matrix(stacked2)         # (r*n1 - rank) x (r*n1)
     n2 = proj2.rows
     mats = []

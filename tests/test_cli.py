@@ -120,6 +120,15 @@ class TestVerify:
         assert ("error: --checks names no check; choose from "
                 "['cjt', 'eip', 'ekp', 'indec', 'restriction']") in captured.err
 
+    @pytest.mark.parametrize("checks", ["cjt", "ekp"])
+    @pytest.mark.parametrize("samples", ["-5", "0"])
+    def test_samples_below_one_fail(self, tmp_path, capsys, checks, samples):
+        target = bare_rep_of(realize_to(tmp_path, capsys, 3, "3,2"))
+        code = main(["verify", str(target), "--checks", checks, "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"error: --samples must be at least 1, got {samples}" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_missing_field_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -20,6 +20,7 @@ from kronjord.cover import (
     build_indecomposable_tree_rep,
     build_root_vector,
     build_source_regular,
+    edge_color,
     is_inj,
     neighbor_via,
     push_down,
@@ -94,10 +95,10 @@ class TestSourceRegular:
     def test_star(self):
         q = build_source_regular(3, 1)
         assert len(q.sources()) == 1 and len(q.sinks()) == 3
-        edges = q.edges()
-        assert len(edges) == 3
-        assert sorted(color for (_, _, color) in edges) == [1, 2, 3]
-        assert all(src == () for (src, _, _) in edges)
+        sinks = q.neighbors_in(())
+        assert len(sinks) == q.degree(()) == 3
+        assert sorted(edge_color((), y) for y in sinks) == [1, 2, 3]
+        assert all(q.neighbors_in(y) == [()] for y in sinks)
 
     def test_two_sources(self):
         q = build_source_regular(3, 2)
@@ -195,7 +196,7 @@ class TestTreeBuilder:
         down = push_down(rep)
         assert down.dim == DimVector(1, 3)
         # one edge per color: the arrow matrices are the standard basis columns
-        cols = sorted(tuple(x[0] for x in m.to_lists()) for m in down.mats)
+        cols = sorted(tuple(m[i, 0] for i in range(m.rows)) for m in down.mats)
         assert cols == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
     def test_q2_pipeline_example(self):

@@ -133,7 +133,7 @@ class TestPencil:
     def test_p2_pencil_is_alpha_column(self):
         m = explicit_p2(4)
         p = pencil(m, [2, -1, 5, 3])
-        assert p.to_lists() == [[2], [-1], [5], [3]]
+        assert p == ExactMatrix(QQ, [[2], [-1], [5], [3]])
 
     def test_zero_alpha_rejected(self):
         with pytest.raises(ValueError):
@@ -271,17 +271,20 @@ class TestIntegerPencilRank:
             assert integer_rank(over_gf(m, p), alpha) == len(_dense_rref(dense, a, p)[1]), p
 
     def test_cancelling_pivot_terms(self, spied):
+        # two arrows share the one position, so the pivot is a sum whose terms
+        # may cancel: there is no plan, and every point off the basis is a pencil
         one = ExactMatrix(QQ, [[1]])
         m = KroneckerRep(2, DimVector(1, 1), (one, one))
-        assert kronecker._pencil_plan(m) == (1, set(), {((0, 1), (1, 1))}, None)
+        assert kronecker._pencil_plan(m) is None
         assert integer_rank(m, [1, 1]) == 1
-        assert spied["pencil"] == []
+        assert spied["pencil"] == [[1, 1]]
         assert integer_rank(m, [1, -1]) == 0
-        assert spied["pencil"] == [[1, -1]]
+        assert spied["pencil"] == [[1, 1], [1, -1]]
         one = ExactMatrix(GF(2), [[1]])
         m2 = KroneckerRep(2, DimVector(1, 1), (one, one), GF(2))
+        assert kronecker._pencil_plan(m2) is None
         assert integer_rank(m2, [1, 1]) == 0
-        assert spied["pencil"] == [[1, -1], [1, 1]]
+        assert spied["pencil"] == [[1, 1], [1, -1], [1, 1]]
         assert list(kronecker._sampled_ranks(m2, 3, 0)) == [1, 1, 0]
 
     def test_union_with_a_core(self, spied):
@@ -447,7 +450,7 @@ class TestBulkRanks:
         units = tuple(ExactMatrix.from_rows(GF(2), [{t: 1} if i == t else {} for i in range(3)], 3)
                       for t in range(3))
         m = KroneckerRep(3, DimVector(3, 3), units, GF(2))
-        assert kronecker._pencil_plan(m) == (3, {0, 1, 2}, set(), 2)
+        assert kronecker._pencil_plan(m) == (3, {0, 1, 2})
         points = kronecker._draw_probe_points(2, 3, 200, 3).points
         want = [sum(map(bool, pt)) for pt in points]
         assert want.count(3) < 50
@@ -473,6 +476,18 @@ def test_relabelled_arrows_keep_every_sampled_rank(seed):
         for m in (rep, dual(rep)):
             want = [reference_pencil_rank(m, pt) for pt in probe_alphas(QQ, r, 200, seed)]
             assert list(kronecker._sampled_ranks(m, 200, seed)) == want, (r, c, d, m.dim)
+
+
+def test_sweep_witnesses_get_a_pencil_plan(witness_sweep):
+    # the sampled checks rank a point from the pivot count only through a
+    # plan, which needs a union that peels fully with no two arrows at one
+    # position; every acceptance-sweep witness and its dual must have one
+    for r, c, d, w in witness_sweep:
+        for m in (w.rep, dual(w.rep)):
+            positions = [(i, j) for mat in m.mats
+                         for i, row in enumerate(mat.sparse_rows()) for j in row]
+            assert len(positions) == len(set(positions)), (r, c, d, m.dim)
+            assert kronecker._pencil_plan(m) is not None, (r, c, d, m.dim)
 
 
 class TestProbePlanPrefix:

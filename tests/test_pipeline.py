@@ -20,6 +20,7 @@ from gf2_oracle import (
 
 from conftest import derived_seed
 
+import kronjord
 from kronjord.cover import TreeQuiver, TreeRep, is_inj, push_down
 from kronjord.kronecker import DimVector, JordanType, dual, is_constant_jordan_type, xi
 from kronjord import kronecker, pipeline, verify
@@ -35,6 +36,14 @@ from kronjord.verify import eip_sample_check, restriction_check
 
 # one witness of each route
 ROUTE_WITNESSES = [(3, 1, 0), (3, 2, 1), (3, 2, 2), (3, 3, 2), (3, 8, 5)]
+
+
+def test_package_exports_resolve_once_each():
+    assert len(kronjord.__all__) == len(set(kronjord.__all__))
+    assert [name for name in kronjord.__all__ if not hasattr(kronjord, name)] == []
+    namespace = {}
+    exec("from kronjord import *", namespace)
+    assert set(kronjord.__all__) <= namespace.keys()
 
 
 class TestClassify:
