@@ -102,6 +102,8 @@ def _cmd_verify(args) -> int:
         for name in wanted:
             if name not in known:
                 raise ValueError(f"unknown check {name!r}; choose from {sorted(known)}")
+        if "cjt" in wanted and samples < 2:
+            raise ValueError(f"--samples must be at least 2 for cjt, got {samples}")
         checks = []
         for name in wanted:
             if name == "ekp":
@@ -111,7 +113,7 @@ def _cmd_verify(args) -> int:
                 verdict = eip_sample_check(rep, samples, args.seed)
                 detail = {"samples": samples, "seed": args.seed}
             elif name == "cjt":
-                verdict, jtype, record = is_constant_jordan_type(rep, max(samples, 2), args.seed)
+                verdict, jtype, record = is_constant_jordan_type(rep, samples, args.seed)
                 detail = {"jordan": list(jtype) if jtype else None, "record": record}
             elif name == "indec":
                 # a brick is indecomposable over any field; only a non-brick needs Q

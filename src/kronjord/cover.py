@@ -16,7 +16,6 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import heapq
 import json
 import operator
 from collections import defaultdict
@@ -118,29 +117,24 @@ class TreeQuiver:
 def build_source_regular(r: int, n: int) -> TreeQuiver:
     """A source-regular subquiver with n sources and n(r-1)+1 sinks.
 
-    Grown inductively: extend at the unique intermediate-degree sink when
-    one exists, otherwise at the lexicographically least degree-1 sink.
-    Each extension raises one sink's degree and adds new degree-1 sinks,
-    so a heap of the degree-1 sinks and the one sink being extended, with
-    its degree, carry the state: at most one sink has degree strictly
-    between 1 and r.
+    The sources are the first n sources of the cover in (length, address)
+    order, breadth first, and the vertices are they and their neighbors.
+    Each source past the root is a grandchild of an earlier one, so the
+    list of sources is its own queue.  The children of a sink are
+    consecutive in this order, so at most one sink has degree strictly
+    between 1 and r; for r >= 3 every address has length O(log n).
     """
     if n < 1:
         raise ValueError("need at least one source")
-    root: Address = ()
-    verts: set[Address] = {root, *neighbors(root, r)}
-    leaves = sorted(verts - {root})   # a sorted list is a heap
-    y, degree = None, r               # the sink being extended, r once full
-    for _ in range(n - 1):
-        if degree == r:
-            y, degree = heapq.heappop(leaves), 1
-        x = min(w for w in neighbors(y, r) if w not in verts)
-        verts.add(x)
-        for w in neighbors(x, r):
-            if w != y:
-                verts.add(w)
-                heapq.heappush(leaves, w)
-        degree += 1
+    sources: list[Address] = [()]
+    for x in sources:   # never runs dry: every source has (r-1)^2 >= 1 grandchildren
+        if len(sources) >= n:
+            break
+        sources.extend(x + (c, d) for c in range(1, r + 1) if x[-1:] != (c,)
+                       for d in range(1, r + 1) if d != c)
+    del sources[n:]
+    verts = {w for x in sources for w in neighbors(x, r)}
+    verts.update(sources)
     return TreeQuiver(r, frozenset(verts))
 
 
@@ -321,16 +315,19 @@ def build_indecomposable_tree_rep(q: TreeQuiver, alpha: dict[Address, int],
                                   trace: Optional[list[str]] = None) -> TreeRep:
     """Indecomposable tree representation with dimension vector alpha.
 
-    Peel the least source whose neighbors are all leaves except one, y,
-    until one source is left (a heap: a source becomes peelable when a
-    sink next to it drops to degree 1, and stays so); build that star with
-    identity maps, then undo the peels in reverse order.  When y carries
-    the maximal value deg(y)-1 at its peel, the quiver left behind gets
-    value 1 at y and undoing the peel regrows y to a coordinate frame
-    (standard basis columns on the old edges, the all-ones column on the
-    new one); any endomorphism fixing those lines is scalar, which is what
-    forces locality.  Otherwise undoing the peel adjoins the source with
-    identity maps to its leaves and the inclusion of the first basis
+    Peel the sources deepest first, in reverse (length, address) order,
+    until the shallowest is left; build that star with identity maps, then
+    undo the peels in reverse order.  Every peel is legal: the shallowest
+    vertex of a connected subquiver is an ancestor of all the others, so
+    when x is peeled its deeper sources are gone and its child sinks are
+    leaves, while its parent sink y still reaches a shallower vertex (its
+    own parent, or the last source left under it) and has degree >= 2.
+    When y carries the maximal value deg(y)-1 at its peel, the quiver left
+    behind gets value 1 at y and undoing the peel regrows y to a coordinate
+    frame (standard basis columns on the old edges, the all-ones column on
+    the new one); any endomorphism fixing those lines is scalar, which is
+    what forces locality.  Otherwise undoing the peel adjoins the source
+    with identity maps to its leaves and the inclusion of the first basis
     vector into the space at y.
 
     The endomorphism algebra of the result is verified downstream; the
@@ -343,34 +340,24 @@ def build_indecomposable_tree_rep(q: TreeQuiver, alpha: dict[Address, int],
     if trace is None:
         trace = []
     r = q.r
-    vertices, alpha, sources = set(q.vertices), dict(alpha), q.sources()
-    degree = dict(q._degree)
-    nonleaf = {x: sum(degree[y] >= 2 for y in neighbors(x, r)) for x in sources}
-    ready = [x for x in sources if nonleaf[x] == 1]   # a sorted list is a heap
-    peels = []    # (source, its non-leaf sink y, leaves, frame size at y or None)
-    for _ in range(len(sources) - 1):
-        if not ready:
-            raise AssertionError("no peelable source in a multi-source tree")
-        x = heapq.heappop(ready)
-        y = next(w for w in neighbors(x, r) if degree[w] >= 2)
+    alpha, degree = dict(alpha), dict(q._degree)
+    order = sorted(q.sources(), key=len)   # (length, address): q.sources() is sorted
+    peels = []    # (source, its parent sink y, leaves, frame size at y or None)
+    for x in reversed(order[1:]):
+        y = x[:-1]
         leaves = [w for w in neighbors(x, r) if w != y]
         frame = alpha[y] if alpha[y] == degree[y] - 1 else None
         if frame is not None:
             alpha[y] = 1
         peels.append((x, y, leaves, frame))
-        vertices.difference_update([x, *leaves])
         degree[y] -= 1
-        if degree[y] == 1:   # its last source z has lost a non-leaf neighbor
-            z = next(w for w in neighbors(y, r) if w in vertices)
-            nonleaf[z] -= 1
-            if nonleaf[z] == 1:
-                heapq.heappush(ready, z)
-    # a peel keeps alpha[y] <= max(1, degree[y] - 1), and each sink left in
-    # the star has degree 1: the star carries the all-ones vector
-    root = next(x for x in sources if x in vertices)
+    # what is left is the shallowest source and its neighbors; a peel keeps
+    # alpha[y] <= max(1, degree[y] - 1), and each sink left in the star has
+    # degree 1: the star carries the all-ones vector
+    root = order[0]
     one = ExactMatrix.identity(field, 1)
-    dims = {v: 1 for v in vertices}
-    maps = {(root, y): one for y in vertices if y != root}
+    dims = dict.fromkeys([root, *neighbors(root, r)], 1)
+    maps = {(root, y): one for y in neighbors(root, r)}
     trace.append(f"star@{root}")
     for x, y, leaves, frame in reversed(peels):
         if frame is None:

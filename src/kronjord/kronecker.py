@@ -287,16 +287,17 @@ def _pencil_plan(m: KroneckerRep) -> Optional[_PencilPlan]:
     # each arrow is read along the shorter side: the transpose changes no
     # pencil's rank, and fewer, longer rows make a smaller union to peel
     a, b = m.dim
-    rows: list[dict[int, list[tuple[int, Scalar]]]] = [{} for _ in range(min(a, b))]
+    # each position of the union lists the arrows non-zero there
+    rows: list[dict[int, list[int]]] = [{} for _ in range(min(a, b))]
     for t, mat in enumerate(m.mats):
-        for terms, row in zip(rows, (mat.transpose() if a < b else mat).sparse_rows()):
-            for j, v in row.items():
-                terms.setdefault(j, []).append((t, v))
+        for arrows, row in zip(rows, (mat.transpose() if a < b else mat).sparse_rows()):
+            for j in row:
+                arrows.setdefault(j, []).append(t)
     pivots, core = _peel(rows)
-    terms = [rows[i][c] for i, c in pivots]
-    if core or any(len(ts) > 1 for ts in terms):
+    arrows = [rows[i][c] for i, c in pivots]
+    if core or any(len(ts) > 1 for ts in arrows):
         return None
-    return _PencilPlan(len(pivots), frozenset(ts[0][0] for ts in terms))
+    return _PencilPlan(len(pivots), frozenset(ts[0] for ts in arrows))
 
 
 def _pencil_rank(m: KroneckerRep, alpha: Sequence[int]) -> int:

@@ -18,7 +18,8 @@ The cover constructions keep their earlier forms here as well:
 ``reference_tau_inverse_tree`` reflects one vertex at a time (one tree
 per vertex), ``reference_source_regular_growth`` rescans every sink at
 every growth step, and ``reference_build_indecomposable_tree_rep``
-recurses once per peeled source.  The package builds each in one pass;
+recurses once per peeled source, each time scanning for the deepest
+peelable one.  The package builds each in one pass;
 the tests assert identical trees, quivers and construction traces.
 
 ``reference_probe_points`` draws the sampled probe plan through
@@ -213,7 +214,8 @@ def reference_tau_inverse_tree(m):
 def reference_source_regular_growth(r, n):
     """Vertex sets of the source-regular quivers with 1..n sources, in growth order.
 
-    Every step re-sorts and re-scans every sink for its degree.
+    Every step re-sorts and re-scans every sink for its degree, then grows
+    at the intermediate sink, or else at the (length, address)-least leaf.
     """
     verts = {(), *neighbors((), r)}
     yield frozenset(verts)
@@ -223,7 +225,8 @@ def reference_source_regular_growth(r, n):
         intermediate = [y for y in sinks if 1 < degree(y) < r]
         if len(intermediate) > 1:
             raise AssertionError("more than one intermediate sink")
-        y = intermediate[0] if intermediate else min(v for v in sinks if degree(v) == 1)
+        y = intermediate[0] if intermediate else min((v for v in sinks if degree(v) == 1),
+                                                     key=lambda v: (len(v), v))
         x = min(w for w in neighbors(y, r) if w not in verts)
         verts.add(x)
         verts.update(neighbors(x, r))
@@ -248,7 +251,7 @@ def _reference_tree(vertices, alpha, r, fld, trace):
         trace.append(f"star@{x}")
         return ({v: 1 for v in vertices},
                 {(x, y): ExactMatrix.identity(fld, 1) for y in vertices if y != x})
-    for x in sources:
+    for x in sorted(sources, key=lambda v: (len(v), v), reverse=True):   # deepest first
         nbrs = [w for w in neighbors(x, r) if w in vertices]
         if len(nbrs) != r:
             raise ValueError("quiver is not source-regular at a source")

@@ -130,6 +130,18 @@ class TestVerify:
         assert f"error: --samples must be at least 1, got {samples}" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_cjt_needs_two_samples(self, tmp_path, capsys):
+        target = bare_rep_of(realize_to(tmp_path, capsys, 3, "3,2"))
+        code = main(["verify", str(target), "--checks", "ekp,cjt", "--samples", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "error: --samples must be at least 2 for cjt, got 1" in captured.err
+        assert "Traceback" not in captured.err
+        # one sample is enough for every other check, and is what the report says it ran
+        code, out = run(capsys, "verify", str(target), "--checks", "ekp,restriction",
+                        "--samples", "1", "--json")
+        assert code == 0 and json.loads(out)["samples"] == 1
+
     def test_missing_field_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"r": 3}))
@@ -267,7 +279,7 @@ class TestVerifyBareIndec:
         assert self.verify_indec(tmp_path, capsys, monkeypatch, rep) == (0, 0)
 
     def test_local_non_brick_goes_to_end_is_local(self, tmp_path, capsys, monkeypatch):
-        # the r=3 (13, 30) cover witness: indecomposable, End of dimension 10
+        # the r=3 (13, 30) cover witness: indecomposable, End of dimension 7
         q = build_source_regular(3, 13)
         rep = push_down(build_indecomposable_tree_rep(q, build_root_vector(q, 13, 30)))
         assert self.verify_indec(tmp_path, capsys, monkeypatch, rep) == (0, 1)

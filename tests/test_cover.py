@@ -1,6 +1,7 @@
 """Cover subquivers, root vectors, tree witnesses, thin zigzags, push-down."""
 
 import inspect
+import itertools
 import json
 import sys
 import tracemalloc
@@ -22,14 +23,27 @@ from kronjord.cover import (
     build_source_regular,
     edge_color,
     is_inj,
+    is_reduced,
+    is_source,
     neighbor_via,
+    neighbors,
     push_down,
     source_regular_bound_check,
     thin_path_rep,
 )
 from kronjord.exactmat import GF, QQ, ExactMatrix
 from kronjord.kronecker import DimVector, tits_form
-from kronjord.verify import ekp_sample_check, end_is_local
+from kronjord.verify import ekp_sample_check, end_is_local, is_brick
+
+
+def sources_by_length_then_address(r, n):
+    """The first n sources of the cover in (length, address) order, one length at a time."""
+    out, level = [], [()]
+    while len(out) < n:
+        out += level
+        level = sorted(w for x in level for c in range(1, r + 1) for d in range(1, r + 1)
+                       if is_reduced(w := x + (c, d)))
+    return out[:n]
 
 
 class TestAddresses:
@@ -128,10 +142,23 @@ class TestSourceRegular:
 
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
-    def test_heap_growth_matches_the_rescanning_reference(self, r):
+    def test_breadth_first_growth_matches_the_rescanning_reference(self, r):
         for n, verts in enumerate(reference_source_regular_growth(r, 400), 1):
             if n <= 120 or n in (250, 400):
                 assert build_source_regular(r, n).vertices == verts, (r, n)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_sources_come_in_length_then_address_order(self, r):
+        first = sources_by_length_then_address(r, 400)
+        for n in range(1, 401):
+            assert build_source_regular(r, n).sources() == sorted(first[:n]), (r, n)
+
+    def test_addresses_grow_logarithmically(self):
+        # r=3: each source below the root has (r-1)^2 = 4 grandchildren
+        n = 3000
+        q = build_source_regular(3, n)
+        k = next(k for k in itertools.count() if 4 ** k >= n)
+        assert max(map(len, q.vertices)) == 2 * k + 1 == 13
 
 
 class TestRootVector:
@@ -243,7 +270,7 @@ class TestTreeBuilder:
         assert dict(rep.dims) == alpha and is_inj(rep)[0]
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
-    def test_heap_peel_matches_the_recursive_reference(self, r):
+    def test_deepest_first_peel_matches_the_recursive_reference(self, r):
         for a in (1, 2, 3, 5, 8, 13, 40, 120):
             q = build_source_regular(r, a)
             low, high = (r - 1) * a + 1, max_cover_b(r, a)
@@ -255,6 +282,22 @@ class TestTreeBuilder:
                 tree = build_indecomposable_tree_rep(q, alpha, trace=trace)
                 assert tree == reference_build_indecomposable_tree_rep(q, alpha, trace=want)
                 assert trace == want, (r, a)
+
+    @pytest.mark.parametrize("r, n", [(2, 20), (3, 30), (3, 200), (4, 60)])
+    def test_quiver_below_a_sink(self, r, n):
+        # the sources under the sink (1,) and their neighbors: the shallowest
+        # vertex is a sink, so the last source left is one of its children
+        srcs = [x for x in build_source_regular(r, n).sources() if x[:1] == (1,)]
+        q = TreeQuiver(r, frozenset(srcs).union(*(neighbors(x, r) for x in srcs)))
+        assert () not in q.vertices and q.is_source_regular() and len(srcs) > 1
+        alphas = [dict.fromkeys(q.vertices, 1),
+                  {v: 1 if is_source(v) else max(1, q.degree(v) - 1) for v in q.vertices}]
+        for alpha in alphas:
+            trace = []
+            tree = build_indecomposable_tree_rep(q, alpha, trace=trace)
+            assert trace[0] == f"star@{min(srcs, key=lambda v: (len(v), v))}"
+            assert dict(tree.dims) == alpha
+            assert is_inj(tree)[0] and is_brick(tree), (r, n)
 
     def test_hypothesis_violation_rejected(self):
         q = build_source_regular(3, 1)

@@ -196,9 +196,9 @@ class TestLocalityAgainstReference:
             checked += 1
         assert checked >= 10
 
-    def test_end_dim_10_cover_witness(self):
+    def test_end_dim_7_cover_witness(self):
         rep = cover_rep(3, 13, 30)
-        assert hom_space(rep, rep).dim == 10
+        assert hom_space(rep, rep).dim == 7
         assert end_is_local(rep) == reference_end_is_local(rep) is True
 
     @pytest.mark.parametrize("rep", [
@@ -230,11 +230,11 @@ class TestLocalityAgainstReference:
             assert not end_is_local(direct_sum(rep, rep))
 
     def test_forms_no_product_of_endomorphisms(self, monkeypatch):
-        # the r=3 (50, 120) cover witness, End of dimension 96: the trace form
+        # the r=3 (50, 120) cover witness, End of dimension 81: the trace form
         # is read off the basis's rows, so the locality step allocates little
         rep = cover_rep(3, 50, 120)
         endos = hom_space(rep, rep)
-        assert endos.dim == 96
+        assert endos.dim == 81
         monkeypatch.setattr(verify, "hom_space", lambda m, n: endos)
         tracemalloc.start()
         try:
@@ -302,8 +302,8 @@ class TestTreeBrick:
                 checked += 1
         assert checked >= 25
 
-    @pytest.mark.parametrize("c, d, end_dim", [(17, 13, 10), (15, 11, 7), (20, 13, 5),
-                                               (70, 50, 96)],
+    @pytest.mark.parametrize("c, d, end_dim", [(17, 13, 7), (15, 11, 6), (20, 13, 5),
+                                               (70, 50, 81)],
                              ids=["cover-13-30", "cover-11-26", "shift-13-33", "cover-50-120"])
     def test_large_end_witnesses(self, c, d, end_dim):
         # the push-downs are local non-bricks; their trees are bricks
