@@ -243,14 +243,15 @@ class TreeRep:
     def from_json(d: dict) -> "TreeRep":
         require_fields(d, ("r", "vertices", "edges"), "tree")
         r, verts, edges = d["r"], d["vertices"], d["edges"]
-        check_field(type(r) is int, "tree", "r", "an integer", r)
+        check_field(type(r) is int and r >= 2, "tree", "r", "an integer >= 2", r)
         check_field(isinstance(verts, list), "tree", "vertices", "a list", verts)
         check_field(isinstance(edges, list), "tree", "edges", "a list", edges)
         for v in verts:
             require_fields(v, ("addr", "dim"), "tree vertex")
             check_field(_is_word(v["addr"], r), "tree vertex", "addr", f"a list of colors 1..{r}",
                         v["addr"])
-            check_field(type(v["dim"]) is int, "tree vertex", "dim", "an integer", v["dim"])
+            check_field(type(v["dim"]) is int and v["dim"] > 0, "tree vertex", "dim",
+                        "an integer >= 1", v["dim"])
         for e in edges:
             require_fields(e, ("src", "dst", "mat"), "tree edge")
             for end in ("src", "dst"):
@@ -315,20 +316,23 @@ def build_indecomposable_tree_rep(q: TreeQuiver, alpha: dict[Address, int],
                                   trace: Optional[list[str]] = None) -> TreeRep:
     """Indecomposable tree representation with dimension vector alpha.
 
-    Peel the sources deepest first, in reverse (length, address) order,
-    until the shallowest is left; build that star with identity maps, then
-    undo the peels in reverse order.  Every peel is legal: the shallowest
-    vertex of a connected subquiver is an ancestor of all the others, so
-    when x is peeled its deeper sources are gone and its child sinks are
-    leaves, while its parent sink y still reaches a shallower vertex (its
-    own parent, or the last source left under it) and has degree >= 2.
-    When y carries the maximal value deg(y)-1 at its peel, the quiver left
-    behind gets value 1 at y and undoing the peel regrows y to a coordinate
-    frame (standard basis columns on the old edges, the all-ones column on
-    the new one); any endomorphism fixing those lines is scalar, which is
-    what forces locality.  Otherwise undoing the peel adjoins the source
-    with identity maps to its leaves and the inclusion of the first basis
-    vector into the space at y.
+    Build the star of the shallowest source with identity maps, then
+    attach every other source x in (length, address) order to its parent
+    sink y = x[:-1] and to its leaves.  This undoes a peel of the sources
+    deepest first, and every such peel is legal: the shallowest vertex of
+    a connected subquiver is an ancestor of all the others, so when x is
+    peeled its deeper sources are gone and its child sinks are leaves,
+    while y still reaches a shallower vertex (its own parent, or the last
+    source left under it) and has degree n + 1 >= 2, n the number of y's
+    neighbors placed before x.  If y then carries the maximal value n,
+    the quiver left behind gets value 1 at y, and x regrows y to a
+    coordinate frame (standard basis columns on the placed edges, by
+    address, the all-ones column on x); any endomorphism fixing those
+    lines is scalar, which is what forces locality.  The value at y is
+    alpha[y] until its first frame in peel order, at n = alpha[y], and 1
+    after it, so y is regrown exactly when n is 1 or alpha[y]; otherwise
+    x maps onto the first basis vector at y.  A frame at n = 1 is that
+    same inclusion, named as a frame in the construction trace.
 
     The endomorphism algebra of the result is verified downstream; the
     builder itself only guarantees the dimension vector and injectivity
@@ -340,40 +344,31 @@ def build_indecomposable_tree_rep(q: TreeQuiver, alpha: dict[Address, int],
     if trace is None:
         trace = []
     r = q.r
-    alpha, degree = dict(alpha), dict(q._degree)
     order = sorted(q.sources(), key=len)   # (length, address): q.sources() is sorted
-    peels = []    # (source, its parent sink y, leaves, frame size at y or None)
-    for x in reversed(order[1:]):
-        y = x[:-1]
-        leaves = [w for w in neighbors(x, r) if w != y]
-        frame = alpha[y] if alpha[y] == degree[y] - 1 else None
-        if frame is not None:
-            alpha[y] = 1
-        peels.append((x, y, leaves, frame))
-        degree[y] -= 1
-    # what is left is the shallowest source and its neighbors; a peel keeps
-    # alpha[y] <= max(1, degree[y] - 1), and each sink left in the star has
-    # degree 1: the star carries the all-ones vector
     root = order[0]
     one = ExactMatrix.identity(field, 1)
     dims = dict.fromkeys([root, *neighbors(root, r)], 1)
     maps = {(root, y): one for y in neighbors(root, r)}
     trace.append(f"star@{root}")
-    for x, y, leaves, frame in reversed(peels):
-        if frame is None:
+    for x in order[1:]:
+        y = x[:-1]
+        placed = sorted(w for w in neighbors(y, r) if w in dims)
+        n = len(placed)
+        if n in (1, alpha[y]):
+            # regrow y: the rigid frame of n+1 lines in general position
+            for j, z in enumerate(placed):
+                maps[(z, y)] = _column(field, n, j)
+            dims[y] = n
+            maps[(x, y)] = _column(field, n, None)
+            trace.append(f"reflect@{x}->{y}:dim{n}")
+        else:
             maps[(x, y)] = _column(field, dims[y], 0)
             trace.append(f"extend@{x}->{y}")
-        else:
-            # regrow y: the rigid frame of frame+1 lines in general position
-            for j, z in enumerate(sorted(w for w in neighbors(y, r) if w in dims)):
-                maps[(z, y)] = _column(field, frame, j)
-            dims[y] = frame
-            maps[(x, y)] = _column(field, frame, None)
-            trace.append(f"reflect@{x}->{y}:dim{frame}")
         dims[x] = 1
-        for w in leaves:
-            dims[w] = 1
-            maps[(x, w)] = one
+        for w in neighbors(x, r):
+            if w != y:
+                dims[w] = 1
+                maps[(x, w)] = one
     return TreeRep(r, dims, maps, field)
 
 

@@ -119,9 +119,9 @@ class KroneckerRep:
     @staticmethod
     def from_json(d: dict) -> "KroneckerRep":
         require_fields(d, ("r", "dim", "field", "mats"), "representation")
-        field = field_from_json(d["field"])
         r, dim, mats = d["r"], d["dim"], d["mats"]
-        check_field(type(r) is int, "representation", "r", "an integer", r)
+        check_field(type(r) is int and r >= 2, "representation", "r", "an integer >= 2", r)
+        field = field_from_json(d["field"])
         check_field(is_count_pair(dim), "representation", "dim",
                     "a pair of non-negative integers [a, b]", dim)
         check_field(isinstance(mats, list) and len(mats) == r, "representation", "mats",
@@ -237,23 +237,17 @@ def _draw_probe_points(p: Optional[int], r: int, samples: int, seed: int) -> _Pr
 
     Each plan is drawn and indexed once and kept in this small cache, as
     tuples that ``probe_alphas`` and ``_sampled_ranks`` read and never
-    change.  After the basis vectors, each point is r draws from the
-    sampling box (over GF(p), from 0..p-1), redrawn while all are zero.
-    A draw is ``Random.randint`` unrolled: ``getrandbits(k)`` for the
-    box's width ``n`` of k bits, repeated until it is below ``n``.
+    change.  After the basis vectors, each point is r ``randint`` draws
+    from the sampling box (over GF(p), from 0..p-1), redrawn while all are
+    zero.
     """
-    low, n = (-ALPHA_BOX, 2 * ALPHA_BOX + 1) if p is None else (0, p)
-    k = n.bit_length()
-    bits = random.Random(seed).getrandbits
+    low, high = (-ALPHA_BOX, ALPHA_BOX) if p is None else (0, p - 1)
+    draw = random.Random(seed).randint
     out = [tuple(int(j == i) for j in range(r)) for i in range(min(r, samples))]
     while len(out) < samples:
-        vals = []
-        while len(vals) < r:
-            x = bits(k)
-            if x < n:
-                vals.append(low + x)
+        vals = tuple(draw(low, high) for _ in range(r))
         if any(vals):
-            out.append(tuple(vals))
+            out.append(vals)
     return _probe_plan(tuple(out), r, p)
 
 

@@ -23,8 +23,8 @@ peelable one.  The package builds each in one pass;
 the tests assert identical trees, quivers and construction traces.
 
 ``reference_probe_points`` draws the sampled probe plan through
-``random.randint``; the package unrolls the same draws into its
-``getrandbits`` rejection loop, and the tests assert identical plans.
+``random.randint`` one list at a time; the package draws the same points
+into the tuples it caches, and the tests assert identical plans.
 ``reference_pencil_rank`` ranks a pencil of a representation's arrows
 whole, with the elimination engine; the package ranks every probe point
 from one peel of the union of the arrows, read along the shorter side,

@@ -326,6 +326,17 @@ class TestRootsCoxeterPushdown:
         assert "edge [1] -> [] runs from a sink to a source" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    def test_zero_tree_dimension_is_named(self, tmp_path, capsys):
+        tree = json.loads(realize_to(tmp_path, capsys, 3, "3,2").read_text())["tree"]
+        tree["vertices"][0]["dim"] = 0
+        src = tmp_path / "zero-dim-tree.json"
+        src.write_text(json.dumps(tree))
+        code = main(["pushdown", str(src)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "tree vertex field 'dim' must be an integer >= 1, got 0" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_error_exit_code(self, capsys):
         code = main(["pushdown", "/nonexistent/file.json"])
         assert code == 1

@@ -8,6 +8,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_impls import (
     max_cover_b,
     reference_build_indecomposable_tree_rep,
@@ -34,6 +36,34 @@ from kronjord.cover import (
 from kronjord.exactmat import GF, QQ, ExactMatrix
 from kronjord.kronecker import DimVector, tits_form
 from kronjord.verify import ekp_sample_check, end_is_local, is_brick
+
+
+@st.composite
+def quivers_with_alpha(draw):
+    """A connected source-regular quiver of up to 31 sources, and an alpha
+    within the builder's bounds.
+
+    The top vertex is any reduced word of length 0..4, a source or a sink,
+    and every source is it or a descendant of it, so the shallowest vertex
+    is the top one or, for a top source other than the root, its parent.
+    """
+    r = draw(st.integers(2, 5))
+    color = lambda v: st.sampled_from([c for c in range(1, r + 1) if v[-1:] != (c,)])
+    top = ()
+    for _ in range(draw(st.integers(0, 4))):
+        top += (draw(color(top)),)
+    first = top if is_source(top) else top + (draw(color(top)),)
+    verts = {first, *neighbors(first, r)}
+    for _ in range(draw(st.integers(0, 30))):
+        # a sink never has all its children in the quiver, so there is one to add
+        x = draw(st.sampled_from(sorted(x for y in verts if not is_source(y)
+                                        for x in neighbors(y, r)
+                                        if len(x) > len(y) and x not in verts)))
+        verts.update([x, *neighbors(x, r)])
+    q = TreeQuiver(r, frozenset(verts))
+    alpha = {v: 1 if is_source(v) else draw(st.integers(1, max(1, q.degree(v) - 1)))
+             for v in sorted(verts)}
+    return q, alpha
 
 
 def sources_by_length_then_address(r, n):
@@ -298,6 +328,15 @@ class TestTreeBuilder:
             assert trace[0] == f"star@{min(srcs, key=lambda v: (len(v), v))}"
             assert dict(tree.dims) == alpha
             assert is_inj(tree)[0] and is_brick(tree), (r, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(quivers_with_alpha())
+    def test_random_quivers_match_the_recursive_reference(self, q_alpha):
+        q, alpha = q_alpha
+        trace, want = [], []
+        tree = build_indecomposable_tree_rep(q, alpha, trace=trace)
+        assert tree == reference_build_indecomposable_tree_rep(q, alpha, trace=want)
+        assert trace == want
 
     def test_hypothesis_violation_rejected(self):
         q = build_source_regular(3, 1)

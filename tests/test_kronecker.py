@@ -527,7 +527,7 @@ def test_probe_plan_is_drawn_once_and_never_shared():
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101), GF(1000003)], ids=repr)
 def test_probe_plan_matches_randint_reference(field):
-    """The unrolled draws give the plan that random.randint gives, point for point."""
+    """The package's draws give the plan that random.randint gives, point for point."""
     for seed in range(50):
         for r in range(2, 6):
             assert probe_alphas(field, r, 200, seed) == reference_probe_points(field, r, 200, seed)

@@ -468,6 +468,14 @@ class TestValidationDemands:
          "tree vertex field 'addr' must be a list of colors 1..3"),
         (("tree", "vertices", 1, "addr"), [2.0],
          "tree vertex field 'addr' must be a list of colors 1..3"),
+        # an arrow count or a dimension out of range is named, not an address
+        # or a matrix read with it
+        (("rep", "r"), 1, "representation field 'r' must be an integer >= 2, got 1"),
+        (("tree", "r"), 1, "tree field 'r' must be an integer >= 2, got 1"),
+        (("tree", "r"), -5, "tree field 'r' must be an integer >= 2, got -5"),
+        (("tree", "vertices", 0, "dim"), 0, "tree vertex field 'dim' must be an integer >= 1, got 0"),
+        (("tree", "vertices", 1, "dim"), -2,
+         "tree vertex field 'dim' must be an integer >= 1, got -2"),
     ])
     def test_malformed_field_is_named(self, path, bad, message):
         data = witness_json(3, 3, 2)
