@@ -22,7 +22,6 @@ from .kronecker import (
     is_in_ijt,
     jordan_type_at,
     pencil,
-    preprojective_dim_vectors,
     tits_form,
     to_module_operators,
     xi,
@@ -65,7 +64,7 @@ __all__ = [
     "ExactMatrix", "GF", "QQ",
     "DimVector", "JordanType", "KroneckerRep", "RootClass", "classify_root", "coxeter_apply",
     "dual", "euler_form", "generic_rank", "is_constant_jordan_type", "is_in_ijt",
-    "jordan_type_at", "pencil", "preprojective_dim_vectors", "tits_form", "to_module_operators",
+    "jordan_type_at", "pencil", "tits_form", "to_module_operators",
     "xi", "xi_inverse",
     "TreeQuiver", "TreeRep", "build_indecomposable_tree_rep", "build_root_vector",
     "build_source_regular", "is_inj", "push_down", "source_regular_bound_check", "thin_path_rep",

@@ -6,8 +6,9 @@ inverse Auslander-Reiten translate factors as two such sweeps: reflect
 every source in the one-ring extension of the support, then every old
 sink (which became a source); the orientation returns to the bipartite
 standard and zero vertices are trimmed.  This is the only inverse
-translate: the Coxeter shift and the preprojective chain both run it on
-tree representations, whose push-downs the pipeline certifies.
+translate: the Coxeter shift and the preprojective walk (Phi down to the
+simple or a thin path, then back up) both run it on tree representations,
+whose push-downs the pipeline certifies.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .cover import (
     thin_path_rep,
 )
 from .exactmat import ExactMatrix, Field, QQ, left_kernel_matrix
-from .kronecker import DimVector, coxeter_apply, preprojective_dim_vectors, tits_form
+from .kronecker import DimVector, coxeter_apply, tits_form
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +143,27 @@ def coxeter_shift_plan(r: int, a: int, b: int) -> ReflectionPlan:
 # ---------------------------------------------------------------------------
 
 def build_preprojective(r: int, a: int, b: int, field: Field = QQ) -> TreeRep:
-    """A lift to the cover of the indecomposable with real root (a, b), a < b.
+    """A lift to the cover of the indecomposable with real root (a, b), 0 <= a < b.
 
-    Located on the chain (0,1), (1,r), ... of ``preprojective_dim_vectors``,
-    then built by applying ``tau_inverse_tree`` idx // 2 times to the lift
-    of matching parity: the simple at the sink (1,) for an even chain
-    index, the star at the root for an odd one.  The push-down is the
-    preprojective with dimension vector (a, b); push-down along the Galois
-    cover keeps indecomposability (Gabriel 1981; Bongartz and Gabriel 1982).
+    By Vieta jumping every such root lies on the chain P_0 = (0,1),
+    P_1 = (1,r), P_i = r P_{i-1} - P_{i-2}, and Phi maps P_i to P_{i-2}.
+    The walk steps (a, b) <- Phi(a, b), l times, while a > 0 and
+    b > (r-1)a + 1; ``tau_inverse_tree`` l times then lifts the seed: the
+    thin path where the walk stops, or the simple at the sink (1,) if a = 0.
+    With e_i = b_i - (r-1)a_i, e_0 = e_1 = 1 and e_i = r e_{i-1} - e_{i-2}.
+    For r >= 3, e_i >= 2 when i >= 2: the walk stops at P_0 or at P_1, whose
+    thin path is the star, after idx // 2 steps.  For r = 2, e_i = 1: each
+    (n, n+1) with n >= 1 is its own seed, a connected thin tree whose maps
+    are all 1, hence Inj and a brick.  Push-down along the Galois cover keeps
+    indecomposability (Gabriel 1981; Bongartz and Gabriel 1982).
     """
-    if tits_form(r, (a, b)) != 1 or not a < b:
+    if tits_form(r, (a, b)) != 1 or not 0 <= a < b:
         raise ValueError(f"({a},{b}) is not a preprojective root")
-    try:
-        idx = preprojective_dim_vectors(r, b).index(DimVector(a, b))
-    except ValueError:
-        raise ValueError(f"({a},{b}) is not on the preprojective chain") from None
-    tree = TreeRep(r, {(1,): 1}, {}, field) if idx % 2 == 0 else thin_path_rep(r, 1, r, field)
-    for _ in range(idx // 2):
+    l = 0
+    while a > 0 and b > (r - 1) * a + 1:
+        a, b = coxeter_apply(r, (a, b), 1)
+        l += 1
+    tree = thin_path_rep(r, a, b, field) if a > 0 else TreeRep(r, {(1,): 1}, {}, field)
+    for _ in range(l):
         tree = tau_inverse_tree(tree)
     return tree

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 on success or acceptance, 2 when a Jordan type is rejected
-by classification, 1 on errors.  Every command can emit JSON via --json.
+by classification, 1 on errors, usage errors too.  Every command has --json.
 """
 
 from __future__ import annotations
@@ -239,7 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means a rejected type
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -165,6 +165,8 @@ def coxeter_apply(r: int, v: Sequence[int], power: int) -> tuple[int, int]:
     Intermediate and final vectors may have negative entries; callers own
     the interpretation.
     """
+    if r < 2:
+        raise ValueError("r must be at least 2")
     m = coxeter_matrix(r) if power >= 0 else coxeter_matrix_inverse(r)
     x, y = int(v[0]), int(v[1])
     for _ in range(abs(power)):
@@ -460,21 +462,3 @@ def to_module_operators(m: KroneckerRep) -> list[ExactMatrix]:
     n = m.total_dim()
     return [ExactMatrix.from_rows(m.field, [{}] * m.dim.a + mat.sparse_rows(), n)
             for mat in m.mats]
-
-
-# ---------------------------------------------------------------------------
-# preprojective dimension vectors
-# ---------------------------------------------------------------------------
-
-def preprojective_dim_vectors(r: int, limit: int) -> list[DimVector]:
-    """P1, P2, ... dimension vectors until a component exceeds ``limit``."""
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
-    out = []
-    prev, cur = DimVector(0, 1), DimVector(1, r)
-    while max(prev) <= limit:
-        if tits_form(r, prev) != 1:
-            raise AssertionError("preprojective recursion left the real roots")
-        out.append(prev)
-        prev, cur = cur, DimVector(r * cur.a - prev.a, r * cur.b - prev.b)
-    return out

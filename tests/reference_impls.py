@@ -13,6 +13,11 @@ that both give identical answers.
 itself, and ``explicit_p2`` the projective of dimension (1, r) written
 down by hand.  The package builds the preprojectives on the universal
 cover instead; the tests check its push-downs against these.
+``reference_build_preprojective`` is the earlier cover lift: it finds
+the chain index in ``preprojective_dim_vectors`` and sweeps the simple or
+the star idx // 2 times, where the package walks Phi down to a thin root
+(at r = 2 the root itself); the tests assert identical trees for r >= 3
+and isomorphic push-downs at r = 2.
 
 The cover constructions keep their earlier forms here as well:
 ``reference_tau_inverse_tree`` reflects one vertex at a time (one tree
@@ -46,8 +51,8 @@ dimension vectors as duals of the preprojective ones.
 import random
 from fractions import Fraction
 
-from kronjord.bgp import reflect_functor_source
-from kronjord.cover import TreeRep, _column, is_source, neighbors
+from kronjord.bgp import reflect_functor_source, tau_inverse_tree
+from kronjord.cover import TreeRep, _column, is_source, neighbors, thin_path_rep
 from kronjord.exactmat import (
     QQ,
     ExactMatrix,
@@ -57,7 +62,7 @@ from kronjord.exactmat import (
     left_kernel_matrix,
     sparse_int_echelon,
 )
-from kronjord.kronecker import ALPHA_BOX, DimVector, KroneckerRep, preprojective_dim_vectors
+from kronjord.kronecker import ALPHA_BOX, DimVector, KroneckerRep, tits_form
 from kronjord.verify import hom_space
 
 
@@ -191,6 +196,33 @@ def explicit_p2(r, field: Field = QQ):
         col = [[field.one] if j == i else [field.zero] for j in range(r)]
         mats.append(ExactMatrix(field, col, r, 1))
     return KroneckerRep(r, DimVector(1, r), tuple(mats), field)
+
+
+def preprojective_dim_vectors(r, limit):
+    """P1, P2, ... dimension vectors until a component exceeds ``limit``."""
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+    out = []
+    prev, cur = DimVector(0, 1), DimVector(1, r)
+    while max(prev) <= limit:
+        if tits_form(r, prev) != 1:
+            raise AssertionError("preprojective recursion left the real roots")
+        out.append(prev)
+        prev, cur = cur, DimVector(r * cur.a - prev.a, r * cur.b - prev.b)
+    return out
+
+
+def reference_build_preprojective(r, a, b, field=QQ):
+    """The cover lift of the preprojective (a, b) by its chain index idx:
+    ``tau_inverse_tree`` idx // 2 times on the simple at the sink (1,)
+    (even idx) or on the star at the root (odd idx)."""
+    if tits_form(r, (a, b)) != 1 or not a < b:
+        raise ValueError(f"({a},{b}) is not a preprojective root")
+    idx = preprojective_dim_vectors(r, b).index(DimVector(a, b))
+    tree = TreeRep(r, {(1,): 1}, {}, field) if idx % 2 == 0 else thin_path_rep(r, 1, r, field)
+    for _ in range(idx // 2):
+        tree = tau_inverse_tree(tree)
+    return tree
 
 
 def reference_tau_inverse_tree(m):

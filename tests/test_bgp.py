@@ -1,7 +1,14 @@
 """Reflection functors, the inverse translate, shift planning, preprojectives."""
 
 import pytest
-from reference_impls import explicit_p2, kron_tau_inverse, reference_tau_inverse_tree, weyl_reflect
+from reference_impls import (
+    explicit_p2,
+    kron_tau_inverse,
+    preprojective_dim_vectors,
+    reference_build_preprojective,
+    reference_tau_inverse_tree,
+    weyl_reflect,
+)
 
 from kronjord import bgp
 from kronjord.bgp import (
@@ -21,7 +28,7 @@ from kronjord.cover import (
     thin_path_rep,
 )
 from kronjord.exactmat import QQ, ExactMatrix
-from kronjord.kronecker import DimVector, coxeter_apply, preprojective_dim_vectors, simple_rep, tits_form
+from kronjord.kronecker import DimVector, coxeter_apply, simple_rep, tits_form
 from kronjord.pipeline import classify
 from kronjord.verify import ekp_sample_check, hom_space, is_brick
 
@@ -320,6 +327,35 @@ class TestPreprojectives:
             assert hom.dim == 1, (r, a, b)
             f1, f2 = hom.basis[0]
             assert f1.rank() == a and f2.rank() == b, (r, a, b)
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_walk_matches_the_chain_index_sweep(self, r):
+        # for r >= 3 the walk stops at (0,1) or (1,r) after idx // 2 steps
+        for a, b in preprojective_dim_vectors(r, 200):
+            if a + b <= 200:
+                assert build_preprojective(r, a, b) == reference_build_preprojective(r, a, b), (a, b)
+
+    def test_r2_lifts_are_thin_paths(self):
+        for n in range(1, 201):
+            assert build_preprojective(2, n, n + 1) == thin_path_rep(2, n, n + 1), n
+
+    def test_r2_thin_paths_push_down_to_the_sweep_lifts(self):
+        # both push-downs are bricks, so they are isomorphic iff the one Hom
+        # basis map is invertible
+        for n in range(31):
+            rep = push_down(build_preprojective(2, n, n + 1))
+            ref = push_down(reference_build_preprojective(2, n, n + 1))
+            hom = hom_space(rep, ref)
+            assert hom.dim == 1, n
+            f1, f2 = hom.basis[0]
+            assert f1.rank() == n and f2.rank() == n + 1, n
+
+    def test_negative_roots_rejected(self):
+        # q = 1 and a < b, but not a dimension vector
+        for r, a, b in ((3, -1, 0), (3, -3, -1), (2, -2, -1)):
+            assert tits_form(r, (a, b)) == 1
+            with pytest.raises(ValueError, match="not a preprojective root"):
+                build_preprojective(r, a, b)
 
     def test_off_chain_rejected(self):
         with pytest.raises(ValueError):

@@ -304,6 +304,12 @@ class TestRootsCoxeterPushdown:
         code, out = run(capsys, "coxeter", "--r", "3", "--dim", "2,5", "--power", "1", "--json")
         assert code == 0 and json.loads(out)["result"] == [1, 1]
 
+    def test_coxeter_needs_r_at_least_2(self, capsys):
+        code = main(["coxeter", "--r", "1", "--dim", "2,5", "--power", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "error: r must be at least 2" in captured.err
+
     def test_pushdown(self, tmp_path, capsys):
         tree = thin_path_rep(3, 2, 5)
         src = tmp_path / "tree.json"
@@ -340,3 +346,24 @@ class TestRootsCoxeterPushdown:
     def test_error_exit_code(self, capsys):
         code = main(["pushdown", "/nonexistent/file.json"])
         assert code == 1
+
+
+class TestUsageErrors:
+    """argparse's own exit status 2 would read as a rejected Jordan type."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--r", "3"],
+        ["classify", "--r", "x", "--jordan", "1,2"],
+        ["classify", "--r", "3", "--jordan", "1,2,3"],
+        ["realize", "--r", "3", "--jordan", "3,2", "--mode", "foo"],
+        ["frobnicate"],
+        [],
+    ])
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["realize", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from reference_impls import (
     explicit_p2,
     preinjective_dim_vectors,
+    preprojective_dim_vectors,
     reference_pencil_rank,
     reference_probe_points,
 )
@@ -33,7 +34,6 @@ from kronjord.kronecker import (
     is_in_ijt,
     jordan_type_at,
     pencil,
-    preprojective_dim_vectors,
     probe_alphas,
     simple_rep,
     tits_form,
@@ -99,6 +99,11 @@ class TestCoxeter:
                 for b in range(0, 7):
                     w = coxeter_apply(r, (a, b), 1)
                     assert tits_form(r, w) == tits_form(r, (a, b))
+
+    @pytest.mark.parametrize("r", [1, 0, -3])
+    def test_rejects_r_below_two(self, r):
+        with pytest.raises(ValueError, match="r must be at least 2"):
+            coxeter_apply(r, (2, 5), 1)
 
 
 class TestRootClass:
