@@ -23,7 +23,8 @@ from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .exactmat import QQ, ExactMatrix, Field, check_field, field_from_json, require_fields
+from .exactmat import (QQ, ExactMatrix, Field, check_arrow_count, check_field, field_from_json,
+                       require_fields)
 from .kronecker import DimVector, KroneckerRep
 
 Address = tuple[int, ...]
@@ -243,7 +244,7 @@ class TreeRep:
     def from_json(d: dict) -> "TreeRep":
         require_fields(d, ("r", "vertices", "edges"), "tree")
         r, verts, edges = d["r"], d["vertices"], d["edges"]
-        check_field(type(r) is int and r >= 2, "tree", "r", "an integer >= 2", r)
+        check_arrow_count(r, "tree")
         check_field(isinstance(verts, list), "tree", "vertices", "a list", verts)
         check_field(isinstance(edges, list), "tree", "edges", "a list", edges)
         for v in verts:

@@ -17,18 +17,18 @@ re-normalized by its gcd after every combination, which keeps coefficient
 growth in check; over GF(p) every entry is reduced mod p.  The large,
 very sparse intertwining systems are cheap in either characteristic.
 
-A caller that needs only a rank calls ``sparse_int_rank``, and one that
-needs a kernel ``sparse_int_kernel``.  A difference system, whose rows
-are all x*u or x*(u - v), takes neither to the engine: one union-find
-gives its rank and its kernel, the same over every field.  For a rank,
-any other system has its singleton pivots peeled first, each of which
-adds 1 to the rank over any field, and only the core that is left goes
-to the engine; for a kernel, it is eliminated whole and back-substituted
-in one pass for every free column.  The peel reads only
-positions, so a pattern peeled once serves every system whose pattern
-lies inside it and whose entries at the pivots are non-zero: the sampled
-pencil checks peel the union of the arrows' patterns once per
-representation.
+A system of rows is a ``SparseSystem``, with a ``rank`` and a ``kernel``;
+``sparse_int_rank`` and ``sparse_int_kernel`` ask a new one for either.
+A difference system, whose rows are all x*u or x*(u - v), takes neither
+to the engine: one union-find, found once per system, gives its rank and
+its kernel, the same over every field.  For a rank, any other system has
+its singleton pivots peeled first, each of which adds 1 to the rank over
+any field, and only the core that is left goes to the engine; for a
+kernel, it is eliminated whole and back-substituted in one pass for
+every free column.  The peel reads only positions, so a pattern peeled
+once serves every system whose pattern lies inside it and whose entries
+at the pivots are non-zero: the sampled pencil checks peel the union of
+the arrows' patterns once per representation.
 """
 
 from __future__ import annotations
@@ -178,6 +178,16 @@ def check_field(ok: bool, what: str, name: str, expected: str, value) -> None:
 def is_count_pair(x) -> bool:
     """True iff the JSON value ``x`` is a pair of non-negative integers."""
     return isinstance(x, list) and len(x) == 2 and all(type(v) is int and v >= 0 for v in x)
+
+
+# push_down builds an r-tuple of arrows: the bound keeps a file from exhausting memory
+MAX_JSON_R = 2**22
+
+
+def check_arrow_count(r, what: str) -> None:
+    """Raise a ValueError naming ``what``'s field 'r' unless it is an integer in 2..MAX_JSON_R."""
+    check_field(type(r) is int and r >= 2, what, "r", "an integer >= 2", r)
+    check_field(r <= MAX_JSON_R, what, "r", f"at most {MAX_JSON_R}", r)
 
 
 def field_from_json(d: dict) -> Field:
@@ -438,29 +448,9 @@ def _peel(rows: Sequence[dict]) -> tuple[list[tuple[int, int]], list[dict]]:
     return pivots, core
 
 
-def sparse_int_rank(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -> int:
-    """Rank of a system of sparse rows, over Q or modulo a prime ``p``.
-
-    Entries are as ``sparse_int_echelon`` takes them; zero entries (mod
-    ``p``: multiples of ``p``) are dropped.  A difference system is ranked
-    by ``_difference_rank``, with no elimination.  Any other system has
-    its singleton pivots peeled, and only the core that is left goes to
-    ``sparse_int_echelon``; an empty core never reaches it.  Neither step
-    needs ints.  The input rows are not mutated.
-    """
-    rows = rows if isinstance(rows, list) else list(rows)
-    rank = _difference_rank(rows, p)
-    if rank is not None:
-        return rank
-    if p is None:
-        rows = [row if all(row.values()) else {c: v for c, v in row.items() if v}
-                for row in rows]
-    else:
-        rows = [row if all(v % p for v in row.values()) else _normalize_mod_row(row, p)
-                for row in rows]
-    pivots, core = _peel(rows)
-    return len(pivots) + (len(sparse_int_echelon(core, ncols, p)) if core else 0)
-
+# ---------------------------------------------------------------------------
+# systems: one rank path and one kernel path
+# ---------------------------------------------------------------------------
 
 def _back_substitute(piv_rows: list[tuple[int, dict]], seeds: Sequence[int],
                      p: Optional[int] = None) -> list[dict[int, Scalar]]:
@@ -493,38 +483,101 @@ def _back_substitute(piv_rows: list[tuple[int, dict]], seeds: Sequence[int],
     return out
 
 
-def sparse_int_kernel(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -> list[dict]:
-    """Basis of the right kernel of a sparse row system, over Q or modulo ``p``.
+_UNSEEN = object()
 
-    Each basis vector is a dict column -> non-zero entry, 1 at its own
-    free column, its first key, and 0 at every other free column, which
-    makes the basis unique; the pivot columns follow in decreasing order.
-    Entries are ints, save the non-integral rationals, which are
-    ``Fraction``s.  A system that is not a difference system goes to
-    ``sparse_int_echelon`` and one ``_back_substitute`` pass.
 
-    A difference system gives the indicator of each component C of its
-    forest without a ground (a column no row touches is one), ordered by
-    max(C).  That is the engine's basis.  A row meets one component, so
-    the column dependencies split over them.  A ground gives C's rows rank
-    |C|.  Without one, C's rows are x*(u - v) or zero on C, of rank
-    |C| - 1, so C's one dependency is the sum of its columns, of full
-    support: left to right, every column of C but max(C) is a pivot and
-    max(C) is free, where the indicator is 1; it is 0 at every other free
-    column.
+class SparseSystem:
+    """A system of sparse rows over Q or modulo a prime ``p``, ranked and solved on demand.
+
+    Entries are as ``sparse_int_echelon`` takes them; zero entries (mod
+    ``p``: multiples of ``p``) are dropped.  The difference forest is
+    looked for once, on the first ``rank`` or ``kernel``, and read by both;
+    the rank is kept once found.  A system that is not a difference system
+    is eliminated twice, never sharing an echelon: peeled and its core
+    echelonized for a rank, echelonized whole and back-substituted for a
+    kernel.  The rows are not mutated, and threads may share a system: two
+    that race to fill a memo both store the same value.
     """
-    rows = rows if isinstance(rows, list) else list(rows)
-    forest = _difference_forest(rows, p)
-    if forest is not None:
-        find, _, grounded = forest
-        components: dict[int, list[int]] = {}
-        for c in range(ncols - 1, -1, -1):
-            if (root := find(c)) not in grounded:
-                components.setdefault(root, []).append(c)
-        return [dict.fromkeys(cols, 1) for cols in reversed(components.values())]
-    piv_rows = sparse_int_echelon(rows, ncols, p)
-    pivot_cols = {c for c, _ in piv_rows}
-    return _back_substitute(piv_rows, [f for f in range(ncols) if f not in pivot_cols], p)
+
+    __slots__ = ("rows", "ncols", "p", "_forest", "_rank")
+
+    def __init__(self, rows: Iterable[dict], ncols: int, p: Optional[int] = None):
+        self.rows = rows if isinstance(rows, list) else list(rows)
+        self.ncols, self.p = ncols, p
+        self._forest, self._rank = _UNSEEN, None
+
+    def forest(self):
+        """``_difference_forest`` of the rows, found on the first call."""
+        if self._forest is _UNSEEN:
+            self._forest = _difference_forest(self.rows, self.p)
+        return self._forest
+
+    def rank(self) -> int:
+        """The rank.  A difference system is ranked off its forest, with no
+        elimination.  Any other system has its singleton pivots peeled, and
+        only the core that is left goes to ``sparse_int_echelon``; an empty
+        core never reaches it.  Neither step needs ints.
+        """
+        if self._rank is not None:
+            return self._rank
+        forest, p = self.forest(), self.p
+        if forest is not None:
+            rank = forest[1] + len(forest[2])
+        else:
+            if p is None:
+                rows = [row if all(row.values()) else {c: v for c, v in row.items() if v}
+                        for row in self.rows]
+            else:
+                rows = [row if all(v % p for v in row.values()) else _normalize_mod_row(row, p)
+                        for row in self.rows]
+            pivots, core = _peel(rows)
+            rank = len(pivots) + (len(sparse_int_echelon(core, self.ncols, p)) if core else 0)
+        self._rank = rank
+        return rank
+
+    def kernel(self) -> list[dict]:
+        """Basis of the right kernel.
+
+        Each basis vector is a dict column -> non-zero entry, 1 at its own
+        free column, its first key, and 0 at every other free column, which
+        makes the basis unique; the pivot columns follow in decreasing order.
+        Entries are ints, save the non-integral rationals, which are
+        ``Fraction``s.  A system that is not a difference system goes to
+        ``sparse_int_echelon`` and one ``_back_substitute`` pass.
+
+        A difference system gives the indicator of each component C of its
+        forest without a ground (a column no row touches is one), ordered by
+        max(C).  That is the engine's basis.  A row meets one component, so
+        the column dependencies split over them.  A ground gives C's rows rank
+        |C|.  Without one, C's rows are x*(u - v) or zero on C, of rank
+        |C| - 1, so C's one dependency is the sum of its columns, of full
+        support: left to right, every column of C but max(C) is a pivot and
+        max(C) is free, where the indicator is 1; it is 0 at every other free
+        column.
+        """
+        ncols, p = self.ncols, self.p
+        forest = self.forest()
+        if forest is not None:
+            find, _, grounded = forest
+            components: dict[int, list[int]] = {}
+            for c in range(ncols - 1, -1, -1):
+                if (root := find(c)) not in grounded:
+                    components.setdefault(root, []).append(c)
+            return [dict.fromkeys(cols, 1) for cols in reversed(components.values())]
+        piv_rows = sparse_int_echelon(self.rows, ncols, p)
+        pivot_cols = {c for c, _ in piv_rows}
+        return _back_substitute(piv_rows, [f for f in range(ncols) if f not in pivot_cols], p)
+
+
+def sparse_int_rank(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -> int:
+    """Rank of a system of sparse rows, over Q or modulo a prime ``p``: ``SparseSystem.rank``."""
+    return SparseSystem(rows, ncols, p).rank()
+
+
+def sparse_int_kernel(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -> list[dict]:
+    """Basis of the right kernel of a sparse row system, over Q or modulo ``p``:
+    ``SparseSystem.kernel``."""
+    return SparseSystem(rows, ncols, p).kernel()
 
 
 # ---------------------------------------------------------------------------

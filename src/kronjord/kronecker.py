@@ -41,6 +41,7 @@ from .exactmat import (
     Field,
     Scalar,
     _peel,
+    check_arrow_count,
     check_field,
     field_from_json,
     is_count_pair,
@@ -87,6 +88,10 @@ class KroneckerRep:
     # ranked, so keys can skip; a cache that never changes a result, so it
     # is not part of equality, hash or JSON
     _probe_ranks: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    # {"system": the SparseSystem of End(m)}, stored by the first Hom, Ext or
+    # brick call that needs it; a memo that never changes a result, freed
+    # with the representation
+    _end_memo: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r < 2:
@@ -120,7 +125,7 @@ class KroneckerRep:
     def from_json(d: dict) -> "KroneckerRep":
         require_fields(d, ("r", "dim", "field", "mats"), "representation")
         r, dim, mats = d["r"], d["dim"], d["mats"]
-        check_field(type(r) is int and r >= 2, "representation", "r", "an integer >= 2", r)
+        check_arrow_count(r, "representation")
         field = field_from_json(d["field"])
         check_field(is_count_pair(dim), "representation", "dim",
                     "a pair of non-negative integers [a, b]", dim)

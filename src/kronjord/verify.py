@@ -3,17 +3,21 @@
 Hom(M, N) is the solution space of the intertwining system
 f_h M(e) = N(e) f_t over the arrows e: t -> h, set up alike for Kronecker
 and tree representations; Ext^1 is the cokernel dimension of the same
-presentation, computed from the rank rather than from the bilinear form so
-the Euler identity remains a nontrivial cross-check.  A brick (End of
-dimension 1) is decided from the rank of the End system over any field;
-it certifies every witness, on the tree for a push-down.  Locality of End,
-for bare representations, is decided over the rationals: the radical is
-the kernel of the trace form of End acting on the representation itself,
-each trace read off the sparse rows of a Hom basis.  Every rank and
-kernel, over Q or GF(p), comes from ``exactmat``, given the modulus and
-the rows as the arrows' scalars make them: the brick test and Ext need a
-rank (``sparse_int_rank``), Hom a kernel (``sparse_int_kernel``), and
-either skips the sparse engine where it can.  The End system of a
+presentation, computed from the rank rather than from the bilinear form.
+End(M) of a Kronecker representation is one ``SparseSystem``, built on
+the first call that needs it and kept on M: Hom, Ext and the brick test
+share its rows, its difference forest and its rank.  On a difference
+system Hom and the rank both read that one union-find; on any other
+system Hom's kernel and the rank are two separate eliminations, no
+echelon shared, so the Euler identity remains a nontrivial cross-check
+there.  A brick (End of dimension 1) is decided from the rank of the End
+system over any field; it certifies every witness, on the tree for a
+push-down.  Locality of End, for bare representations, is decided over
+the rationals: the radical is the kernel of the trace form of End acting
+on the representation itself, each trace read off the sparse rows of a
+Hom basis.  Every rank and kernel, over Q or GF(p), comes from
+``exactmat``, given the modulus and the rows as the arrows' scalars make
+them, and skips the sparse engine where it can.  The End system of a
 representation with shifted-identity arrows is a difference system,
 whose rank and Hom basis one union-find gives in every characteristic;
 a tree's is peeled to nothing for a rank.  The pipeline reads an echelon
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cover import TreeRep
-from .exactmat import ExactMatrix, QQ, Scalar, sparse_int_kernel, sparse_int_rank
+from .exactmat import ExactMatrix, QQ, Scalar, SparseSystem
 from .kronecker import KroneckerRep, _sampled_ranks, generic_rank, tits_form
 
 
@@ -71,24 +75,48 @@ def _intertwining_rows(m: KroneckerRep | TreeRep, n: KroneckerRep | TreeRep):
         B = arrows_n[key][2]   # dim N_h x dim N_t
         dt, dh = dims_m.get(t, 0), dims_m.get(h, 0)
         a_cols = A.transpose().sparse_rows()   # column j of M(e): q -> entry
+        off_t, off_h = off[t], off[h]
         for p, b_row in enumerate(B.sparse_rows()):
+            base = off_h + p * dh
+            neg_b = [(off_t + i * dt, -y) for i, y in b_row.items()]
             for j, a_col in enumerate(a_cols):
-                row = {off[h] + p * dh + q: x for q, x in a_col.items()}
-                for i, y in b_row.items():
-                    row[off[t] + i * dt + j] = -y
+                row = {base + q: x for q, x in a_col.items()}
+                for c, y in neg_b:
+                    row[c + j] = y
                 if row:
                     rows.append(row)
     return rows, nvars
 
 
+def _system(m: KroneckerRep | TreeRep, n: KroneckerRep | TreeRep) -> SparseSystem:
+    """The intertwining system of (m, n) over m's field.
+
+    End(m) of a Kronecker representation is built once and kept on m, so
+    Hom, Ext and the brick test share its rows, its difference forest and
+    its rank; any other pair, trees included, gets a system of its own.
+    """
+    if n is m and isinstance(m, KroneckerRep):
+        system = m._end_memo.get("system")
+        if system is None:
+            system = m._end_memo.setdefault(
+                "system", SparseSystem(*_intertwining_rows(m, m), m.field.modulus))
+        return system
+    return SparseSystem(*_intertwining_rows(m, n), m.field.modulus)
+
+
 def hom_space(m: KroneckerRep, n: KroneckerRep) -> HomSpace:
-    """Basis of the space of morphisms from m to n, solved exactly."""
+    """Basis of the space of morphisms from m to n, solved exactly.
+
+    The kernel of ``_system(m, n)``: for n is m, End(m)'s system, whose
+    rows and difference forest ``is_brick`` and ``ext_dim`` share.  On a
+    system that is not a difference system the kernel is its own
+    elimination, apart from the rank's.
+    """
     (aM, bM), (aN, bN) = m.dim, n.dim
-    rows, nvars = _intertwining_rows(m, n)
     fld = m.field
     off = aN * aM
     basis = []
-    for vec in sparse_int_kernel(rows, nvars, fld.modulus):
+    for vec in _system(m, n).kernel():
         f1, f2 = [{} for _ in range(aN)], [{} for _ in range(bN)]
         for k, x in vec.items():
             if k < off:
@@ -104,11 +132,12 @@ def ext_dim(m: KroneckerRep, n: KroneckerRep) -> int:
 
     Computed as r*aM*bN minus the rank of the system matrix (the cokernel
     of the map (f1, f2) -> (f2 M(g_i) - N(g_i) f1)_i), independently of
-    the bilinear form.
+    the bilinear form.  For n is m the system is End(m)'s, shared with
+    ``hom_space`` and ``is_brick``: its rows, its difference forest and
+    its rank.  Off a difference system the rank is an elimination of its
+    own, never the echelon of Hom's kernel.
     """
-    rows, nvars = _intertwining_rows(m, n)
-    rk = sparse_int_rank(rows, nvars, m.field.modulus)
-    return m.r * m.dim.a * n.dim.b - rk
+    return m.r * m.dim.a * n.dim.b - _system(m, n).rank()
 
 
 def is_brick(m: KroneckerRep | TreeRep) -> bool:
@@ -118,11 +147,15 @@ def is_brick(m: KroneckerRep | TreeRep) -> bool:
     The generic test, for trees and bare representations: with shifted-
     identity arrows End is a difference system, ranked by union-find in
     every characteristic at once, and a tree's peels to an empty core.
+    A Kronecker representation's End system is the one ``hom_space`` and
+    ``ext_dim`` read, rows, difference forest and rank alike; a tree's is
+    built and ranked afresh on every call.  Off a difference system the
+    rank is an elimination of its own, never the echelon of Hom's kernel.
     The pipeline decides an echelon witness from its offsets
     (``echelon_end_dim``) and comes here when an arrow is not I(l).
     """
-    rows, nvars = _intertwining_rows(m, m)
-    return nvars - sparse_int_rank(rows, nvars, m.field.modulus) == 1
+    system = _system(m, m)
+    return system.ncols - system.rank() == 1
 
 
 def _trace_of_product(x: ExactMatrix, y: ExactMatrix) -> Scalar:

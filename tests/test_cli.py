@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kronjord import cli
+from kronjord import cli, verify
 from kronjord.cli import main
 from kronjord.cover import build_indecomposable_tree_rep, build_root_vector, build_source_regular
 from kronjord.cover import push_down, thin_path_rep
@@ -284,6 +284,17 @@ class TestVerifyBareIndec:
         rep = push_down(build_indecomposable_tree_rep(q, build_root_vector(q, 13, 30)))
         assert self.verify_indec(tmp_path, capsys, monkeypatch, rep) == (0, 1)
 
+    def test_local_non_brick_builds_its_end_system_once(self, tmp_path, capsys, monkeypatch):
+        # is_brick ranks the system that end_is_local's hom_space then solves
+        built = []
+        rows = verify._intertwining_rows
+        monkeypatch.setattr(verify, "_intertwining_rows",
+                            lambda m, n: built.append(m) or rows(m, n))
+        q = build_source_regular(3, 5)
+        rep = push_down(build_indecomposable_tree_rep(q, build_root_vector(q, 5, 12)))
+        assert self.verify_indec(tmp_path, capsys, monkeypatch, rep) == (0, 1)
+        assert len(built) == 1 and built[0] == rep
+
     def test_direct_sum_fails(self, tmp_path, capsys, monkeypatch):
         m = build_echelon_rep(select_phi(3, 2, 4))
         assert self.verify_indec(tmp_path, capsys, monkeypatch, direct_sum(m, m)) == (1, 1)
@@ -342,6 +353,22 @@ class TestRootsCoxeterPushdown:
         assert code == 1
         assert "tree vertex field 'dim' must be an integer >= 1, got 0" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    def test_huge_tree_r_is_named(self, tmp_path, capsys, monkeypatch):
+        # the one-vertex tree would push down to an r-tuple of arrows: were the
+        # reader to let it through, the test fails instead of filling memory
+        def no_push_down(tree):
+            raise AssertionError(f"push_down reached with r = {tree.r}")
+
+        monkeypatch.setattr(cli, "push_down", no_push_down)
+        src = tmp_path / "huge-r-tree.json"
+        src.write_text(json.dumps({"r": 10**12, "vertices": [{"addr": [], "dim": 1}],
+                                   "edges": []}))
+        code = main(["pushdown", str(src)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "tree field 'r' must be at most 4194304, got 1000000000000" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_error_exit_code(self, capsys):
         code = main(["pushdown", "/nonexistent/file.json"])

@@ -33,7 +33,7 @@ from kronjord.cover import (
     source_regular_bound_check,
     thin_path_rep,
 )
-from kronjord.exactmat import GF, QQ, ExactMatrix
+from kronjord.exactmat import GF, MAX_JSON_R, QQ, ExactMatrix
 from kronjord.kronecker import DimVector, tits_form
 from kronjord.verify import ekp_sample_check, end_is_local, is_brick
 
@@ -120,6 +120,17 @@ class TestAddresses:
         finally:
             tracemalloc.stop()
         assert tree.r == 2000000 and peak < 2**20
+
+    def test_tree_reader_bounds_r(self):
+        # push_down would build an r-tuple of arrows: a huge r is named before any is made
+        def one_vertex(r):
+            return {"r": r, "vertices": [{"addr": [], "dim": 1}], "edges": []}
+
+        assert TreeRep.from_json(one_vertex(MAX_JSON_R)).r == MAX_JSON_R
+        for r in (MAX_JSON_R + 1, 10**12):
+            with pytest.raises(ValueError, match=f"tree field 'r' must be at most {MAX_JSON_R}, "
+                                                 f"got {r}"):
+                TreeRep.from_json(one_vertex(r))
 
     @pytest.mark.parametrize("dims, mat", [
         ({(): 1}, ExactMatrix(QQ, [], 0, 1)),

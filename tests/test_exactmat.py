@@ -787,6 +787,18 @@ def test_hom_space_matches_the_reference_on_the_prime_field_shapes(monkeypatch, 
     # every shape but the r=3 cover (5, 12) has a difference End system
     assert difference == (shape[1:4] != (3, 5, 12))
     assert len(calls) == (0 if difference else 1)
+    # the brick test and Ext rank the same kept system: a difference system
+    # from the forest Hom read, the other by one peel of its own, which
+    # leaves no core; Hom's echelon of the whole system is never reused
+    system = m._end_memo["system"]
+    nvars = system.ncols
+    rank = len(_dense_rref([[row.get(j, 0) for j in range(nvars)] for row in rows],
+                           nvars, shape[4])[1])
+    peels = count_calls(monkeypatch, "_peel")
+    assert verify.is_brick(m) == (len(want) == 1) == (nvars - rank == 1)
+    assert verify.ext_dim(m, m) == m.r * m.dim.a * m.dim.b - rank
+    assert len(peels) == len(calls) == (0 if difference else 1)
+    assert difference or calls[0][0] is system.rows
 
 
 @pytest.mark.parametrize("c, d", [(17, 13), (46, 34)])

@@ -476,6 +476,10 @@ class TestValidationDemands:
         (("tree", "vertices", 0, "dim"), 0, "tree vertex field 'dim' must be an integer >= 1, got 0"),
         (("tree", "vertices", 1, "dim"), -2,
          "tree vertex field 'dim' must be an integer >= 1, got -2"),
+        # push_down would build an r-tuple of arrows, so r is bounded above too
+        (("tree", "r"), 10**12, "tree field 'r' must be at most 4194304, got 1000000000000"),
+        (("rep", "r"), 10**12,
+         "representation field 'r' must be at most 4194304, got 1000000000000"),
     ])
     def test_malformed_field_is_named(self, path, bad, message):
         data = witness_json(3, 3, 2)

@@ -1,11 +1,20 @@
 """Hom/Ext, the Euler identity, locality, bricks, and the sampled checks."""
 
+import itertools
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_impls import explicit_p2, reference_end_is_local, reference_intertwining_rows
+from reference_impls import (
+    explicit_p2,
+    reference_end_is_local,
+    reference_intertwining_rows,
+    reference_sparse_int_echelon,
+    reference_sparse_int_kernel,
+)
 
 from kronjord.bgp import build_preprojective
 from kronjord.cover import (
@@ -16,7 +25,7 @@ from kronjord.cover import (
     push_down,
 )
 from kronjord.echelon import build_echelon_rep, select_phi
-from kronjord.exactmat import GF, QQ, ExactMatrix
+from kronjord.exactmat import GF, QQ, ExactMatrix, SparseSystem, _dense_rref
 from kronjord.kronecker import (
     DimVector,
     KroneckerRep,
@@ -27,7 +36,7 @@ from kronjord.kronecker import (
     simple_rep,
 )
 from kronjord import kronecker, verify
-from kronjord.pipeline import realize
+from kronjord.pipeline import CertifiedWitness, realize, validate_witness
 from kronjord.verify import (
     ekp_sample_check,
     eip_sample_check,
@@ -334,6 +343,174 @@ class TestTreeBrick:
     def test_mixed_kinds_rejected(self):
         with pytest.raises(ValueError, match="arrows differ"):
             verify._intertwining_rows(two_line_tree(), explicit_p2(3))
+
+
+def gf_cover_rep(r, a, b, p):
+    q = build_source_regular(r, a)
+    return push_down(build_indecomposable_tree_rep(q, build_root_vector(q, a, b), field=GF(p)))
+
+
+def zero_rep(a, b, r=3):
+    return KroneckerRep(r, DimVector(a, b), tuple(ExactMatrix.zeros(QQ, b, a) for _ in range(r)))
+
+
+def copy_of(m):
+    """An equal representation that is another object, with memos of its own."""
+    return KroneckerRep(m.r, m.dim, m.mats, m.field)
+
+
+def hom_vectors(hs):
+    """Each Hom basis pair as the dict of its unknowns, f1 then f2 row-major."""
+    out = []
+    for f1, f2 in hs.basis:
+        vec = {i * f1.cols + j: x for i, row in enumerate(f1.sparse_rows()) for j, x in row.items()}
+        off = f1.rows * f1.cols
+        vec.update((off + i * f2.cols + j, x)
+                   for i, row in enumerate(f2.sparse_rows()) for j, x in row.items())
+        out.append(vec)
+    return out
+
+
+def reference_end(m):
+    """Hom(m, m) kernel vectors and the rank of End(m)'s system, from the reference code."""
+    rows, nvars = reference_intertwining_rows(m, m)
+    p = m.field.modulus
+    if p is None:
+        rank = len(reference_sparse_int_echelon(rows, nvars))
+    else:
+        rank = len(_dense_rref([[row.get(j, 0) for j in range(nvars)] for row in rows], nvars, p)[1])
+    return reference_sparse_int_kernel(rows, nvars, p), nvars, rank
+
+
+END_CALLS = {
+    "hom": lambda m: hom_space(m, m),
+    "brick": is_brick,
+    "ext": lambda m: ext_dim(m, m),
+}
+
+MEMO_REPS = {
+    "P2": lambda: explicit_p2(3),
+    "tube": tube_rep_r2,
+    "cover-2-5": lambda: cover_rep(3, 2, 5),
+    "folded-5-12": lambda: cover_rep(3, 5, 12),
+    "echelon-GF5": lambda: build_echelon_rep(select_phi(3, 2, 4), GF(5)),
+    # the one modp-verify End system that is not a difference system
+    "folded-5-12-GF107": lambda: gf_cover_rep(3, 5, 12, 107),
+    "P2+P2": lambda: direct_sum(explicit_p2(3), explicit_p2(3)),
+    "M+M-GF101": lambda: direct_sum(gf_cover_rep(3, 3, 7, 101), gf_cover_rep(3, 3, 7, 101)),
+    "S1": lambda: simple_rep(3, (1, 0)),
+    "S2": lambda: simple_rep(3, (0, 1)),
+    "zero-0-3": lambda: zero_rep(0, 3),
+    "zero-2-0": lambda: zero_rep(2, 0),
+    "zero-0-0": lambda: zero_rep(0, 0),
+}
+
+
+class TestEndMemo:
+    """End(m)'s system is kept on m and never changes a Hom, Ext or brick answer."""
+
+    @pytest.mark.parametrize("make", MEMO_REPS.values(), ids=MEMO_REPS.keys())
+    def test_every_order_agrees_with_a_fresh_copy_and_the_reference(self, make):
+        m = make()
+        kernel, nvars, rank = reference_end(m)
+        want = {"hom": len(kernel), "brick": nvars - rank == 1,
+                "ext": m.r * m.dim.a * m.dim.b - rank}
+        for order in itertools.permutations(END_CALLS):
+            one = copy_of(m)
+            for name in order:
+                got = END_CALLS[name](one)
+                fresh = END_CALLS[name](copy_of(m))
+                assert got == fresh, (order, name)
+                if name == "hom":
+                    assert hom_vectors(got) == kernel, order
+                    got = got.dim
+                assert got == want[name], (order, name)
+            assert isinstance(one._end_memo["system"], SparseSystem)
+
+    def test_memo_stays_out_of_equality_hash_repr_and_json(self):
+        m, fresh = cover_rep(3, 5, 12), cover_rep(3, 5, 12)
+        text = m.to_json_str()
+        hom_space(m, m)
+        assert m._end_memo and not fresh._end_memo
+        assert m == fresh and hash(m) == hash(fresh)
+        assert m.to_json_str() == text
+        assert "_end_memo" not in repr(m) and "SparseSystem" not in repr(m)
+
+    def test_dual_and_sum_start_empty(self):
+        m = cover_rep(3, 2, 5)
+        assert is_brick(m) and m._end_memo
+        assert not dual(m)._end_memo and not direct_sum(m, m)._end_memo
+
+    def test_one_rep_shared_by_threads(self):
+        # the non-difference GF(107) system: the kernel and the rank are two
+        # eliminations, and every thread asks for both in its own order
+        m = gf_cover_rep(3, 5, 12, 107)
+        want = {name: call(copy_of(m)) for name, call in END_CALLS.items()}
+        orders = list(itertools.permutations(END_CALLS))
+        shared = copy_of(m)
+        got = {}
+        start = threading.Barrier(12, timeout=60)
+
+        def work(k):
+            start.wait()
+            got[k] = all(END_CALLS[name](shared) == want[name] for name in orders[k % 6])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(12)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {k: True for k in range(12)}
+        assert list(shared._end_memo) == ["system"]
+
+
+class TestEndSystemBuiltOnce:
+    """Counts of ``_intertwining_rows`` calls: End(m)'s rows are built once per object."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The (m, n) pair of every intertwining system built from here on."""
+        calls = []
+        rows = verify._intertwining_rows
+        monkeypatch.setattr(verify, "_intertwining_rows",
+                            lambda m, n: calls.append((m, n)) or rows(m, n))
+        return calls
+
+    @pytest.mark.parametrize("make", [lambda: cover_rep(3, 5, 12),
+                                      lambda: gf_cover_rep(3, 5, 12, 107)], ids=["Q", "GF107"])
+    def test_hom_brick_and_ext_build_one_system(self, built, make):
+        m = make()
+        hom_space(m, m)
+        is_brick(m)
+        ext_dim(m, m)
+        end_is_local(m) if m.field == QQ else hom_space(m, m)
+        assert built == [(m, m)]
+
+    def test_an_equal_copy_builds_its_own(self, built):
+        m = cover_rep(3, 2, 5)
+        other = copy_of(m)
+        hom_space(m, m)
+        assert hom_space(m, other).dim == hom_space(m, other).dim == 1
+        assert built == [(m, m), (m, other), (m, other)]
+
+    def test_trees_certify_from_scratch_on_every_call(self, built):
+        w = realize(3, 7, 5)
+        assert w.indec_evidence == "local-endo"
+        assert built == [(w.tree, w.tree)]   # realize certifies its tree too
+        built.clear()
+        data = w.to_json()
+        for _ in range(2):
+            assert validate_witness(data)[0]
+        assert len(built) == 2
+        assert all(isinstance(m, TreeRep) and n is m for m, n in built)
+        assert is_brick(w.tree) and is_brick(w.tree)
+        assert built[2:] == [(w.tree, w.tree)] * 2
 
 
 class TestSampledChecks:
