@@ -38,13 +38,7 @@ from .cover import (
     source_regular_bound_check,
     thin_path_rep,
 )
-from .bgp import (
-    ReflectionPlan,
-    build_preprojective,
-    coxeter_shift_plan,
-    reflect_functor_source,
-    tau_inverse_tree,
-)
+from .bgp import build_preprojective, descend, reflect_functor_source, tau_inverse_tree
 from .echelon import EchelonSpec, build_echelon_rep, ekp_echelon_certificate, select_phi, shifted_identity
 from .verify import (
     HomSpace,
@@ -68,8 +62,7 @@ __all__ = [
     "xi", "xi_inverse",
     "TreeQuiver", "TreeRep", "build_indecomposable_tree_rep", "build_root_vector",
     "build_source_regular", "is_inj", "push_down", "source_regular_bound_check", "thin_path_rep",
-    "ReflectionPlan", "build_preprojective", "coxeter_shift_plan", "reflect_functor_source",
-    "tau_inverse_tree",
+    "build_preprojective", "descend", "reflect_functor_source", "tau_inverse_tree",
     "EchelonSpec", "build_echelon_rep", "ekp_echelon_certificate", "select_phi", "shifted_identity",
     "HomSpace", "ekp_sample_check", "eip_sample_check", "end_is_local", "ext_dim", "hom_space",
     "is_brick", "restriction_check",

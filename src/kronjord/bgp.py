@@ -6,18 +6,21 @@ inverse Auslander-Reiten translate factors as two such sweeps: reflect
 every source in the one-ring extension of the support, then every old
 sink (which became a source); the orientation returns to the bipartite
 standard and zero vertices are trimmed.  This is the only inverse
-translate: the Coxeter shift and the preprojective walk (Phi down to the
-simple or a thin path, then back up) both run it on tree representations,
-whose push-downs the pipeline certifies.
+translate: ``lift`` walks Phi down from a dimension vector to the simple, a
+thin path or a cover tree, and back up with it, for the preprojective,
+cover and shift routes alike; the pipeline certifies the push-downs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
 from .cover import (
     Address,
     TreeRep,
+    build_indecomposable_tree_rep,
+    build_root_vector,
+    build_source_regular,
     is_source,
     neighbors,
     require_bipartite,
@@ -102,54 +105,69 @@ def tau_inverse_tree(m: TreeRep) -> TreeRep:
 
 
 # ---------------------------------------------------------------------------
-# Coxeter shift planning
+# the Phi descent and the tree witnesses it seeds
 # ---------------------------------------------------------------------------
 
-SHIFT_SAFETY_BOUND = 64
+def descend(r: int, a: int, b: int) -> tuple[int, DimVector]:
+    """Walk (a, b) <- Phi(a, b) while a > 0, b > (r-1)a + 1 and
+    (r-1)b > (r^2-r-1)a; return the number of steps l and the landing (u, v).
 
-
-@dataclass(frozen=True)
-class ReflectionPlan:
-    """Shift exponent and intermediate vector for the outer-window case."""
-
-    l: int
-    window_case: str          # cover-case | thin-case
-    intermediate: DimVector   # (u_l, v_l)
-
-
-def coxeter_shift_plan(r: int, a: int, b: int) -> ReflectionPlan:
-    """Smallest l >= 1 with Phi^l (a,b) inside the constructible window.
-
-    Precondition: (a, b) lies strictly above the window, i.e.
-    (r-1)b > (r^2-r-1)a, and q(a,b) <= 0.  The window test and the
-    boundary dispatch (v = (r-1)u+1 resolves to the thin case) are pure
-    integer arithmetic.
+    Needs q(a, b) <= 1 and 0 <= a < b, and then stops with no bound:
+    * q = 1: by Vieta jumping (a, b) is some P_i of the chain P_0 = (0,1),
+      P_1 = (1,r), P_i = r P_{i-1} - P_{i-2}, and Phi maps P_i to P_{i-2}.
+    * q <= 0, r >= 3: Phi maps the ratio t = b/a to (r-t)/((r^2-1)-rt),
+      which is increasing, strictly below t on (1/lam, lam) (lam the larger
+      root of t^2 - rt + 1) and without fixed point in [r - 1/(r-1), lam).
+      So t falls below r - 1/(r-1) in finitely many steps, and a > 0
+      throughout since t < lam < r - 1/r.
+    * q <= 0, r = 2: q = (a-b)^2 forces a = b, which is excluded.
     """
-    if tits_form(r, (a, b)) > 0:
-        raise ValueError("shift planning needs q(a,b) <= 0")
-    if (r - 1) * b <= (r * r - r - 1) * a:
-        raise ValueError("(a,b) already lies inside the constructible window")
-    u, v = a, b
-    for l in range(1, SHIFT_SAFETY_BOUND + 1):
-        u, v = coxeter_apply(r, (u, v), 1)
-        if u < v and (r - 1) * v <= (r * r - r - 1) * u:
-            case = "thin-case" if v <= (r - 1) * u + 1 else "cover-case"
-            return ReflectionPlan(l, case, DimVector(u, v))
-    raise AssertionError("no shift exponent within the safety bound")
+    if tits_form(r, (a, b)) > 1 or not 0 <= a < b:
+        raise ValueError(f"({a},{b}) needs q <= 1 and 0 <= a < b")
+    l = 0
+    while a > 0 and b > (r - 1) * a + 1 and (r - 1) * b > (r * r - r - 1) * a:
+        a, b = coxeter_apply(r, (a, b), 1)
+        l += 1
+    return l, DimVector(a, b)
 
 
-# ---------------------------------------------------------------------------
-# preprojective witnesses on the cover
-# ---------------------------------------------------------------------------
+def lift(r: int, a: int, b: int, field: Field = QQ,
+         trace: Optional[list[str]] = None) -> TreeRep:
+    """A tree on the cover whose push-down is indecomposable of dimension (a, b).
+
+    ``descend`` gives (l, (u, v)), and ``tau_inverse_tree`` l times lifts
+    the seed read off it: the simple at the sink (1,) if u = 0; the cover
+    tree if (u, v) lies inside the cover window and l = 0 or v > (r-1)u + 1;
+    otherwise the thin path.  A shift (l > 0) is recorded in ``trace``.
+    """
+    l, (u, v) = descend(r, a, b)
+    window = (r - 1) * u + 1 <= v and (r - 1) * v <= (r * r - r - 1) * u
+    cover = window and (l == 0 or v > (r - 1) * u + 1)
+    if trace is None:
+        trace = []
+    if l:
+        trace.append(f"shift:l={l}:{'cover' if cover else 'thin'}-case:intermediate=({u},{v})")
+    if u == 0:
+        tree = TreeRep(r, {(1,): 1}, {}, field)
+    elif cover:
+        quiver = build_source_regular(r, u)
+        trace.append(f"source_regular:n={u}")
+        alpha = build_root_vector(quiver, u, v)
+        budgets = sorted(((w, alpha[w]) for w in alpha if alpha[w] > 1))
+        trace.append(f"root_vector:extra={[(list(w), x) for w, x in budgets]}")
+        tree = build_indecomposable_tree_rep(quiver, alpha, field, trace)
+    else:
+        tree = thin_path_rep(r, u, v, field)
+        trace.append(f"thin_path:u={u},v={v}")
+    for _ in range(l):
+        tree = tau_inverse_tree(tree)
+    return tree
+
 
 def build_preprojective(r: int, a: int, b: int, field: Field = QQ) -> TreeRep:
     """A lift to the cover of the indecomposable with real root (a, b), 0 <= a < b.
 
-    By Vieta jumping every such root lies on the chain P_0 = (0,1),
-    P_1 = (1,r), P_i = r P_{i-1} - P_{i-2}, and Phi maps P_i to P_{i-2}.
-    The walk steps (a, b) <- Phi(a, b), l times, while a > 0 and
-    b > (r-1)a + 1; ``tau_inverse_tree`` l times then lifts the seed: the
-    thin path where the walk stops, or the simple at the sink (1,) if a = 0.
+    ``lift`` walks P_i down to P_{i-2} and seeds the simple or a thin path.
     With e_i = b_i - (r-1)a_i, e_0 = e_1 = 1 and e_i = r e_{i-1} - e_{i-2}.
     For r >= 3, e_i >= 2 when i >= 2: the walk stops at P_0 or at P_1, whose
     thin path is the star, after idx // 2 steps.  For r = 2, e_i = 1: each
@@ -159,11 +177,4 @@ def build_preprojective(r: int, a: int, b: int, field: Field = QQ) -> TreeRep:
     """
     if tits_form(r, (a, b)) != 1 or not 0 <= a < b:
         raise ValueError(f"({a},{b}) is not a preprojective root")
-    l = 0
-    while a > 0 and b > (r - 1) * a + 1:
-        a, b = coxeter_apply(r, (a, b), 1)
-        l += 1
-    tree = thin_path_rep(r, a, b, field) if a > 0 else TreeRep(r, {(1,): 1}, {}, field)
-    for _ in range(l):
-        tree = tau_inverse_tree(tree)
-    return tree
+    return lift(r, a, b, field)

@@ -247,17 +247,16 @@ class TreeRep:
         check_arrow_count(r, "tree")
         check_field(isinstance(verts, list), "tree", "vertices", "a list", verts)
         check_field(isinstance(edges, list), "tree", "edges", "a list", edges)
+        word = f"a list of colors 1..{r}, no two neighbors equal"
         for v in verts:
             require_fields(v, ("addr", "dim"), "tree vertex")
-            check_field(_is_word(v["addr"], r), "tree vertex", "addr", f"a list of colors 1..{r}",
-                        v["addr"])
+            check_field(_is_word(v["addr"], r), "tree vertex", "addr", word, v["addr"])
             check_field(type(v["dim"]) is int and v["dim"] > 0, "tree vertex", "dim",
                         "an integer >= 1", v["dim"])
         for e in edges:
             require_fields(e, ("src", "dst", "mat"), "tree edge")
             for end in ("src", "dst"):
-                check_field(_is_word(e[end], r), "tree edge", end, f"a list of colors 1..{r}",
-                            e[end])
+                check_field(_is_word(e[end], r), "tree edge", end, word, e[end])
         fld = field_from_json(d["field"]) if "field" in d else QQ
         dims = {}
         for v in verts:
@@ -287,12 +286,15 @@ class TreeRep:
 
 
 def _is_word(x, r: int) -> bool:
-    """True iff the JSON value ``x`` is a list of colors in 1..r, as addresses are written.
+    """True iff the JSON value ``x`` is a reduced word over the colors 1..r, as
+    addresses are written.
 
     Addresses can be long, so each entry is read in C only: its type (no
-    bool or float), then its value among the few distinct ones.
+    bool or float), then its value among the few distinct ones, then its
+    neighbor.
     """
-    return isinstance(x, list) and set(map(type, x)) <= {int} and all(1 <= c <= r for c in set(x))
+    return (isinstance(x, list) and set(map(type, x)) <= {int}
+            and all(1 <= c <= r for c in set(x)) and is_reduced(x))
 
 
 def _column(fld: Field, m: int, j: Optional[int]) -> ExactMatrix:

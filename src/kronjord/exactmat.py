@@ -371,14 +371,6 @@ def _difference_forest(rows: Sequence[dict], p: Optional[int]):
     return find, joins, {find(u) for u in grounded}
 
 
-def _difference_rank(rows: Sequence[dict], p: Optional[int]) -> Optional[int]:
-    """Rank of a difference system over Q or GF(``p``), or None if it is not one:
-    the joins that merge two components plus the grounded components."""
-    forest = _difference_forest(rows, p)
-    return None if forest is None else forest[1] + len(forest[2])
-
-
-
 # ---------------------------------------------------------------------------
 # singleton peeling (rank only)
 # ---------------------------------------------------------------------------

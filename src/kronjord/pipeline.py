@@ -8,12 +8,12 @@ Dispatch on (c, d) with target dimension vector (a, b) = (d, d+c):
 * q(a,b) <= 0, b <= (r-1)a          -> echelon witness (structural certificate);
 * q(a,b) <= 0, (r-1)a+1 <= b inside
   the cover window                  -> source-regular tree witness;
-* otherwise                         -> Coxeter shift: build at the shifted vector
-  (tree or thin zigzag) and apply the inverse translate.
+* otherwise                         -> Coxeter shift of a cover tree or thin path.
 
-Every route but echelon builds a tree on the universal cover (the simple
-and the preprojectives as inverse translates of the simple at a sink or
-of the star at the root) and certifies it on the tree: Inj is the exact
+Every route but echelon builds a tree on the universal cover by one Phi
+descent, ``bgp.lift``: Phi walks (a, b) down l times to the simple, a thin
+path or a cover tree (l = 0 on the cover route), and l inverse translates
+lift that seed back.  The tree is certified on itself: Inj is the exact
 equal-kernels certificate, and a brick tree has an indecomposable push-down.
 ``ROUTE_CERTIFICATE`` names the two certificates of each route and
 ``_certify`` runs them, for ``realize`` and ``validate_witness`` alike.
@@ -36,16 +36,8 @@ import json
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .bgp import build_preprojective, coxeter_shift_plan, tau_inverse_tree
-from .cover import (
-    TreeRep,
-    build_indecomposable_tree_rep,
-    build_root_vector,
-    build_source_regular,
-    is_inj,
-    push_down,
-    thin_path_rep,
-)
+from .bgp import build_preprojective, lift
+from .cover import TreeRep, is_inj, push_down
 from .echelon import build_echelon_rep, echelon_end_dim, echelon_offsets, select_phi
 from .exactmat import check_field, is_count_pair, require_fields
 from .kronecker import (
@@ -182,32 +174,11 @@ class CertifiedWitness:
         )
 
 
-def _build_cover_tree(r: int, a: int, b: int, trace: list[str]) -> TreeRep:
-    quiver = build_source_regular(r, a)
-    trace.append(f"source_regular:n={a}")
-    alpha = build_root_vector(quiver, a, b)
-    budgets = sorted(((v, alpha[v]) for v in alpha if alpha[v] > 1))
-    trace.append(f"root_vector:extra={[(list(v), x) for v, x in budgets]}")
-    return build_indecomposable_tree_rep(quiver, alpha, trace=trace)
-
-
 def _build_tree(route: str, r: int, a: int, b: int, trace: list[str]) -> TreeRep:
     """The tree on the cover whose push-down is the witness of a non-echelon route."""
     if route in ("simple", "preprojective"):
         return build_preprojective(r, a, b)
-    if route == "cover":
-        return _build_cover_tree(r, a, b, trace)
-    plan = coxeter_shift_plan(r, a, b)
-    u, v = plan.intermediate
-    trace.append(f"shift:l={plan.l}:{plan.window_case}:intermediate=({u},{v})")
-    if plan.window_case == "cover-case":
-        tree = _build_cover_tree(r, u, v, trace)
-    else:
-        tree = thin_path_rep(r, u, v)
-        trace.append(f"thin_path:u={u},v={v}")
-    for _ in range(plan.l):
-        tree = tau_inverse_tree(tree)
-    return tree
+    return lift(r, a, b, trace=trace)
 
 
 def _certify(route: str, rep: KroneckerRep, tree: Optional[TreeRep]) -> dict[str, bool]:

@@ -17,7 +17,11 @@ cover instead; the tests check its push-downs against these.
 the chain index in ``preprojective_dim_vectors`` and sweeps the simple or
 the star idx // 2 times, where the package walks Phi down to a thin root
 (at r = 2 the root itself); the tests assert identical trees for r >= 3
-and isomorphic push-downs at r = 2.
+and isomorphic push-downs at r = 2.  ``reference_preprojective_walk`` is
+that walk's own loop, and ``coxeter_shift_plan`` the earlier shift
+planner, with its ``ReflectionPlan`` and a step bound of 64 that is too
+small for some shift vectors; the package has one walk, ``descend``, for
+both, and the tests assert identical step counts and landings.
 
 The cover constructions keep their earlier forms here as well:
 ``reference_tau_inverse_tree`` reflects one vertex at a time (one tree
@@ -49,6 +53,7 @@ dimension vectors as duals of the preprojective ones.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from kronjord.bgp import reflect_functor_source, tau_inverse_tree
@@ -62,7 +67,7 @@ from kronjord.exactmat import (
     left_kernel_matrix,
     sparse_int_echelon,
 )
-from kronjord.kronecker import ALPHA_BOX, DimVector, KroneckerRep, tits_form
+from kronjord.kronecker import ALPHA_BOX, DimVector, KroneckerRep, coxeter_apply, tits_form
 from kronjord.verify import hom_space
 
 
@@ -223,6 +228,49 @@ def reference_build_preprojective(r, a, b, field=QQ):
     for _ in range(idx // 2):
         tree = tau_inverse_tree(tree)
     return tree
+
+
+def reference_preprojective_walk(r, a, b):
+    """The earlier walk of ``build_preprojective``: (a, b) <- Phi(a, b) while
+    a > 0 and b > (r-1)a + 1; the step count and the landing."""
+    l = 0
+    while a > 0 and b > (r - 1) * a + 1:
+        a, b = coxeter_apply(r, (a, b), 1)
+        l += 1
+    return l, DimVector(a, b)
+
+
+SHIFT_SAFETY_BOUND = 64
+
+
+@dataclass(frozen=True)
+class ReflectionPlan:
+    """Shift exponent and intermediate vector for the outer-window case."""
+
+    l: int
+    window_case: str          # cover-case | thin-case
+    intermediate: DimVector   # (u_l, v_l)
+
+
+def coxeter_shift_plan(r: int, a: int, b: int) -> ReflectionPlan:
+    """Smallest l >= 1 with Phi^l (a,b) inside the constructible window.
+
+    Precondition: (a, b) lies strictly above the window, i.e.
+    (r-1)b > (r^2-r-1)a, and q(a,b) <= 0.  The window test and the
+    boundary dispatch (v = (r-1)u+1 resolves to the thin case) are pure
+    integer arithmetic.
+    """
+    if tits_form(r, (a, b)) > 0:
+        raise ValueError("shift planning needs q(a,b) <= 0")
+    if (r - 1) * b <= (r * r - r - 1) * a:
+        raise ValueError("(a,b) already lies inside the constructible window")
+    u, v = a, b
+    for l in range(1, SHIFT_SAFETY_BOUND + 1):
+        u, v = coxeter_apply(r, (u, v), 1)
+        if u < v and (r - 1) * v <= (r * r - r - 1) * u:
+            case = "thin-case" if v <= (r - 1) * u + 1 else "cover-case"
+            return ReflectionPlan(l, case, DimVector(u, v))
+    raise AssertionError("no shift exponent within the safety bound")
 
 
 def reference_tau_inverse_tree(m):

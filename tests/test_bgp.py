@@ -1,11 +1,13 @@
-"""Reflection functors, the inverse translate, shift planning, preprojectives."""
+"""Reflection functors, the inverse translate, the Phi descent, preprojectives."""
 
 import pytest
 from reference_impls import (
+    coxeter_shift_plan,
     explicit_p2,
     kron_tau_inverse,
     preprojective_dim_vectors,
     reference_build_preprojective,
+    reference_preprojective_walk,
     reference_tau_inverse_tree,
     weyl_reflect,
 )
@@ -13,7 +15,7 @@ from reference_impls import (
 from kronjord import bgp
 from kronjord.bgp import (
     build_preprojective,
-    coxeter_shift_plan,
+    descend,
     reflect_functor_source,
     tau_inverse_tree,
 )
@@ -272,6 +274,46 @@ class TestShiftPlan:
             tree = tau_inverse_tree(tree)
         assert push_down(tree).dim == DimVector(34, 89)
         assert is_inj(tree)[0]
+
+
+class TestDescend:
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_matches_the_reference_planner_on_shift_vectors(self, r):
+        found = 0
+        for a in range(1, 200):
+            for b in range(a + 1, 401 - a):
+                if tits_form(r, (a, b)) <= 0 and (r - 1) * b > (r * r - r - 1) * a:
+                    plan = coxeter_shift_plan(r, a, b)
+                    assert descend(r, a, b) == (plan.l, plan.intermediate), (a, b)
+                    found += 1
+        assert found > 50
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_matches_the_reference_walk_on_the_chain(self, r):
+        chain = [v for v in preprojective_dim_vectors(r, 200) if sum(v) <= 200]
+        assert len(chain) > 3
+        for a, b in chain:
+            assert descend(r, a, b) == reference_preprojective_walk(r, a, b), (a, b)
+
+    def test_no_step_bound(self):
+        # 70 steps above (2, 5): the reference planner gives up after 64
+        a, b = coxeter_apply(3, (2, 5), -70)
+        assert descend(3, a, b) == (70, DimVector(2, 5))
+        with pytest.raises(AssertionError, match="safety bound"):
+            coxeter_shift_plan(3, a, b)
+
+    @pytest.mark.parametrize("r, a, b", [
+        (3, 1, 5),     # q = 11
+        (3, 0, 2),     # q = 4
+        (3, 5, 2),     # a > b
+        (3, 8, 3),     # preinjective
+        (3, 2, 2),     # a = b
+        (2, 1, 1),     # a = b, q = 0
+        (3, -1, 0),    # q = 1, a < 0
+    ])
+    def test_rejects_q_above_1_and_a_not_below_b(self, r, a, b):
+        with pytest.raises(ValueError, match="needs q <= 1 and 0 <= a < b"):
+            descend(r, a, b)
 
 
 class TestPreprojectives:

@@ -211,6 +211,17 @@ class TestVerifyWitness:
         captured = capsys.readouterr()
         assert code == 1 and message in captured.out + captured.err
 
+    def test_non_reduced_address_is_named(self, tmp_path, capsys):
+        # [1, 1] uses colors in 1..3 but is not a reduced word
+        target = realize_to(tmp_path, capsys, 3, "3,2")
+        data = json.loads(target.read_text())
+        data["tree"]["vertices"][1]["addr"] = [1, 1]
+        target.write_text(json.dumps(data))
+        code = main(["verify", str(target)])
+        captured = capsys.readouterr()
+        assert code == 1 and "tree vertex field 'addr'" in captured.out + captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     @pytest.mark.parametrize("mode", ["ekp", "eip"])
     @pytest.mark.parametrize("jordan", ["1,0", "2,1", "2,2", "3,2", "8,5"],
                              ids=["simple", "preprojective", "echelon", "cover", "shift"])

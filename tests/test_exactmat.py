@@ -26,8 +26,8 @@ from kronjord.exactmat import (
     GF,
     QQ,
     ExactMatrix,
+    SparseSystem,
     _dense_rref,
-    _difference_rank,
     _peel,
     left_kernel_matrix,
     sparse_int_echelon,
@@ -475,6 +475,12 @@ def count_calls(monkeypatch, name="sparse_int_echelon"):
     return calls
 
 
+def difference_rank(rows, ncols, p=None):
+    """The rank of a difference system read off its forest, or None if it is not one."""
+    system = SparseSystem(rows, ncols, p)
+    return None if system.forest() is None else system.rank()
+
+
 def test_forest_pattern_never_reaches_the_engine(monkeypatch):
     rng = random.Random(5)
     cases = [(random_forest_rows(rng, n, k), k) for n, k in
@@ -531,19 +537,19 @@ def test_difference_rank_matches_references(system):
     snapshot = copy.deepcopy(rows)
     nonzero = [{c: v for c, v in row.items() if v} for row in rows]
     want = len(reference_sparse_int_echelon(nonzero, ncols))
-    assert _difference_rank(rows, None) == sparse_int_rank(rows, ncols) == want
+    assert difference_rank(rows, ncols) == sparse_int_rank(rows, ncols) == want
     for p in (2, 3, 101):
         dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
         want = len(_dense_rref(dense, ncols, p)[1])
-        assert _difference_rank(rows, p) == sparse_int_rank(rows, ncols, p) == want, p
+        assert difference_rank(rows, ncols, p) == sparse_int_rank(rows, ncols, p) == want, p
     assert rows == snapshot, "input rows were mutated"
 
 
 def test_triangle_of_sums(monkeypatch):
     # u + v is a difference row only in characteristic 2
     rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
-    assert _difference_rank(rows, None) is None and _difference_rank(rows, 3) is None
-    assert _difference_rank(rows, 2) == 2
+    assert difference_rank(rows, 3) is None and difference_rank(rows, 3, 3) is None
+    assert difference_rank(rows, 3, 2) == 2
     calls = count_calls(monkeypatch)
     assert sparse_int_rank(rows, 3) == 3
     assert len(calls) == 1
@@ -554,7 +560,7 @@ def test_triangle_of_sums(monkeypatch):
 def test_row_of_three_entries_falls_back(monkeypatch):
     rows = [{0: 1, 1: -1}, {1: 2, 2: -2}, {0: 1, 1: 1, 2: 1}]
     snapshot = copy.deepcopy(rows)
-    assert _difference_rank(rows, None) is None and _difference_rank(rows, 3) is None
+    assert difference_rank(rows, 3) is None and difference_rank(rows, 3, 3) is None
     calls = count_calls(monkeypatch)
     assert sparse_int_rank(rows, 3) == 3 == len(reference_sparse_int_echelon(rows, 3))
     # the determinant is 6
@@ -564,8 +570,8 @@ def test_row_of_three_entries_falls_back(monkeypatch):
     assert rows == snapshot, "input rows were mutated"
     # entries that vanish leave two, and the row is a difference again
     rows = [{0: 1, 1: -1, 2: 0}, {0: 4, 1: 7, 2: -4}]
-    assert _difference_rank(rows, 7) == 2
-    assert _difference_rank(rows, None) is None
+    assert difference_rank(rows, 3, 7) == 2
+    assert difference_rank(rows, 3) is None
 
 
 @pytest.mark.parametrize("r, a, b, field", [(3, 20, 40, QQ), (4, 14, 42, QQ), (3, 6, 10, GF(101))])
@@ -779,8 +785,8 @@ def reference_hom_basis(m):
 @pytest.mark.parametrize("shape", MODP_SHAPES, ids=lambda s: "-".join(map(str, s)))
 def test_hom_space_matches_the_reference_on_the_prime_field_shapes(monkeypatch, shape):
     m = modp_rep(*shape)
-    rows, _ = _intertwining_rows(m, m)
-    difference = _difference_rank(rows, shape[4]) is not None
+    rows, ncols = _intertwining_rows(m, m)
+    difference = difference_rank(rows, ncols, shape[4]) is not None
     want = reference_hom_basis(m)
     calls = count_calls(monkeypatch)
     assert list(hom_space(m, m).basis) == want

@@ -23,7 +23,7 @@ from conftest import derived_seed
 import kronjord
 from kronjord.cover import TreeQuiver, TreeRep, is_inj, push_down
 from kronjord.kronecker import DimVector, JordanType, dual, is_constant_jordan_type, xi
-from kronjord import kronecker, pipeline, verify
+from kronjord import bgp, kronecker, pipeline, verify
 from kronjord.pipeline import (
     ROUTE_CERTIFICATE,
     CertifiedWitness,
@@ -180,11 +180,11 @@ class TestRealize:
                 assert calls == ([] if w.tree is None else [w.tree]), (r, c, d, mode)
 
     def test_cover_and_shift_trees_match_the_references(self, monkeypatch, witness_sweep):
-        monkeypatch.setattr(pipeline, "build_source_regular", lambda r, n: TreeQuiver(
+        monkeypatch.setattr(bgp, "build_source_regular", lambda r, n: TreeQuiver(
             r, list(reference_source_regular_growth(r, n))[-1]))
-        monkeypatch.setattr(pipeline, "build_indecomposable_tree_rep",
+        monkeypatch.setattr(bgp, "build_indecomposable_tree_rep",
                             reference_build_indecomposable_tree_rep)
-        monkeypatch.setattr(pipeline, "tau_inverse_tree", reference_tau_inverse_tree)
+        monkeypatch.setattr(bgp, "tau_inverse_tree", reference_tau_inverse_tree)
         seen = set()
         for r, c, d, w in witness_sweep:
             route = classify(r, c, d).route
@@ -195,6 +195,12 @@ class TestRealize:
                 assert pipeline._build_tree(route, r, a, b, trace) == w.tree, (r, c, d)
                 assert trace == w.construction_trace, (r, c, d)
         assert seen == {"cover", "shift"}
+
+    def test_a_shift_landing_on_the_lower_edge_is_seeded_by_a_thin_path(self):
+        # Phi(13, 34) = (2, 5) at r = 3, and 5 = (r-1)*2 + 1: a thin path, not the cover tree
+        w = realize(3, 21, 13)
+        assert w.construction_trace[:3] == ["route:shift", "shift:l=1:thin-case:intermediate=(2,5)",
+                                            "thin_path:u=2,v=5"]
 
     def test_shift_witness_is_inj_after_translates(self):
         w = realize(3, 8, 5)
@@ -480,6 +486,13 @@ class TestValidationDemands:
         (("tree", "r"), 10**12, "tree field 'r' must be at most 4194304, got 1000000000000"),
         (("rep", "r"), 10**12,
          "representation field 'r' must be at most 4194304, got 1000000000000"),
+        # colors 1..3, but not a reduced word
+        (("tree", "vertices", 1, "addr"), [1, 1],
+         "tree vertex field 'addr' must be a list of colors 1..3, no two neighbors equal, "
+         "got [1, 1]"),
+        (("tree", "edges", 0, "dst"), [2, 3, 3],
+         "tree edge field 'dst' must be a list of colors 1..3, no two neighbors equal, "
+         "got [2, 3, 3]"),
     ])
     def test_malformed_field_is_named(self, path, bad, message):
         data = witness_json(3, 3, 2)
