@@ -136,13 +136,12 @@ def lift(r: int, a: int, b: int, field: Field = QQ,
     """A tree on the cover whose push-down is indecomposable of dimension (a, b).
 
     ``descend`` gives (l, (u, v)), and ``tau_inverse_tree`` l times lifts
-    the seed read off it: the simple at the sink (1,) if u = 0; the cover
-    tree if (u, v) lies inside the cover window and l = 0 or v > (r-1)u + 1;
-    otherwise the thin path.  A shift (l > 0) is recorded in ``trace``.
+    the seed read off (u, v) alone: the simple at the sink (1,) if u = 0;
+    the cover tree if (u, v) lies in the cover window; otherwise the thin
+    zigzag.  A shift (l > 0) is recorded in ``trace``.
     """
     l, (u, v) = descend(r, a, b)
-    window = (r - 1) * u + 1 <= v and (r - 1) * v <= (r * r - r - 1) * u
-    cover = window and (l == 0 or v > (r - 1) * u + 1)
+    cover = (r - 1) * u + 1 <= v and (r - 1) * v <= (r * r - r - 1) * u
     if trace is None:
         trace = []
     if l:
@@ -171,8 +170,9 @@ def build_preprojective(r: int, a: int, b: int, field: Field = QQ) -> TreeRep:
     With e_i = b_i - (r-1)a_i, e_0 = e_1 = 1 and e_i = r e_{i-1} - e_{i-2}.
     For r >= 3, e_i >= 2 when i >= 2: the walk stops at P_0 or at P_1, whose
     thin path is the star, after idx // 2 steps.  For r = 2, e_i = 1: each
-    (n, n+1) with n >= 1 is its own seed, a connected thin tree whose maps
-    are all 1, hence Inj and a brick.  Push-down along the Galois cover keeps
+    (n, n+1) with n >= 1 is its own seed, the zigzag centred on the root,
+    which is the r = 2 source-regular tree: thin, connected and with all
+    maps 1, hence Inj and a brick.  Push-down along the Galois cover keeps
     indecomposability (Gabriel 1981; Bongartz and Gabriel 1982).
     """
     if tits_form(r, (a, b)) != 1 or not 0 <= a < b:

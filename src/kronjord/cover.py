@@ -6,11 +6,12 @@ or by deleting a trailing c.  Even-length addresses are sources, odd ones
 sinks, which fixes the bipartite orientation and a canonical covering
 onto the r-Kronecker quiver (color c edges lie over arrow c).
 
-This module builds the source-regular subquivers, the dimension vectors
-placing the excess on the distinguished sinks, the indecomposable tree
-representations realizing them, the thin zigzag representations, and the
-push-down functor folding a tree representation onto the Kronecker
-quiver.  Push-down bases are ordered by address so every construction is
+This module grows sources breadth first from the root, and on them the
+source-regular subquivers and the thin zigzags centred on the root; the
+dimension vectors placing the excess on the distinguished sinks, the
+indecomposable tree representations realizing them, and the push-down
+functor folding a tree representation onto the Kronecker quiver.
+Push-down bases are ordered by address so every construction is
 bit-reproducible.
 """
 
@@ -115,25 +116,33 @@ class TreeQuiver:
         return all(d == self.r for v, d in self._degree.items() if is_source(v))
 
 
-def build_source_regular(r: int, n: int) -> TreeQuiver:
-    """A source-regular subquiver with n sources and n(r-1)+1 sinks.
+def _first_sources(r: int, n: int) -> list[Address]:
+    """The first n sources of the cover in (length, address) order, breadth first.
 
-    The sources are the first n sources of the cover in (length, address)
-    order, breadth first, and the vertices are they and their neighbors.
     Each source past the root is a grandchild of an earlier one, so the
-    list of sources is its own queue.  The children of a sink are
-    consecutive in this order, so at most one sink has degree strictly
-    between 1 and r; for r >= 3 every address has length O(log n).
+    list is its own queue.  At r = 2 they form the zigzag centred on the
+    root, so the longest address has length at most n.
     """
-    if n < 1:
-        raise ValueError("need at least one source")
     sources: list[Address] = [()]
     for x in sources:   # never runs dry: every source has (r-1)^2 >= 1 grandchildren
         if len(sources) >= n:
             break
         sources.extend(x + (c, d) for c in range(1, r + 1) if x[-1:] != (c,)
                        for d in range(1, r + 1) if d != c)
-    del sources[n:]
+    return sources[:n]
+
+
+def build_source_regular(r: int, n: int) -> TreeQuiver:
+    """A source-regular subquiver with n sources and n(r-1)+1 sinks.
+
+    The sources are ``_first_sources(r, n)`` and the vertices are they and
+    their neighbors.  The children of a sink are consecutive in this
+    order, so at most one sink has degree strictly between 1 and r; every
+    address has length O(log n) for r >= 3 and at most n + 1 for r = 2.
+    """
+    if n < 1:
+        raise ValueError("need at least one source")
+    sources = _first_sources(r, n)
     verts = {w for x in sources for w in neighbors(x, r)}
     verts.update(sources)
     return TreeQuiver(r, frozenset(verts))
@@ -378,35 +387,20 @@ def build_indecomposable_tree_rep(q: TreeQuiver, alpha: dict[Address, int],
 def thin_path_rep(r: int, u: int, v: int, field: Field = QQ) -> TreeRep:
     """Thin zigzag representation with push-down dimension vector (u, v).
 
-    Sources x_1..x_u alternate colors 1 and 2 along a path; the v chosen
-    sinks always include the path sinks, the remainder are filled in
-    address order from the neighborhood of the path.  All maps are 1x1
-    identities, so every color-1 edge map incident to the support is
-    injective.
+    The sources are ``_first_sources(2, u)``: the zigzag on colors 1 and 2,
+    centred on the root.  The sinks are the zigzag's own u + 1 sinks, then
+    the sources' (r-2)u other neighbors, each group in address order, cut
+    after the first v.  All maps are 1x1 identities, so every color-1 edge
+    map incident to the support is injective.
     """
     if not (1 <= u <= v <= (r - 1) * u + 1):
         raise ValueError(f"need u <= v <= (r-1)u+1, got u={u}, v={v}")
-    xs = []
-    cur: Address = ()
-    for i in range(u):
-        xs.append(cur)
-        cur = cur + (1, 2)
-    path_sinks = [x + (1,) for x in xs]
-    pool = sorted({w for x in xs for w in neighbors(x, r)} - set(path_sinks))
-    chosen = set(path_sinks)
-    for w in pool:
-        if len(chosen) >= v:
-            break
-        chosen.add(w)
-    if len(chosen) != v:
-        raise AssertionError("sink pool exhausted")
-    dims = {x: 1 for x in xs}
-    dims.update({w: 1 for w in chosen})
-    maps = {}
-    for x in xs:
-        for w in neighbors(x, r):
-            if w in chosen:
-                maps[(x, w)] = ExactMatrix.identity(field, 1)
+    xs = _first_sources(2, u)
+    path = sorted({w for x in xs for w in neighbors(x, 2)})
+    others = sorted(w for x in xs for w in neighbors(x, r)[2:])
+    dims = dict.fromkeys(xs + (path + others)[:v], 1)
+    one = ExactMatrix.identity(field, 1)
+    maps = {(x, w): one for x in xs for w in neighbors(x, r) if w in dims}
     return TreeRep(r, dims, maps, field)
 
 

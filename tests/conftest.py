@@ -31,5 +31,5 @@ def witness_sweep():
     witnesses = []
     for r in SWEEP_RS:
         for (c, d) in sweep_pairs(r):
-            witnesses.append((r, c, d, realize(r, c, d, seed=derived_seed(r, c, d))))
+            witnesses.append((r, c, d, realize(r, c, d)))
     return witnesses

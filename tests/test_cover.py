@@ -20,6 +20,7 @@ from kronjord.bgp import tau_inverse_tree
 from kronjord.cover import (
     TreeQuiver,
     TreeRep,
+    _first_sources,
     build_indecomposable_tree_rep,
     build_root_vector,
     build_source_regular,
@@ -383,6 +384,17 @@ class TestThinPath:
             for x in t.support_sources():
                 y = neighbor_via(x, 1)
                 assert (x, y) in t.maps and t.maps[(x, y)].rank() == 1
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_zigzag_is_centred_on_the_root(self, r):
+        # the sources are the first u of the breadth-first walk on colors 1
+        # and 2, so no address is longer than u + 1 (a one-sided path's is 2u - 1)
+        for u in range(1, 61):
+            t = thin_path_rep(r, u, u + 1)
+            assert t.support_sources() == sorted(_first_sources(2, u)), (r, u)
+            assert max(map(len, t.dims)) <= u + 1, (r, u)
+            if r == 2:
+                assert t.dims.keys() == build_source_regular(2, u).vertices, u
 
     def test_window_validation(self):
         with pytest.raises(ValueError):

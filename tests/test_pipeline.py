@@ -136,7 +136,7 @@ class TestRealize:
         for (r, c, d) in ROUTE_WITNESSES:
             routes.add(classify(r, c, d).route)
             for mode in ("ekp", "eip"):
-                w = realize(r, c, d, mode=mode, seed=5)
+                w = realize(r, c, d, mode=mode)
                 assert w.checks["jordan"] == {"c": c, "d": d,
                                               "from": w.ekp_certificate["kind"]}
                 assert ("eip" in w.checks) == (mode == "eip")
@@ -196,11 +196,16 @@ class TestRealize:
                 assert trace == w.construction_trace, (r, c, d)
         assert seen == {"cover", "shift"}
 
-    def test_a_shift_landing_on_the_lower_edge_is_seeded_by_a_thin_path(self):
-        # Phi(13, 34) = (2, 5) at r = 3, and 5 = (r-1)*2 + 1: a thin path, not the cover tree
+    def test_a_shift_landing_on_the_lower_edge_is_seeded_by_the_cover_tree(self):
+        # Phi(13, 34) = (2, 5) at r = 3, and 5 = (r-1)*2 + 1 lies in the cover
+        # window: the seed is read off (u, v) alone, as on the cover route
         w = realize(3, 21, 13)
-        assert w.construction_trace[:3] == ["route:shift", "shift:l=1:thin-case:intermediate=(2,5)",
-                                            "thin_path:u=2,v=5"]
+        assert w.construction_trace[:3] == ["route:shift", "shift:l=1:cover-case:intermediate=(2,5)",
+                                            "source_regular:n=2"]
+        # Phi(13, 33) = (5, 6) lies below the window: a thin zigzag
+        w = realize(3, 20, 13)
+        assert w.construction_trace[:3] == ["route:shift", "shift:l=1:thin-case:intermediate=(5,6)",
+                                            "thin_path:u=5,v=6"]
 
     def test_shift_witness_is_inj_after_translates(self):
         w = realize(3, 8, 5)
@@ -217,7 +222,7 @@ class TestWiderArrowCounts:
                 for c in range(0, 11 - 2 * d):
                     cls = classify(r, c, d)
                     try:
-                        w = realize(r, c, d, seed=3)
+                        w = realize(r, c, d)
                     except JordanTypeRejected:
                         assert not cls.accepted
                         continue

@@ -311,9 +311,9 @@ class TestTreeBrick:
                 checked += 1
         assert checked >= 25
 
-    @pytest.mark.parametrize("c, d, end_dim", [(17, 13, 7), (15, 11, 6), (20, 13, 5),
+    @pytest.mark.parametrize("c, d, end_dim", [(17, 13, 7), (15, 11, 6), (50, 31, 2),
                                                (70, 50, 81)],
-                             ids=["cover-13-30", "cover-11-26", "shift-13-33", "cover-50-120"])
+                             ids=["cover-13-30", "cover-11-26", "shift-31-81", "cover-50-120"])
     def test_large_end_witnesses(self, c, d, end_dim):
         # the push-downs are local non-bricks; their trees are bricks
         tree = realize(3, c, d).tree
