@@ -12,7 +12,9 @@ dimension vectors placing the excess on the distinguished sinks, the
 indecomposable tree representations realizing them, and the push-down
 functor folding a tree representation onto the Kronecker quiver.
 Push-down bases are ordered by address so every construction is
-bit-reproducible.
+bit-reproducible.  A tree file is read in one pass, the constructor's
+checks plus the JSON types and duplicates; only once one fails is it
+walked field by field, to name the first bad field.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
+from itertools import chain, starmap
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -251,47 +254,80 @@ class TreeRep:
 
     @staticmethod
     def from_json(d: dict) -> "TreeRep":
-        require_fields(d, ("r", "vertices", "edges"), "tree")
-        r, verts, edges = d["r"], d["vertices"], d["edges"]
-        check_arrow_count(r, "tree")
-        check_field(isinstance(verts, list), "tree", "vertices", "a list", verts)
-        check_field(isinstance(edges, list), "tree", "edges", "a list", edges)
-        word = f"a list of colors 1..{r}, no two neighbors equal"
-        for v in verts:
-            require_fields(v, ("addr", "dim"), "tree vertex")
-            check_field(_is_word(v["addr"], r), "tree vertex", "addr", word, v["addr"])
-            check_field(type(v["dim"]) is int and v["dim"] > 0, "tree vertex", "dim",
-                        "an integer >= 1", v["dim"])
-        for e in edges:
-            require_fields(e, ("src", "dst", "mat"), "tree edge")
-            for end in ("src", "dst"):
-                check_field(_is_word(e[end], r), "tree edge", end, word, e[end])
-        fld = field_from_json(d["field"]) if "field" in d else QQ
-        dims = {}
-        for v in verts:
-            addr = tuple(v["addr"])
-            if addr in dims:
-                raise ValueError(f"tree vertex 'addr' {list(addr)} appears twice")
-            dims[addr] = v["dim"]
-        maps = {}
-        for e in edges:
-            t, h = tuple(e["src"]), tuple(e["dst"])
-            what = f"tree edge {list(t)} -> {list(h)}"
-            if (t, h) in maps:
-                raise ValueError(f"{what} appears twice")
-            try:
-                color = edge_color(t, h)
-            except ValueError:
-                raise ValueError(f"tree edge field 'dst' must be adjacent to 'src' {list(t)}, "
-                                 f"got {list(h)}") from None
-            for end, v in (("src", t), ("dst", h)):
-                check_field(v in dims, "tree edge", end, "a vertex listed in 'vertices'", list(v))
-            if "color" in e:
-                check_field(type(e["color"]) is int and e["color"] == color, "tree edge", "color",
-                            f"{color}, the color of {list(t)} -> {list(h)}", e["color"])
-            maps[(t, h)] = ExactMatrix.from_str_lists(fld, e["mat"], dims[h], dims[t],
-                                                      f"{what} 'mat'")
-        return TreeRep(r, dims, maps, fld)
+        """Read a tree in one pass; once a check fails, ``_read_tree_fields`` names the field.
+
+        The constructor makes the structural checks (words, adjacency,
+        membership, shapes).  The pass adds only duplicates, each given
+        ``color`` and the JSON types, over all words at once: ``True`` and
+        ``1.0`` equal ``1``, so membership is no type check.
+        """
+        try:
+            r, verts, edges = d["r"], d["vertices"], d["edges"]
+            check_arrow_count(r, "tree")
+            fld = field_from_json(d["field"]) if "field" in d else QQ
+            addrs = [v["addr"] for v in verts]
+            srcs, dsts = [e["src"] for e in edges], [e["dst"] for e in edges]
+            dims = dict(zip(map(tuple, addrs), [v["dim"] for v in verts]))
+            maps = {(t, h): ExactMatrix.from_str_lists(fld, e["mat"], dims[h], dims[t])
+                    for e, t, h in zip(edges, map(tuple, srcs), map(tuple, dsts))}
+            tree = TreeRep(r, dims, maps, fld)
+            words = addrs + srcs + dsts
+            if (len(dims) == len(verts) and len(maps) == len(edges)
+                    and {type(d), *map(type, verts), *map(type, edges)} <= {dict}
+                    and type(verts) is type(edges) is list and set(map(type, words)) <= {list}
+                    and set(map(type, chain.from_iterable(words))) <= {int}
+                    and set(map(type, dims.values())) <= {int}
+                    and all(type(c := e.get("color", k)) is int and c == k
+                            for e, k in zip(edges, starmap(edge_color, maps)))):
+                return tree
+        except (LookupError, TypeError, ValueError):   # the walk names what failed
+            pass
+        return _read_tree_fields(d)
+
+
+def _read_tree_fields(d) -> TreeRep:
+    """Read a tree field by field, in file order; a ValueError names the first bad one."""
+    require_fields(d, ("r", "vertices", "edges"), "tree")
+    r, verts, edges = d["r"], d["vertices"], d["edges"]
+    check_arrow_count(r, "tree")
+    check_field(isinstance(verts, list), "tree", "vertices", "a list", verts)
+    check_field(isinstance(edges, list), "tree", "edges", "a list", edges)
+    word = f"a list of colors 1..{r}, no two neighbors equal"
+    for v in verts:
+        require_fields(v, ("addr", "dim"), "tree vertex")
+        check_field(_is_word(v["addr"], r), "tree vertex", "addr", word, v["addr"])
+        check_field(type(v["dim"]) is int and v["dim"] > 0, "tree vertex", "dim",
+                    "an integer >= 1", v["dim"])
+    for e in edges:
+        require_fields(e, ("src", "dst", "mat"), "tree edge")
+        for end in ("src", "dst"):
+            check_field(_is_word(e[end], r), "tree edge", end, word, e[end])
+    fld = field_from_json(d["field"]) if "field" in d else QQ
+    dims = {}
+    for v in verts:
+        addr = tuple(v["addr"])
+        if addr in dims:
+            raise ValueError(f"tree vertex 'addr' {list(addr)} appears twice")
+        dims[addr] = v["dim"]
+    maps = {}
+    for e in edges:
+        t, h = tuple(e["src"]), tuple(e["dst"])
+        what = f"tree edge {list(t)} -> {list(h)}"
+        if (t, h) in maps:
+            raise ValueError(f"{what} appears twice")
+        try:
+            color = edge_color(t, h)
+        except ValueError:
+            raise ValueError(f"tree edge field 'dst' must be adjacent to 'src' {list(t)}, "
+                             f"got {list(h)}") from None
+        for end, v in (("src", t), ("dst", h)):
+            check_field(v in dims, "tree edge", end, "a vertex listed in 'vertices'", list(v))
+        if "color" in e:
+            check_field(type(e["color"]) is int and e["color"] == color, "tree edge", "color",
+                        f"{color}, the color of {list(t)} -> {list(h)}", e["color"])
+        maps[(t, h)] = ExactMatrix.from_str_lists(fld, e["mat"], dims[h], dims[t],
+                                                  f"{what} 'mat'")
+    return TreeRep(r, dims, maps, fld)
 
 
 def _is_word(x, r: int) -> bool:

@@ -80,6 +80,8 @@ class RationalField:
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def parse(self, s: str) -> Scalar:
+        if type(s) is not str:
+            raise TypeError(f"expected a scalar string, got {type(s).__name__}")
         # int() takes underscores that Fraction() rejects before Python 3.11;
         # without one, the strings int() accepts are a subset of Fraction's
         if "_" not in s:
@@ -127,6 +129,8 @@ class PrimeField:
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
 
     def parse(self, s: str) -> int:
+        if type(s) is not str:
+            raise TypeError(f"expected a scalar string, got {type(s).__name__}")
         return int(s) % self.p
 
     def to_str(self, x: int) -> str:
@@ -693,12 +697,10 @@ class ExactMatrix:
             raise ValueError(f"{what} must be a {rows} x {cols} list of rows, "
                              f"got {reprlib.repr(data)}")
         parse = field.parse
-        parsed = [{j: x for j, x in enumerate(r) if x != "0"} for r in data]
         try:
-            if not all(type(x) is str for row in parsed for x in row.values()):
-                raise ValueError
-            parsed = [{j: y for j, x in row.items() if (y := parse(x))} for row in parsed]
-        except (ValueError, ZeroDivisionError):
+            parsed = [{j: y for j, x in enumerate(r) if x != "0" and (y := parse(x))}
+                      for r in data]
+        except (TypeError, ValueError, ZeroDivisionError):
             raise ValueError(f"{what} has an entry that is not a scalar string of {field!r}: "
                              f"{reprlib.repr(data)}") from None
         # parse returns reduced scalars, and enumerate only columns in range

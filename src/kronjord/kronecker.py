@@ -6,7 +6,7 @@ matrices of shape b x a acting on column vectors.  This module houses the
 bilinear and Tits forms, the Coxeter matrix, root classification, pencil
 evaluation and Jordan types, duality, direct sums, the translation to
 nilpotent operator matrices, and the JSON interchange format shared by
-every CLI command.
+every CLI command; an arrow shared by several colors is written once.
 
 The sampled checks rank pencils at a seeded plan of probe points.  The
 union of the arrows' patterns, each arrow read along the shorter side, is
@@ -111,11 +111,13 @@ class KroneckerRep:
         return self.dim.a + self.dim.b
 
     def to_json(self) -> dict:
+        strs = {}   # push_down shares one zero arrow among the colors it leaves unused
         return {
             "r": self.r,
             "dim": [self.dim.a, self.dim.b],
             "field": self.field.to_json(),
-            "mats": [m.to_str_lists() for m in self.mats],
+            "mats": [strs[k] if (k := id(m)) in strs else strs.setdefault(k, m.to_str_lists())
+                     for m in self.mats],
         }
 
     def to_json_str(self) -> str:

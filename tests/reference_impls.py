@@ -46,6 +46,13 @@ system's kernel off its union-find and back-substitutes every free column
 in one pass; the tests assert identical bases, vector for vector and key
 for key, and identical solutions.
 
+``reference_from_str_lists``, ``reference_rep_from_json`` and
+``reference_tree_from_json`` are the earlier JSON readers, which walk a
+file field by field and format each edge's messages as they go; the
+package reads a valid file in one pass and walks it only after a check
+has failed, and the tests assert the same objects and the same messages
+on a fixed list of corrupted fields.
+
 ``weyl_reflect``, ``max_cover_b`` and ``preinjective_dim_vectors`` are
 closed forms that only the tests use: a simple reflection of a dimension
 vector on a tree quiver, the top of the cover window, and the preinjective
@@ -53,18 +60,32 @@ dimension vectors as duals of the preprojective ones.
 """
 
 import random
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
 from kronjord.bgp import reflect_functor_source, tau_inverse_tree
-from kronjord.cover import TreeRep, _column, is_source, neighbors, thin_path_rep
+from kronjord.cover import (
+    TreeRep,
+    _column,
+    _is_word,
+    edge_color,
+    is_source,
+    neighbors,
+    thin_path_rep,
+)
 from kronjord.exactmat import (
     QQ,
     ExactMatrix,
     Field,
     _combine_int,
     _normalize_int_row,
+    check_arrow_count,
+    check_field,
+    field_from_json,
+    is_count_pair,
     left_kernel_matrix,
+    require_fields,
     sparse_int_echelon,
 )
 from kronjord.kronecker import ALPHA_BOX, DimVector, KroneckerRep, coxeter_apply, tits_form
@@ -470,3 +491,81 @@ def max_cover_b(r, a):
 def preinjective_dim_vectors(r, limit):
     """I1, I2, ... dimension vectors until a component exceeds ``limit``."""
     return [DimVector(b, a) for a, b in preprojective_dim_vectors(r, limit)]
+
+
+def reference_from_str_lists(field, data, rows, cols, what="matrix"):
+    """The shape, then the entries other than "0", then their types, then their values."""
+    if not (isinstance(data, list) and len(data) == rows
+            and all(isinstance(r, list) and len(r) == cols for r in data)):
+        raise ValueError(f"{what} must be a {rows} x {cols} list of rows, "
+                         f"got {reprlib.repr(data)}")
+    parse = field.parse
+    parsed = [{j: x for j, x in enumerate(r) if x != "0"} for r in data]
+    try:
+        if not all(type(x) is str for row in parsed for x in row.values()):
+            raise ValueError
+        parsed = [{j: y for j, x in row.items() if (y := parse(x))} for row in parsed]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} has an entry that is not a scalar string of {field!r}: "
+                         f"{reprlib.repr(data)}") from None
+    return ExactMatrix._wrap(field, parsed, cols)
+
+
+def reference_rep_from_json(d):
+    """A representation read field by field, each arrow named as it is parsed."""
+    require_fields(d, ("r", "dim", "field", "mats"), "representation")
+    r, dim, mats = d["r"], d["dim"], d["mats"]
+    check_arrow_count(r, "representation")
+    field = field_from_json(d["field"])
+    check_field(is_count_pair(dim), "representation", "dim",
+                "a pair of non-negative integers [a, b]", dim)
+    check_field(isinstance(mats, list) and len(mats) == r, "representation", "mats",
+                f"a list of r = {r} matrices", mats)
+    a, b = dim
+    mats = tuple(reference_from_str_lists(field, m, b, a, f"representation 'mats'[{t}]")
+                 for t, m in enumerate(mats))
+    return KroneckerRep(r, DimVector(a, b), mats, field)
+
+
+def reference_tree_from_json(d):
+    """A tree read field by field: every word checked at each place it is written."""
+    require_fields(d, ("r", "vertices", "edges"), "tree")
+    r, verts, edges = d["r"], d["vertices"], d["edges"]
+    check_arrow_count(r, "tree")
+    check_field(isinstance(verts, list), "tree", "vertices", "a list", verts)
+    check_field(isinstance(edges, list), "tree", "edges", "a list", edges)
+    word = f"a list of colors 1..{r}, no two neighbors equal"
+    for v in verts:
+        require_fields(v, ("addr", "dim"), "tree vertex")
+        check_field(_is_word(v["addr"], r), "tree vertex", "addr", word, v["addr"])
+        check_field(type(v["dim"]) is int and v["dim"] > 0, "tree vertex", "dim",
+                    "an integer >= 1", v["dim"])
+    for e in edges:
+        require_fields(e, ("src", "dst", "mat"), "tree edge")
+        for end in ("src", "dst"):
+            check_field(_is_word(e[end], r), "tree edge", end, word, e[end])
+    fld = field_from_json(d["field"]) if "field" in d else QQ
+    dims = {}
+    for v in verts:
+        addr = tuple(v["addr"])
+        if addr in dims:
+            raise ValueError(f"tree vertex 'addr' {list(addr)} appears twice")
+        dims[addr] = v["dim"]
+    maps = {}
+    for e in edges:
+        t, h = tuple(e["src"]), tuple(e["dst"])
+        what = f"tree edge {list(t)} -> {list(h)}"
+        if (t, h) in maps:
+            raise ValueError(f"{what} appears twice")
+        try:
+            color = edge_color(t, h)
+        except ValueError:
+            raise ValueError(f"tree edge field 'dst' must be adjacent to 'src' {list(t)}, "
+                             f"got {list(h)}") from None
+        for end, v in (("src", t), ("dst", h)):
+            check_field(v in dims, "tree edge", end, "a vertex listed in 'vertices'", list(v))
+        if "color" in e:
+            check_field(type(e["color"]) is int and e["color"] == color, "tree edge", "color",
+                        f"{color}, the color of {list(t)} -> {list(h)}", e["color"])
+        maps[(t, h)] = reference_from_str_lists(fld, e["mat"], dims[h], dims[t], f"{what} 'mat'")
+    return TreeRep(r, dims, maps, fld)

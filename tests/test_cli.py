@@ -222,6 +222,23 @@ class TestVerifyWitness:
         assert code == 1 and "tree vertex field 'addr'" in captured.out + captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("spoil, want", [
+        (lambda t: t["edges"].append(dict(t["edges"][0])), "tree edge [] -> [1] appears twice"),
+        (lambda t: t["edges"][0].update(color=2), "tree edge field 'color' must be 1"),
+        # [true] equals the listed sink [1], but is not a word
+        (lambda t: t["edges"][0].update(src=[True], dst=[]),
+         "tree edge field 'src' must be a list of colors 1..3"),
+    ], ids=["duplicate-edge", "wrong-color", "true-src"])
+    def test_spoiled_tree_edge_is_named(self, tmp_path, capsys, spoil, want):
+        target = realize_to(tmp_path, capsys, 3, "3,2")
+        data = json.loads(target.read_text())
+        spoil(data["tree"])
+        target.write_text(json.dumps(data))
+        code = main(["verify", str(target)])
+        captured = capsys.readouterr()
+        assert code == 1 and want in captured.out + captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     @pytest.mark.parametrize("mode", ["ekp", "eip"])
     @pytest.mark.parametrize("jordan", ["1,0", "2,1", "2,2", "3,2", "8,5"],
                              ids=["simple", "preprojective", "echelon", "cover", "shift"])
