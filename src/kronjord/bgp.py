@@ -44,7 +44,9 @@ def reflect_functor_source(m: TreeRep, *xs: Address) -> TreeRep:
     reflection of the old one.  Vertices of dimension zero are allowed
     (their reflection is the direct sum of the neighbor spaces).  No two
     of the xs share an edge, so every cokernel is read from ``m`` and one
-    pass builds the result.
+    pass builds the result.  The stacked map holds the arrows' rows, and
+    the new arrows the cokernel's entries: each is reduced and non-zero
+    already, so both are wrapped as they are.
     """
     reflected = set(xs)
     for x in reflected:
@@ -64,7 +66,7 @@ def reflect_functor_source(m: TreeRep, *xs: Address) -> TreeRep:
             mat = m.maps.get((x, y))
             stacked += mat.sparse_rows() if mat is not None else [{}] * m.dims[y]
             owner += [(y, i) for i in range(m.dims[y])]
-        proj = left_kernel_matrix(ExactMatrix.from_rows(m.field, stacked, dx)).sparse_rows()
+        proj = left_kernel_matrix(ExactMatrix._wrap(m.field, stacked, dx)).sparse_rows()
         if proj:
             dims[x] = len(proj)
             blocks = {y: [{} for _ in proj] for y in nbrs}
@@ -73,7 +75,7 @@ def reflect_functor_source(m: TreeRep, *xs: Address) -> TreeRep:
                     y, i = owner[c]
                     blocks[y][k][i] = v
             for y in nbrs:
-                maps[(y, x)] = ExactMatrix.from_rows(m.field, blocks[y], m.dims[y])
+                maps[(y, x)] = ExactMatrix._wrap(m.field, blocks[y], m.dims[y])
     return TreeRep(m.r, dims, maps, m.field)
 
 

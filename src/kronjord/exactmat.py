@@ -21,14 +21,17 @@ A system of rows is a ``SparseSystem``, with a ``rank`` and a ``kernel``;
 ``sparse_int_rank`` and ``sparse_int_kernel`` ask a new one for either.
 A difference system, whose rows are all x*u or x*(u - v), takes neither
 to the engine: one union-find, found once per system, gives its rank and
-its kernel, the same over every field.  For a rank, any other system has
-its singleton pivots peeled first, each of which adds 1 to the rank over
-any field, and only the core that is left goes to the engine; for a
-kernel, it is eliminated whole and back-substituted in one pass for
-every free column.  The peel reads only positions, so a pattern peeled
-once serves every system whose pattern lies inside it and whose entries
-at the pivots are non-zero: the sampled pencil checks peel the union of
-the arrows' patterns once per representation.
+its kernel, the same over every field.  Any other system is eliminated
+once, and its rank and its kernel both read that elimination: its
+singleton pivots are peeled first, each of which adds 1 to the rank over
+any field, and only the core that is left goes to the engine.  The
+kernel back-substitutes every free column in one pass through the core's
+pivots and then the peel's, in reverse, and is re-reduced to the engine's
+basis only where the peel left other free columns.  The peel reads only
+positions, so a pattern peeled once serves every system whose pattern
+lies inside it and whose entries at the pivots are non-zero: the sampled
+pencil checks peel the union of the arrows' patterns once per
+representation.
 """
 
 from __future__ import annotations
@@ -376,17 +379,17 @@ def _difference_forest(rows: Sequence[dict], p: Optional[int]):
 
 
 # ---------------------------------------------------------------------------
-# singleton peeling (rank only)
+# singleton peeling
 # ---------------------------------------------------------------------------
 #
-# A caller that needs only a rank peels the system first.  Each peeled
-# pivot adds exactly 1 to the rank over any field, so no entry is read,
-# and the core that is left goes to the engine.  The witnesses are push-
-# downs of tree modules, whose pencils and End systems have almost a
-# forest as their pattern; a forest peels to an empty core.  A pivot of a
-# pattern is still a singleton of any system inside that pattern that is
-# non-zero there, so one peel of the union of the arrows' patterns ranks
-# every pencil whose pivot entries do not vanish.
+# A system is peeled before it is eliminated.  Each peeled pivot adds
+# exactly 1 to the rank over any field, so no entry is read, and the core
+# that is left goes to the engine.  The witnesses are push-downs of tree
+# modules, whose pencils and End systems have almost a forest as their
+# pattern; a forest peels to an empty core.  A pivot of a pattern is still
+# a singleton of any system inside that pattern that is non-zero there, so
+# one peel of the union of the arrows' patterns ranks every pencil whose
+# pivot entries do not vanish.
 
 def _peel(rows: Sequence[dict]) -> tuple[list[tuple[int, int]], list[dict]]:
     """Singleton pivots of a sparse system, and the core that is left.
@@ -401,6 +404,19 @@ def _peel(rows: Sequence[dict]) -> tuple[list[tuple[int, int]], list[dict]]:
     the entries are read, so every entry must be non-zero.  Returns the
     pivots as (row, column) pairs in the order taken, and the core;
     O(nnz) with degree counters.
+
+    The initial column singletons are taken lowest column first.  Two of
+    them in one row leave the higher free, as the engine's left-to-right
+    elimination does, so a kernel read off the peel matches the engine's
+    free columns more often.
+
+    A column stays live while a live row holds it, until it is taken as a
+    row pivot's column, so a live row's dead columns are all row-pivot
+    columns.  Hence a column pivot's row holds only columns fixed later
+    (peeled later, left in the core, or free) and row-pivot columns; a row
+    pivot's row holds, besides its column, only row-pivot columns taken
+    before it; and a row left with no live column holds only row-pivot
+    columns.  ``SparseSystem.kernel``'s back-substitution rests on this.
     """
     col_rows: defaultdict[int, list[int]] = defaultdict(list)
     for i, row in enumerate(rows):
@@ -410,7 +426,7 @@ def _peel(rows: Sequence[dict]) -> tuple[list[tuple[int, int]], list[dict]]:
     col_deg = {c: len(ix) for c, ix in col_rows.items()}
     row_deg = [len(row) for row in rows]
     row_live = [True] * len(rows)
-    col_stack = [c for c, k in col_deg.items() if k == 1]
+    col_stack = sorted((c for c, k in col_deg.items() if k == 1), reverse=True)
     row_stack = [i for i, k in enumerate(row_deg) if k == 1]
     pivots: list[tuple[int, int]] = []
     while col_stack or row_stack:
@@ -445,20 +461,22 @@ def _peel(rows: Sequence[dict]) -> tuple[list[tuple[int, int]], list[dict]]:
 
 
 # ---------------------------------------------------------------------------
-# systems: one rank path and one kernel path
+# systems: one elimination for the rank and the kernel
 # ---------------------------------------------------------------------------
 
 def _back_substitute(piv_rows: list[tuple[int, dict]], seeds: Sequence[int],
                      p: Optional[int] = None) -> list[dict[int, Scalar]]:
     """For each seed, a free column, the kernel vector that is 1 there and 0 at the others.
 
-    The pivot rows are walked once, in reverse pivot order, each
-    coordinate held as a sparse map from seed to non-zero value.  Over Q a
-    pivot value is one exact division, an int when it is integral and a
-    ``Fraction`` otherwise; mod ``p`` a product with the pivot's inverse.
-    Each vector holds its seed, then its pivot coordinates in reverse order.
+    ``piv_rows`` are (column, row) pairs such that each row holds, besides
+    its column, only columns of later pairs, free columns and columns whose
+    coordinate is 0.  They are walked once, in reverse, each coordinate
+    held as a sparse map from seed to non-zero value; a column no pair has
+    reached yet reads as 0.  Over Q a pivot value is one exact division, an
+    int when it is integral and a ``Fraction`` otherwise; mod ``p`` a
+    product with the pivot's inverse.  Each vector holds its seed, then its
+    other columns in decreasing order.
     """
-    out = [{f: 1} for f in seeds]
     coords: dict[int, dict[int, Scalar]] = {f: {k: 1} for k, f in enumerate(seeds)}
     for c, prow in reversed(piv_rows):
         sums: dict[int, Scalar] = {}
@@ -467,7 +485,7 @@ def _back_substitute(piv_rows: list[tuple[int, dict]], seeds: Sequence[int],
                 for k, w in xj.items():
                     sums[k] = sums.get(k, 0) + v * w
         a = prow[c]
-        xc = coords[c] = {}
+        xc = {}
         for k, s in sums.items():
             if p is None:
                 q, rem = divmod(-s, a)
@@ -475,8 +493,56 @@ def _back_substitute(piv_rows: list[tuple[int, dict]], seeds: Sequence[int],
             else:
                 x = -s * pow(a, -1, p) % p
             if x:
-                xc[k] = out[k][c] = x
+                xc[k] = x
+        if xc:
+            coords[c] = xc
+    out = [{f: 1} for f in seeds]
+    for c in sorted(coords, reverse=True):
+        for k, x in coords[c].items():
+            out[k][c] = x
     return out
+
+
+def _reduce_by_last_column(vectors: list[dict], p: Optional[int] = None) -> list[dict[int, Scalar]]:
+    """The basis of the span of independent ``vectors`` reduced by last column.
+
+    Each vector of the result is 1 at its last non-zero column and 0 at
+    the last columns of the others, which makes the basis unique, and is
+    laid out as ``_back_substitute`` lays out its own: that column first,
+    then the others in decreasing order.  The vectors come in increasing
+    order of that column.  A vector's last column is cleared by the vector
+    already kept there until it is new; then each kept vector, lowest last
+    column first, is cleared at the lower last columns by the ones before
+    it, which are reduced already.
+    """
+    def axpy(v: dict, x: Scalar, u: dict) -> None:
+        # v -= x * u, in place
+        for j, y in u.items():
+            w = v.get(j, 0) - x * y
+            if p is not None:
+                w %= p
+            if w:
+                v[j] = w
+            else:
+                del v[j]
+
+    lead: dict[int, dict] = {}
+    for vec in vectors:
+        v = dict(vec)
+        while (c := max(v)) in lead:
+            axpy(v, v[c], lead[c])
+        x = v[c]
+        inv = pow(x, -1, p) if p is not None else None
+        lead[c] = {j: y * inv % p if p is not None else Fraction(y) / x for j, y in v.items()}
+    cols = sorted(lead)
+    for i, c in enumerate(cols):
+        v = lead[c]
+        for d in cols[:i]:
+            if (x := v.get(d)):
+                axpy(v, x, lead[d])
+    element = QQ.element if p is None else int
+    return [{c: 1, **{j: element(lead[c][j]) for j in sorted(lead[c], reverse=True) if j != c}}
+            for c in cols]
 
 
 _UNSEEN = object()
@@ -487,20 +553,21 @@ class SparseSystem:
 
     Entries are as ``sparse_int_echelon`` takes them; zero entries (mod
     ``p``: multiples of ``p``) are dropped.  The difference forest is
-    looked for once, on the first ``rank`` or ``kernel``, and read by both;
-    the rank is kept once found.  A system that is not a difference system
-    is eliminated twice, never sharing an echelon: peeled and its core
-    echelonized for a rank, echelonized whole and back-substituted for a
-    kernel.  The rows are not mutated, and threads may share a system: two
-    that race to fill a memo both store the same value.
+    looked for once, on the first ``rank`` or ``kernel``, and read by both.
+    A system that is not a difference system is eliminated once, on the
+    first ``rank`` or ``kernel``, and read by both: ``_peel`` takes its
+    singleton pivots and ``sparse_int_echelon`` echelonizes only the core
+    that is left, so an empty core never reaches the engine.  The system
+    keeps both pivot lists.  The rows are not mutated, and threads may
+    share a system: two that race to fill a memo both store the same value.
     """
 
-    __slots__ = ("rows", "ncols", "p", "_forest", "_rank")
+    __slots__ = ("rows", "ncols", "p", "_forest", "_elimination")
 
     def __init__(self, rows: Iterable[dict], ncols: int, p: Optional[int] = None):
         self.rows = rows if isinstance(rows, list) else list(rows)
         self.ncols, self.p = ncols, p
-        self._forest, self._rank = _UNSEEN, None
+        self._forest, self._elimination = _UNSEEN, None
 
     def forest(self):
         """``_difference_forest`` of the rows, found on the first call."""
@@ -508,38 +575,66 @@ class SparseSystem:
             self._forest = _difference_forest(self.rows, self.p)
         return self._forest
 
-    def rank(self) -> int:
-        """The rank.  A difference system is ranked off its forest, with no
-        elimination.  Any other system has its singleton pivots peeled, and
-        only the core that is left goes to ``sparse_int_echelon``; an empty
-        core never reaches it.  Neither step needs ints.
-        """
-        if self._rank is not None:
-            return self._rank
-        forest, p = self.forest(), self.p
-        if forest is not None:
-            rank = forest[1] + len(forest[2])
-        else:
+    def _eliminate(self) -> tuple[list[dict], list[tuple[int, int]], list[tuple[int, dict]]]:
+        """The rows without zeros, their peel's (row, column) pivots and the
+        core's echelon, found on the first call.  Neither step needs ints."""
+        if self._elimination is None:
+            p = self.p
             if p is None:
                 rows = [row if all(row.values()) else {c: v for c, v in row.items() if v}
                         for row in self.rows]
             else:
                 rows = [row if all(v % p for v in row.values()) else _normalize_mod_row(row, p)
                         for row in self.rows]
-            pivots, core = _peel(rows)
-            rank = len(pivots) + (len(sparse_int_echelon(core, self.ncols, p)) if core else 0)
-        self._rank = rank
-        return rank
+            peeled, core = _peel(rows)
+            core_pivots = sparse_int_echelon(core, self.ncols, p) if core else []
+            self._elimination = rows, peeled, core_pivots
+        return self._elimination
+
+    def pivots(self) -> list[tuple[int, dict]]:
+        """The elimination of the rows as (column, row) pairs: the peel's
+        pivots in the order taken, each with its row without zeros, then
+        the core's, with the engine's rows, in increasing column order."""
+        rows, peeled, core_pivots = self._eliminate()
+        return [(c, rows[i]) for i, c in peeled] + core_pivots
+
+    def rank(self) -> int:
+        """The rank.  A difference system is ranked off its forest, with no
+        elimination; any other system by the number of its ``pivots``.
+        """
+        forest = self.forest()
+        if forest is not None:
+            return forest[1] + len(forest[2])
+        _, peeled, core_pivots = self._eliminate()
+        return len(peeled) + len(core_pivots)
 
     def kernel(self) -> list[dict]:
-        """Basis of the right kernel.
+        """Basis of the right kernel: the one ``sparse_int_echelon`` of the whole
+        system and a back-substitution would give.
 
         Each basis vector is a dict column -> non-zero entry, 1 at its own
-        free column, its first key, and 0 at every other free column, which
-        makes the basis unique; the pivot columns follow in decreasing order.
-        Entries are ints, save the non-integral rationals, which are
-        ``Fraction``s.  A system that is not a difference system goes to
-        ``sparse_int_echelon`` and one ``_back_substitute`` pass.
+        free column, its first key and its last non-zero, and 0 at every
+        other free column, which makes the basis unique; the other columns
+        follow in decreasing order, and the vectors come in increasing order
+        of their free column.  Entries are ints, save the non-integral
+        rationals, which are ``Fraction``s.  The free columns are those whose
+        column is in the span of the columns before it: the last columns of
+        the kernel's vectors.
+
+        A system that is not a difference system is read off its
+        ``pivots``, the elimination its rank reads: one ``_back_substitute``
+        pass through the core's pivots and then the peel's, in reverse,
+        seeded at every column that is not a pivot.  The core's rows hold
+        only core columns and row-pivot columns; a row-pivot column is 0,
+        since its row holds only row-pivot columns taken before it, which
+        the reverse walk reaches after it; a column pivot is solved from its
+        row, whose other columns are fixed later in the peel, in the core or
+        free, or are row-pivot columns; and a row that meets no live column
+        holds only row-pivot columns.  So every row holds, and the vectors
+        are independent and as many as the nullity.  The peel's free columns
+        can differ from the engine's: when some vector's last non-zero is
+        not its seed, ``_reduce_by_last_column`` turns the basis into the
+        engine's.
 
         A difference system gives the indicator of each component C of its
         forest without a ground (a column no row touches is one), ordered by
@@ -560,9 +655,13 @@ class SparseSystem:
                 if (root := find(c)) not in grounded:
                     components.setdefault(root, []).append(c)
             return [dict.fromkeys(cols, 1) for cols in reversed(components.values())]
-        piv_rows = sparse_int_echelon(self.rows, ncols, p)
-        pivot_cols = {c for c, _ in piv_rows}
-        return _back_substitute(piv_rows, [f for f in range(ncols) if f not in pivot_cols], p)
+        pivots = self.pivots()
+        pivot_cols = {c for c, _ in pivots}
+        seeds = [f for f in range(ncols) if f not in pivot_cols]
+        basis = _back_substitute(pivots, seeds, p)
+        if any(max(v) != f for v, f in zip(basis, seeds)):
+            basis = _reduce_by_last_column(basis, p)
+        return basis
 
 
 def sparse_int_rank(rows: Iterable[dict], ncols: int, p: Optional[int] = None) -> int:
@@ -774,15 +873,15 @@ class ExactMatrix:
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
         n = self.cols
-        p = self.field.modulus
         # the augmented column carries -b, so that solutions are kernel
-        # vectors with last coordinate 1
+        # vectors with last coordinate 1: the basis vector seeded at column
+        # n, the last one, when n is not a pivot
         rows = [{**row, n: -rhs} if (rhs := self.field.element(x)) else row
                 for row, x in zip(self._rows, b)]
-        piv = sparse_int_echelon(rows, n + 1, p)
-        if any(c == n for c, _ in piv):
+        basis = SparseSystem(rows, n + 1, self.field.modulus).kernel()
+        if not basis or n not in basis[-1]:
             return None
-        (x,) = _back_substitute(piv, [n], p)
+        x = basis[-1]
         return [x.get(j, self.field.zero) for j in range(n)]
 
 
@@ -793,5 +892,6 @@ def left_kernel_matrix(m: ExactMatrix) -> ExactMatrix:
     ambient dimensions agree, which is the property cokernel projections
     need.
     """
-    return ExactMatrix.from_rows(m.field, sparse_int_kernel(m.transpose().sparse_rows(), m.rows,
-                                                            m.field.modulus), m.rows)
+    # the kernel's vectors are reduced, non-zero and in range already
+    return ExactMatrix._wrap(m.field, sparse_int_kernel(m.transpose().sparse_rows(), m.rows,
+                                                        m.field.modulus), m.rows)

@@ -6,12 +6,18 @@ and tree representations; Ext^1 is the cokernel dimension of the same
 presentation, computed from the rank rather than from the bilinear form.
 End(M) of a Kronecker representation is one ``SparseSystem``, built on
 the first call that needs it and kept on M: Hom, Ext and the brick test
-share its rows, its difference forest and its rank.  On a difference
-system Hom and the rank both read that one union-find; on any other
-system Hom's kernel and the rank are two separate eliminations, no
-echelon shared, so the Euler identity remains a nontrivial cross-check
-there.  A brick (End of dimension 1) is decided from the rank of the End
-system over any field; it certifies every witness, on the tree for a
+share its rows, its difference forest and its one elimination.  On a
+difference system Hom and the rank both read that one union-find; on any
+other system both read one peel, whose core alone goes to the engine:
+the rank counts its pivots, and Hom's basis is back-substituted through
+them, the core's pivots first and then the peel's in reverse.  That is
+sound because a row pivot's column is 0, a column pivot's row holds only
+columns fixed later or row-pivot columns, and a row left with no live
+column holds only row-pivot columns (``exactmat._peel``).  So the Euler
+identity hom - ext = q compares no two eliminations of one system; the
+tests compare Hom's basis and the rank with separate references.  A
+brick (End of dimension 1) is decided from the rank of the End system
+over any field; it certifies every witness, on the tree for a
 push-down.  Locality of End, for bare representations, is decided over
 the rationals: the radical is the kernel of the trace form of End acting
 on the representation itself, each trace read off the sparse rows of a
@@ -108,9 +114,12 @@ def hom_space(m: KroneckerRep, n: KroneckerRep) -> HomSpace:
     """Basis of the space of morphisms from m to n, solved exactly.
 
     The kernel of ``_system(m, n)``: for n is m, End(m)'s system, whose
-    rows and difference forest ``is_brick`` and ``ext_dim`` share.  On a
-    system that is not a difference system the kernel is its own
-    elimination, apart from the rank's.
+    rows, difference forest and elimination ``is_brick`` and ``ext_dim``
+    share.  Off a difference system the basis is read off the one peel
+    that ranks the system (its core, if any, echelonized by the engine):
+    back-substituted through the core's pivots and then the peel's in
+    reverse, and re-reduced onto the engine's free columns only where the
+    peel freed others, so the basis is the engine's.
     """
     (aM, bM), (aN, bN) = m.dim, n.dim
     fld = m.field
@@ -134,8 +143,9 @@ def ext_dim(m: KroneckerRep, n: KroneckerRep) -> int:
     of the map (f1, f2) -> (f2 M(g_i) - N(g_i) f1)_i), independently of
     the bilinear form.  For n is m the system is End(m)'s, shared with
     ``hom_space`` and ``is_brick``: its rows, its difference forest and
-    its rank.  Off a difference system the rank is an elimination of its
-    own, never the echelon of Hom's kernel.
+    its one elimination.  Off a difference system the rank is the number
+    of pivots of the peel and of its core's echelon, the elimination
+    Hom's basis is read off.
     """
     return m.r * m.dim.a * n.dim.b - _system(m, n).rank()
 
@@ -148,11 +158,12 @@ def is_brick(m: KroneckerRep | TreeRep) -> bool:
     identity arrows End is a difference system, ranked by union-find in
     every characteristic at once, and a tree's peels to an empty core.
     A Kronecker representation's End system is the one ``hom_space`` and
-    ``ext_dim`` read, rows, difference forest and rank alike; a tree's is
-    built and ranked afresh on every call.  Off a difference system the
-    rank is an elimination of its own, never the echelon of Hom's kernel.
-    The pipeline decides an echelon witness from its offsets
-    (``echelon_end_dim``) and comes here when an arrow is not I(l).
+    ``ext_dim`` read, rows, difference forest and elimination alike; a
+    tree's is built and ranked afresh on every call.  Off a difference
+    system the rank counts the pivots of one peel and of its core's
+    echelon, the elimination Hom's basis is read off.  The pipeline
+    decides an echelon witness from its offsets (``echelon_end_dim``) and
+    comes here when an arrow is not I(l).
     """
     system = _system(m, m)
     return system.ncols - system.rank() == 1

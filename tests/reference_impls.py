@@ -39,12 +39,14 @@ whole, with the elimination engine; the package ranks every probe point
 from one peel of the union of the arrows, read along the shorter side,
 and the tests assert identical ranks.
 
-``reference_sparse_int_kernel`` eliminates every system with the engine
-and back-substitutes once per free column (``reference_back_substitute``,
-also behind ``reference_solve``).  The package reads a difference
-system's kernel off its union-find and back-substitutes every free column
-in one pass; the tests assert identical bases, vector for vector and key
-for key, and identical solutions.
+``reference_sparse_int_kernel`` eliminates every system whole with the
+engine and back-substitutes once per free column
+(``reference_back_substitute``, also behind ``reference_solve``).  The
+package reads a difference system's kernel off its union-find, and any
+other system's off the peel that ranks it, with only the core left going
+to the engine, back-substituting every free column in one pass; the tests
+assert identical bases, vector for vector and key for key, and identical
+solutions.
 
 ``reference_from_str_lists``, ``reference_rep_from_json`` and
 ``reference_tree_from_json`` are the earlier JSON readers, which walk a

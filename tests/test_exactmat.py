@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_impls import (
     reference_solve,
@@ -749,6 +749,91 @@ def test_kernel_and_solve_match_the_per_column_reference(system):
     assert sol is None or [type(x) for x in sol] == [type(x) for x in want]
 
 
+# --- one elimination: the peel and the core's echelon give the engine's kernel --
+
+# (modulus, rows, ncols): the peel frees column 1 where the engine frees 2;
+# a repeated row leaves a core, and the peel frees 1 where the engine frees
+# 2, over Q with a Fraction and a zero and over GF(101); the peel leaves a
+# core and frees the engine's column
+PEEL_EXAMPLES = [
+    (None, [{0: 1, 2: 1}, {1: 1, 2: 1}], 3),
+    (None, [{0: Fraction(1, 2), 2: 1}, {0: 1, 1: Fraction(1, 2), 3: 0}, {1: 1, 0: 2}], 4),
+    (101, [{0: 1, 2: 2}, {0: 2, 1: 1}, {1: 102, 0: -99}], 4),
+    (101, [{0: 1, 1: 2}, {0: 3, 1: 4, 2: 101}, {1: 1, 2: 5, 3: 1}, {3: -1, 4: 7}], 5),
+]
+
+
+@st.composite
+def peel_systems(draw):
+    """A modulus (None over Q, else 2, 3 or 101), sparse rows and their column
+    count.  Rows hold up to four entries: explicit zeros, entries that vanish
+    mod p, Fractions over Q; some rows repeat and one is empty.  The
+    patterns run from chains, which peel away and whose free columns the
+    peel may pick apart from the engine's, to dense blocks, which leave a
+    core; there may be no rows or no columns."""
+    p = draw(st.sampled_from([None, 2, 3, 101]))
+    ncols = draw(st.integers(min_value=0, max_value=9))
+    col = st.integers(0, ncols - 1) if ncols else st.nothing()
+    if p is None:
+        entry = st.one_of(st.sampled_from([0, 1, -1, 2, -3, 6]),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    else:
+        entry = st.one_of(st.sampled_from([0, p, -p]), st.integers(-2 * p, 2 * p))
+    rows = draw(st.lists(st.dictionaries(col, entry, max_size=min(ncols, 4)), max_size=9))
+    for i in draw(st.lists(st.integers(0, 15), max_size=2)):
+        if rows:
+            rows.append(dict(rows[i % len(rows)]))
+    rows.append({})
+    order = draw(st.permutations(range(len(rows))))
+    return p, [rows[i] for i in order], ncols
+
+
+def reference_rank(rows, ncols, p):
+    """The rank by the scanning reference over Q (rows cleared of denominators)
+    or the dense RREF mod ``p``."""
+    if p is None:
+        return len(reference_sparse_int_echelon(
+            [{c: int(v * lcm(*(Fraction(x).denominator for x in row.values())))
+              for c, v in row.items() if v} for row in rows], ncols))
+    return len(_dense_rref([[row.get(j, 0) for j in range(ncols)] for row in rows], ncols, p)[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(peel_systems())
+@example(PEEL_EXAMPLES[0])
+@example(PEEL_EXAMPLES[1])
+@example(PEEL_EXAMPLES[2])
+@example(PEEL_EXAMPLES[3])
+def test_one_elimination_gives_the_engines_kernel(system):
+    p, rows, ncols = system
+    snapshot = copy.deepcopy(rows)
+    system = SparseSystem(rows, ncols, p)
+    got = system.kernel()
+    assert keyed(got) == keyed(reference_sparse_int_kernel(rows, ncols, p))
+    assert system.rank() == reference_rank(rows, ncols, p) == ncols - len(got)
+    for vec in got:
+        for row in rows:
+            s = sum(v * vec.get(c, 0) for c, v in row.items())
+            assert (s % p if p else s) == 0
+    assert rows == snapshot, "input rows were mutated"
+
+
+def test_the_peel_examples_leave_a_core_or_free_other_columns():
+    def free(pivots, ncols):
+        return [f for f in range(ncols) if f not in {c for c, _ in pivots}]
+
+    cores, differs = [], []
+    for p, rows, ncols in PEEL_EXAMPLES:
+        system = SparseSystem(rows, ncols, p)
+        assert system.forest() is None
+        nonzero = [{c: v for c, v in row.items() if (v % p if p else v)} for row in rows]
+        cores.append(bool(_peel(nonzero)[1]))
+        differs.append(free(system.pivots(), ncols) != free(sparse_int_echelon(rows, ncols, p),
+                                                            ncols))
+    assert cores == [False, True, True, True]
+    assert differs == [True, True, True, False]
+
+
 def test_difference_kernels_are_read_off_the_forest(monkeypatch):
     # components {0, 2, 5} and {3, 4}, grounded {1, 6}, column 7 untouched
     rows = [{5: 7, 0: -7}, {2: 1, 0: -1}, {4: 1, 3: -1}, {1: 5, 6: -5}, {6: 5}, {7: 0}]
@@ -788,23 +873,21 @@ def test_hom_space_matches_the_reference_on_the_prime_field_shapes(monkeypatch, 
     rows, ncols = _intertwining_rows(m, m)
     difference = difference_rank(rows, ncols, shape[4]) is not None
     want = reference_hom_basis(m)
-    calls = count_calls(monkeypatch)
+    calls, peels = count_calls(monkeypatch), count_calls(monkeypatch, "_peel")
     assert list(hom_space(m, m).basis) == want
     # every shape but the r=3 cover (5, 12) has a difference End system
     assert difference == (shape[1:4] != (3, 5, 12))
-    assert len(calls) == (0 if difference else 1)
     # the brick test and Ext rank the same kept system: a difference system
-    # from the forest Hom read, the other by one peel of its own, which
-    # leaves no core; Hom's echelon of the whole system is never reused
+    # from the forest Hom read, the other from the one peel Hom's basis was
+    # read off, which leaves no core
     system = m._end_memo["system"]
     nvars = system.ncols
     rank = len(_dense_rref([[row.get(j, 0) for j in range(nvars)] for row in rows],
                            nvars, shape[4])[1])
-    peels = count_calls(monkeypatch, "_peel")
     assert verify.is_brick(m) == (len(want) == 1) == (nvars - rank == 1)
     assert verify.ext_dim(m, m) == m.r * m.dim.a * m.dim.b - rank
-    assert len(peels) == len(calls) == (0 if difference else 1)
-    assert difference or calls[0][0] is system.rows
+    assert calls == []
+    assert len(peels) == (0 if difference else 1)
 
 
 @pytest.mark.parametrize("c, d", [(17, 13), (46, 34)])

@@ -548,8 +548,17 @@ class TestSampledChecks:
             check(cover_rep(3, 2, 5), 0, 0)
 
     def test_ekp_stops_at_the_first_failing_point(self, ranked):
-        # the zero column of the simple summand puts a kernel vector in every pencil
+        # the zero column of the simple summand puts a kernel vector in every
+        # pencil; the pencil plan decides that point 0 fails, so no pencil is ranked
         rep = direct_sum(cover_rep(3, 2, 5), simple_rep(3, (1, 0)))
+        assert not ekp_sample_check(rep, 200, 0)
+        assert ranked == []
+        # the identity and the swap make a full 2 x 2 union, which leaves a
+        # core: with no plan, point 0 is ranked, fails, and ends the check
+        block = ExactMatrix(QQ, [[1, 0], [0, 1]]), ExactMatrix(QQ, [[0, 1], [1, 0]])
+        rep = direct_sum(KroneckerRep(3, DimVector(2, 2), (*block, ExactMatrix.zeros(QQ, 2, 2))),
+                         simple_rep(3, (1, 0)))
+        assert kronecker._pencil_plan(rep) is None
         assert not ekp_sample_check(rep, 200, 0)
         assert len(ranked) == 1
 
